@@ -237,23 +237,24 @@ def parse_class_spec(spec: str) -> FunctionClass:
             raise ValueError(f"non-integer value in class spec {spec!r}") from exc
     try:
         if name == "class1":
-            return Class1(args.pop("i", 0))
-        if name == "class2":
-            return Class2(args.pop("i", 0))
-        if name == "class3":
-            return Class3(args.pop("r"), args.pop("prefix", 0))
-        if name == "class4":
-            return Class4(args.pop("r"), args.pop("prefix", 0))
-        if name == "dictator":
-            return Dictator(args.pop("j", 1))
-        if name == "lex":
-            return Lex(args.pop("n1"))
+            cls = Class1(args.pop("i", 0))
+        elif name == "class2":
+            cls = Class2(args.pop("i", 0))
+        elif name == "class3":
+            cls = Class3(args.pop("r"), args.pop("prefix", 0))
+        elif name == "class4":
+            cls = Class4(args.pop("r"), args.pop("prefix", 0))
+        elif name == "dictator":
+            cls = Dictator(args.pop("j", 1))
+        elif name == "lex":
+            cls = Lex(args.pop("n1"))
+        else:
+            raise ValueError(f"unknown function class {name!r}")
     except KeyError as exc:
         raise ValueError(f"class spec {spec!r} is missing required key {exc}") from exc
-    finally:
-        if args:
-            raise ValueError(f"unexpected keys {sorted(args)} in class spec {spec!r}")
-    raise ValueError(f"unknown function class {name!r}")
+    if args:
+        raise ValueError(f"unexpected keys {sorted(args)} in class spec {spec!r}")
+    return cls
 
 
 def format_class_spec(c: FunctionClass) -> str:

@@ -3,8 +3,9 @@
 Inputs are i.i.d. Bernoulli(1/2) vectors X of length n; the channel
 flips each coordinate independently with error probability p <= 1/2,
 producing Y.  For a Boolean function f, Z = f(X).  Everything here is
-computed in exact rational arithmetic (:class:`fractions.Fraction`);
-no floating point enters before the logarithm stage in :mod:`bfmi.mi`.
+exact: scalar probabilities are :class:`fractions.Fraction` values and
+joint tables are integers over one shared denominator.  No floating
+point enters before the logarithm stage in :mod:`bfmi.mi`.
 
 The joint probability p(x, y) depends on (x, y) only through their
 Hamming distance d:  p(x, y) = (1-p)^(n-d) * p^d / 2^n.  Summing over
@@ -15,13 +16,18 @@ is the marginal identity checked by :func:`marginal_sum`.
 uses the xor-convolution structure of the channel: with
 h(v) = (1-p)^(n-|v|) * p^|v| / 2^n one has p_YZ(., 1) = f * h (xor
 convolution), which a Walsh-Hadamard transform evaluates with integer
-arithmetic only.  The result is exact; the naive preimage sum is kept
-as an independent oracle in the test suite.
+arithmetic only.  For p = s/d every cell comes out as an integer over
+4^n·d^n, and :class:`JointYZ` keeps exactly those integer numerators;
+Fractions are built only for the ``rows`` view and at the CSV boundary.
+The result is exact; the naive preimage sum is kept as an independent
+oracle in the test suite.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,41 +102,61 @@ def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:
 class JointYZ:
     """Exact table of p_YZ(y, z) for all y in {0,1}^n and z in {0,1}.
 
-    ``rows[y] = (p0, p1)`` with p1 = p_YZ(y, 1) and p0 = p_YZ(y, 0).
-    Invariants (validated on construction): every row sums to exactly
-    1/2^n (the uniform Y marginal), all entries are nonnegative, and
-    ``pz1`` is the exact sum of the p1 column.
+    The table is stored as integers over one shared denominator:
+    p_YZ(y, 1) = ``p1_nums[y] / den`` and p_YZ(y, 0) =
+    ``(den/2^n - p1_nums[y]) / den``.  ``joint_yz`` uses den = 4^n·d^n
+    for p = s/d.  Invariants (validated on construction, in integers):
+    ``den`` is a positive multiple of 2^n, every numerator lies in
+    [0, den/2^n] (so entries are nonnegative and every row sums to
+    exactly 1/2^n, the uniform Y marginal), and ``pz1`` is the exact sum
+    of the p1 column.  :class:`~fractions.Fraction` cells appear only in
+    the ``rows`` view and in the CSV dump.
     """
 
     n: int
     p: Fraction
-    rows: tuple[tuple[Fraction, Fraction], ...]
+    den: int
+    p1_nums: tuple[int, ...]
     pz1: Fraction
 
     def __post_init__(self):
         size = 1 << self.n
-        if len(self.rows) != size:
-            raise ValueError(f"expected {size} rows, got {len(self.rows)}")
-        py = Fraction(1, size)
-        total1 = Fraction(0)
-        for y, (p0, p1) in enumerate(self.rows):
-            if p0 < 0 or p1 < 0:
-                raise ValueError(f"negative probability in row {y}")
-            if p0 + p1 != py:
-                raise ValueError(f"row {y} does not sum to 1/2^n")
-            total1 += p1
-        if total1 != self.pz1:
+        if len(self.p1_nums) != size:
+            raise ValueError(f"expected {size} rows, got {len(self.p1_nums)}")
+        if self.den <= 0 or self.den % size:
+            raise ValueError(f"den must be a positive multiple of 2^n, got {self.den}")
+        py_num = self.den >> self.n
+        if min(self.p1_nums) < 0 or max(self.p1_nums) > py_num:
+            y = next(y for y, num in enumerate(self.p1_nums) if not 0 <= num <= py_num)
+            raise ValueError(f"row {y}: p1 numerator {self.p1_nums[y]} outside [0, den/2^n]")
+        if Fraction(sum(self.p1_nums), self.den) != self.pz1:
             raise ValueError("pz1 does not match the p1 column sum")
 
     @classmethod
     def from_rows(cls, n: int, p: Rational, rows: Iterable[tuple[Fraction, Fraction]]) -> "JointYZ":
+        """Build from exact (p0, p1) rows, lifted to their lcm denominator."""
         rows = tuple((Fraction(a), Fraction(b)) for a, b in rows)
-        pz1 = sum((r[1] for r in rows), Fraction(0))
-        return cls(n, Fraction(p), rows, pz1)
+        py = Fraction(1, 1 << n)
+        for y, (p0, p1) in enumerate(rows):
+            if p0 < 0 or p1 < 0:
+                raise ValueError(f"negative probability in row {y}")
+            if p0 + p1 != py:
+                raise ValueError(f"row {y} does not sum to 1/2^n")
+        den = math.lcm(1 << n, *(p1.denominator for _, p1 in rows))
+        nums = tuple(p1.numerator * (den // p1.denominator) for _, p1 in rows)
+        return cls(n, Fraction(p), den, nums, Fraction(sum(nums), den))
 
     @property
     def pz0(self) -> Fraction:
         return 1 - self.pz1
+
+    def _cells(self, num: int) -> tuple[Fraction, Fraction]:
+        return Fraction((self.den >> self.n) - num, self.den), Fraction(num, self.den)
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """``rows[y] = (p0, p1)`` as exact Fractions; a read-only view built per access."""
+        return tuple(self._cells(num) for num in self.p1_nums)
 
     def distinct_rows(self) -> list[tuple[tuple[Fraction, Fraction], int]]:
         """Distinct (p0, p1) rows with multiplicities, descending by p1.
@@ -138,18 +164,19 @@ class JointYZ:
         For the structured subcube classes this is the compressed view
         (the distinct per-row values with their repeat counts).
         """
-        counts: dict[tuple[Fraction, Fraction], int] = {}
-        for row in self.rows:
-            counts[row] = counts.get(row, 0) + 1
-        return sorted(counts.items(), key=lambda kv: kv[0][1], reverse=True)
+        counts = sorted(Counter(self.p1_nums).items(), reverse=True)
+        return [(self._cells(num), count) for num, count in counts]
 
     def write_csv(self, path) -> None:
-        """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den."""
+        """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms."""
+        den, py_num = self.den, self.den >> self.n
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["y_index", "p0_num", "p0_den", "p1_num", "p1_den"])
-            for y, (p0, p1) in enumerate(self.rows):
-                writer.writerow([y, p0.numerator, p0.denominator, p1.numerator, p1.denominator])
+            for y, num in enumerate(self.p1_nums):
+                g0 = math.gcd(py_num - num, den)
+                g1 = math.gcd(num, den)
+                writer.writerow([y, (py_num - num) // g0, den // g0, num // g1, den // g1])
 
 
 def _wht_inplace(v: list[int]) -> None:
@@ -198,16 +225,9 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
 
     big_den = 4**n * den**n
     py_num = big_den >> n  # 1/2^n over big_den
-    rows = []
-    total1 = Fraction(0)
-    for y in range(size):
-        num = spectrum[y]
-        if num < 0 or num > py_num:
-            raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
-        p1 = Fraction(num, big_den)
-        rows.append((Fraction(py_num - num, big_den), p1))
-        total1 += p1
-    return JointYZ(n, q, tuple(rows), total1)
+    if min(spectrum) < 0 or max(spectrum) > py_num:
+        raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
+    return JointYZ(n, q, big_den, tuple(spectrum), Fraction(f.ones_count(), size))
 
 
 def pz1(j: JointYZ) -> Fraction:

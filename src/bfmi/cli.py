@@ -78,32 +78,41 @@ def _load_table(args) -> TruthTable:
     return make_class(args.n, parse_class_spec(args.function))
 
 
-def _expand_class_specs(text: str, n_max: int):
-    """Family names expand to concrete specs; full specs pass through."""
+def _expand_class_specs(text: str, n_min: int, n_max: int):
+    """Yield (class, n range) pairs in report order.
+
+    Family names expand to concrete specs; each family-expanded
+    ``Class3(r)``/``Class4(r)`` gets only the n where it exists,
+    max(n_min, r+1)..n_max.  Full specs pass through with the whole
+    range, so the ones that do not fit some n are still reported.
+    """
+    n_range = range(n_min, n_max + 1)
+
+    def subcubes(*families):
+        for r in range(1, n_max):
+            for family in families:
+                yield family(r), range(max(n_min, r + 1), n_max + 1)
+
     for name in text.split(","):
         name = name.strip()
         if not name:
             continue
         if name == "all":
-            yield Class1()
-            yield Class2()
-            for r in range(1, n_max):
-                yield Class3(r)
-                yield Class4(r)
+            yield Class1(), n_range
+            yield Class2(), n_range
+            yield from subcubes(Class3, Class4)
         elif name == "class1":
-            yield Class1()
+            yield Class1(), n_range
         elif name == "class2":
-            yield Class2()
+            yield Class2(), n_range
         elif name == "class3":
-            for r in range(1, n_max):
-                yield Class3(r)
+            yield from subcubes(Class3)
         elif name == "class4":
-            for r in range(1, n_max):
-                yield Class4(r)
+            yield from subcubes(Class4)
         elif name == "dictator":
-            yield Dictator()
+            yield Dictator(), n_range
         else:
-            yield parse_class_spec(name)
+            yield parse_class_spec(name), n_range
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,9 +180,8 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     grid = _grid(args)
-    n_range = range(args.n_min, args.n_max + 1)
     reports = []
-    for cls in _expand_class_specs(args.classes, args.n_max):
+    for cls, n_range in _expand_class_specs(args.classes, args.n_min, args.n_max):
         reports.extend(verify_class(cls, n_range, grid))
     text = reports_to_json(reports) if args.format == "json" else reports_to_csv(reports)
     _emit(text, args.out)

@@ -14,6 +14,7 @@ the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,20 +57,17 @@ def mutual_information(j: JointYZ) -> MIResult:
     the channel error probability carried by the table and
     ``margin_bits = bound_bits - mi_bits``.
     """
-    size = 1 << j.n
-    py = Fraction(1, size)
-    pz = (j.pz0, j.pz1)
-    # identical rows are frequent for structured classes; group them
-    groups: dict[tuple[Fraction, Fraction], int] = {}
-    for row in j.rows:
-        groups[row] = groups.get(row, 0) + 1
+    den, py_num = j.den, j.den >> j.n
+    # p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n
+    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+    down = [den * q.numerator for q in (j.pz0, j.pz1)]
     terms = []
-    for row, count in groups.items():
-        for z in (0, 1):
-            mass = row[z]
+    # identical rows are frequent for structured classes; group them
+    for num, count in Counter(j.p1_nums).items():
+        for z, mass in enumerate((py_num - num, num)):
             if mass > 0:
-                ratio = mass / (py * pz[z])
-                terms.append(count * float(mass) * math.log2(float(ratio)))
+                # int true division is correctly rounded, exactly as float(Fraction) is
+                terms.append(count * (mass / den) * math.log2(mass * up[z] / down[z]))
     mi = math.fsum(terms)
     bound = 1.0 - binary_entropy(j.p)
     return MIResult(mi_bits=mi, bound_bits=bound, margin_bits=bound - mi)

@@ -56,7 +56,12 @@ ATTAINMENT_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Per (class, n, p) outcome of a bound check."""
+    """Per (class, n, p) outcome of a bound check.
+
+    ``status`` is derived from the other fields, the one place pass/fail
+    is decided: "pass" when ``margin_bits >= -PASS_MARGIN_TOLERANCE`` and
+    the certificate, if any, holds; "fail" otherwise.
+    """
 
     class_spec: str
     n: int
@@ -65,17 +70,13 @@ class VerifyReport:
     bound_bits: float
     margin_bits: float
     karamata_certificate: Optional[MajorizationCertificate]
-    status: str
 
-    def __post_init__(self):
-        expected = (
-            "pass"
-            if self.margin_bits >= -PASS_MARGIN_TOLERANCE
-            and (self.karamata_certificate is None or self.karamata_certificate.holds)
-            else "fail"
+    @property
+    def status(self) -> str:
+        passed = self.margin_bits >= -PASS_MARGIN_TOLERANCE and (
+            self.karamata_certificate is None or self.karamata_certificate.holds
         )
-        if self.status != expected:
-            raise ValueError(f"status {self.status!r} inconsistent with report contents")
+        return "pass" if passed else "fail"
 
 
 @dataclass(frozen=True)
@@ -122,11 +123,6 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
             cert = None
             if attach_certificate:
                 cert = certify_instance(build_karamata_sequences(n, p))
-            status = (
-                "pass"
-                if result.margin_bits >= -PASS_MARGIN_TOLERANCE and (cert is None or cert.holds)
-                else "fail"
-            )
             reports.append(
                 VerifyReport(
                     class_spec=spec_str,
@@ -136,7 +132,6 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
                     bound_bits=result.bound_bits,
                     margin_bits=result.margin_bits,
                     karamata_certificate=cert,
-                    status=status,
                 )
             )
     return reports

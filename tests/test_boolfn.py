@@ -224,3 +224,16 @@ class TestClassSpecs:
     def test_malformed_specs_raise(self, text):
         with pytest.raises(ValueError):
             parse_class_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("class3:prefix=1", "missing required key 'r'"),
+            ("foo:x=1", "unknown function class 'foo'"),
+            ("class1:i=0:z=1", "unexpected keys ['z']"),
+        ],
+    )
+    def test_error_names_the_real_problem(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_class_spec(text)
+        assert message in str(exc.value)

@@ -180,6 +180,30 @@ class TestJointYZContainer:
                 1, Fraction(1, 4), [(Fraction(5, 8), Fraction(-1, 8)), good[0]]
             )
 
+    def test_constructor_validates_integer_numerators(self):
+        # n = 1, den = 8: each numerator must lie in [0, 4]
+        JointYZ(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 2))
+        with pytest.raises(ValueError, match="outside"):  # negative p1 entry
+            JointYZ(1, Fraction(1, 4), 8, (-1, 3), Fraction(1, 4))
+        with pytest.raises(ValueError, match="outside"):  # p1 above 1/2^n, so p0 < 0
+            JointYZ(1, Fraction(1, 4), 8, (5, 3), Fraction(1))
+        with pytest.raises(ValueError, match="multiple of 2\\^n"):
+            JointYZ(2, Fraction(1, 4), 6, (0, 0, 0, 0), Fraction(0))
+        with pytest.raises(ValueError, match="multiple of 2\\^n"):
+            JointYZ(1, Fraction(1, 4), 0, (0, 0), Fraction(0))
+        with pytest.raises(ValueError, match="pz1"):
+            JointYZ(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 4))
+        with pytest.raises(ValueError, match="rows"):
+            JointYZ(2, Fraction(1, 4), 8, (1, 1), Fraction(1, 4))
+
+    def test_from_rows_lifts_to_the_lcm_denominator(self):
+        rows = [(Fraction(1, 6), Fraction(1, 3)), (Fraction(1, 4), Fraction(1, 4))]
+        j = JointYZ.from_rows(1, Fraction(1, 4), rows)
+        assert j.den == 12
+        assert j.p1_nums == (4, 3)
+        assert j.rows == tuple(rows)
+        assert j.pz1 == Fraction(7, 12)
+
     def test_distinct_rows_compresses_structured_tables(self):
         j = joint_yz(make_class(3, Class3(1)), Fraction(1, 4))
         view = j.distinct_rows()
@@ -195,3 +219,20 @@ class TestJointYZContainer:
         assert lines[0] == "y_index,p0_num,p0_den,p1_num,p1_den"
         assert len(lines) == 5
         assert lines[1] == "0,7,64,9,64"
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(3, 16), Fraction(1, 2)])
+    def test_csv_dump_matches_naive_fractions(self, tmp_path, p):
+        table = TruthTable(6, random.Random(53).getrandbits(64))
+        path = tmp_path / "joint.csv"
+        joint_yz(table, p).write_csv(path)
+        expected = ["y_index,p0_num,p0_den,p1_num,p1_den"] + [
+            f"{y},{p0.numerator},{p0.denominator},{p1.numerator},{p1.denominator}"
+            for y, (p0, p1) in enumerate(naive_joint_yz(table, p))
+        ]
+        lines = path.read_text().splitlines()
+        assert lines == expected
+        if p == 0:
+            # noiseless: every row is (0, 1/64) or (1/64, 0); the 0 cell dumps as 0,1
+            for line in lines[1:]:
+                cells = line.split(",")[1:]
+                assert ["0", "1"] in (cells[:2], cells[2:])

@@ -67,6 +67,27 @@ class TestVerify:
         assert doc["version"] == 1
         assert all(r["status"] == "pass" for r in doc["reports"])
 
+    def test_all_classes_expand_r_per_n_without_warnings(self, capsys, caplog):
+        with caplog.at_level("WARNING"):
+            code, out, _ = run(
+                capsys, "verify", "--classes", "all", "--n-min", "2", "--n-max", "8", "--p-den", "4"
+            )
+        assert code == 0
+        assert not caplog.records
+        reports = json.loads(out)["reports"]
+        # class1 and class2, plus class3/class4 for r = 1..n-1: 2n checks per (n, p)
+        assert len(reports) == sum(2 * n for n in range(2, 9)) * 3
+        assert [r["class_spec"] for r in reports[:3]] == ["class1:i=0"] * 3
+
+    def test_explicit_spec_that_does_not_fit_still_warns(self, capsys, caplog):
+        with caplog.at_level("WARNING"):
+            code, out, _ = run(
+                capsys, "verify", "--classes", "class3:r=3", "--n-min", "2", "--n-max", "4", "--p", "1/4"
+            )
+        assert code == 0
+        assert [r["n"] for r in json.loads(out)["reports"]] == [4]
+        assert len([rec for rec in caplog.records if "skipping" in rec.message]) == 2
+
     def test_csv_format_and_out_file(self, capsys, tmp_path):
         path = tmp_path / "reports.csv"
         code, out, _ = run(
@@ -162,6 +183,11 @@ class TestUsageErrors:
         code, _, err = run(capsys, "compute", "--n", "2", "--function", "clazz9", "--p", "1/4")
         assert code == 2
         assert "error" in err
+
+    def test_missing_class_key_is_named(self, capsys):
+        code, _, err = run(capsys, "compute", "--n", "4", "--function", "class3:prefix=1", "--p", "1/4")
+        assert code == 2
+        assert "missing required key 'r'" in err
 
 
 class TestEntryPoint:

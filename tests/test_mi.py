@@ -31,6 +31,19 @@ def direct_mi(table, p):
     return math.fsum(terms)
 
 
+def fraction_cell_mi(j):
+    """Reference reduction over one Fraction per cell, grouping equal rows."""
+    py = Fraction(1, 1 << j.n)
+    pz = (j.pz0, j.pz1)
+    terms = []
+    for row, count in Counter(j.rows).items():
+        for z in (0, 1):
+            mass = row[z]
+            if mass > 0:
+                terms.append(count * float(mass) * math.log2(float(mass / (py * pz[z]))))
+    return math.fsum(terms)
+
+
 class TestBinaryEntropy:
     def test_known_values(self):
         assert binary_entropy(Fraction(1, 2)) == 1.0
@@ -82,6 +95,14 @@ class TestMutualInformation:
                 p = Fraction(rng.randrange(33), 64)
                 got = mutual_information(joint_yz(table, p)).mi_bits
                 assert got == pytest.approx(direct_mi(table, p), abs=1e-13)
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)])
+    def test_bit_identical_to_fraction_cell_reduction(self, p):
+        rng = random.Random(59)
+        for n in range(1, 11):
+            for mask in (rng.getrandbits(1 << n), 1 << rng.randrange(1 << n)):
+                j = joint_yz(TruthTable(n, mask), p)
+                assert mutual_information(j).mi_bits == fraction_cell_mi(j)
 
     def test_result_bounds(self):
         rng = random.Random(41)

@@ -9,8 +9,11 @@ import pytest
 
 from bfmi.boolfn import Class1, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
 from bfmi.channel import joint_yz
+from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import binary_entropy, mutual_information
 from bfmi.verify import (
+    PASS_MARGIN_TOLERANCE,
+    VerifyReport,
     _canonical_codes_all,
     _kernel_matrix,
     _mi_from_bits,
@@ -53,6 +56,15 @@ class TestVerifyClass:
             reports = verify_class(Class3(3), range(2, 6), (Fraction(1, 4),))
         assert sorted({r.n for r in reports}) == [4, 5]
         assert any("skipping" in rec.message for rec in caplog.records)
+
+    def test_status_is_derived_from_margin_and_certificate(self):
+        def status(margin, cert=None):
+            return VerifyReport("class1:i=0", 2, Fraction(1, 4), 0.5, 0.5, margin, cert).status
+
+        assert status(-PASS_MARGIN_TOLERANCE) == "pass"
+        assert status(-2 * PASS_MARGIN_TOLERANCE) == "fail"
+        assert status(0.0, MajorizationCertificate(holds=True, totals_equal=True)) == "pass"
+        assert status(0.0, MajorizationCertificate(holds=False, first_violation=3)) == "fail"
 
     def test_lex_runs_without_certificate(self):
         reports = verify_class(Lex(3), range(2, 4), (Fraction(1, 8),))
