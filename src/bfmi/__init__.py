@@ -23,7 +23,7 @@ from .boolfn import (
     orbit,
     parse_class_spec,
 )
-from .channel import JointYZ, joint_xy, joint_yz, marginal_sum, pz1, transition
+from .channel import JointYZ, joint_xy, joint_yz, marginal_sum
 from .karamata import (
     DescendingSeq,
     KaramataInstance,
@@ -44,6 +44,7 @@ from .verify import (
     class3_reduction_check,
     exhaustive_check,
     marginal_spot_check,
+    p_grid,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
@@ -91,8 +92,8 @@ __all__ = [
     "mi_class1_closed",
     "mutual_information",
     "orbit",
+    "p_grid",
     "parse_class_spec",
-    "pz1",
     "qlogq_identity_check",
     "reports_to_csv",
     "reports_to_json",
@@ -100,7 +101,6 @@ __all__ = [
     "summaries_to_csv",
     "summaries_to_json",
     "sweep",
-    "transition",
     "verify_class",
     "xlog2x",
 ]

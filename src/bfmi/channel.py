@@ -48,14 +48,6 @@ def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
     return q
 
 
-def transition(x_bit: int, y_bit: int, p: Rational) -> Fraction:
-    """Single-use channel factor: 1-p if the bits agree, p otherwise."""
-    if x_bit not in (0, 1) or y_bit not in (0, 1):
-        raise ValueError("bits must be 0 or 1")
-    q = as_probability(p, Fraction(1, 2))
-    return 1 - q if x_bit == y_bit else q
-
-
 def joint_xy(x_index: int, y_index: int, n: int, p: Rational) -> Fraction:
     """Exact joint probability p(X = x, Y = y) for n-bit indices.
 
@@ -228,8 +220,3 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     if min(spectrum) < 0 or max(spectrum) > py_num:
         raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
     return JointYZ(n, q, big_den, tuple(spectrum), Fraction(f.ones_count(), size))
-
-
-def pz1(j: JointYZ) -> Fraction:
-    """Exact marginal p_Z(1); equals ones_count(f) / 2^n independent of p."""
-    return j.pz1

@@ -26,6 +26,7 @@ from .verify import (
     exhaustive_check,
     class3_reduction_check,
     marginal_spot_check,
+    p_grid,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
@@ -46,12 +47,7 @@ def _parse_p(text: str) -> Fraction:
 
 
 def _grid(args) -> tuple[Fraction, ...]:
-    if getattr(args, "p", None) is not None:
-        return (args.p,)
-    den = getattr(args, "p_den", None) or 64
-    if not 1 <= den <= 4096:
-        raise ValueError(f"--p-den must be in 1..4096, got {den}")
-    return tuple(Fraction(k, den) for k in range(den // 2 + 1))
+    return (args.p,) if args.p is not None else p_grid(args.p_den)
 
 
 def _emit(text: str, out_path) -> None:
@@ -116,13 +112,14 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # each subcommand takes only the options it reads
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=_parse_p, help="exact error probability, e.g. 3/8")
-    common.add_argument("--p-den", type=int, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), default="json")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for the scan tiers")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--p-den", type=int, default=64, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="json")
 
     parser = argparse.ArgumentParser(prog="mi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -133,22 +130,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--table", help="truth-table JSON file")
     p_compute.add_argument("--dump-joint", help="write the exact joint table as CSV")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="bound checks over an (n, p) grid")
+    p_verify = sub.add_parser("verify", parents=[common, grid, fmt], help="bound checks over an (n, p) grid")
     p_verify.add_argument("--classes", default="class1,class2,class3,class4")
     p_verify.add_argument("--n-min", type=int, default=2)
     p_verify.add_argument("--n-max", type=int, default=6)
     p_verify.add_argument("--lemma-samples", type=int, default=0,
                           help="additionally spot-check the marginal identity this many times")
+    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized spot checks")
 
-    p_karamata = sub.add_parser("karamata", parents=[common], help="exact majorization certificate")
+    p_karamata = sub.add_parser("karamata", parents=[common, grid], help="exact majorization certificate")
     p_karamata.add_argument("--n", type=int, required=True)
     p_karamata.add_argument("--dump-sums", help="write per-prefix partial sums as CSV")
 
-    p_exh = sub.add_parser("exhaustive", parents=[common], help="scan all truth tables of a small n")
+    p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
     p_exh.add_argument("--n", type=int, required=True)
     p_exh.add_argument("--canonical", action="store_true", help="scan one representative per orbit")
+    p_exh.add_argument("--jobs", type=int, default=1, help="worker processes for the scan tiers")
 
-    p_sweep = sub.add_parser("sweep", parents=[common], help="margin curve over p = k/p_den")
+    p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--function", required=True)
 
@@ -210,42 +209,9 @@ def _cmd_karamata(args) -> int:
     inst = build_karamata_sequences(args.n, args.p)
     cert = certify_instance(inst)
     if args.dump_sums:
-        with open(args.dump_sums, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "SL_num", "SL_den", "SR_num", "SR_den", "ok"])
-            sl = Fraction(0)
-            sr = Fraction(0)
-            k = 0
-            for (xv, xc), (yv, yc) in _zip_runs(inst.x_seq, inst.y_seq):
-                for _ in range(xc):
-                    k += 1
-                    sl += yv
-                    sr += xv
-                    writer.writerow(
-                        [k, sl.numerator, sl.denominator, sr.numerator, sr.denominator, sl <= sr]
-                    )
+        inst.write_prefix_sums(args.dump_sums)
     _emit(json.dumps({"n": args.n, "p": str(inst.p), **certificate_to_dict(cert)}, indent=2), args.out)
     return 0 if cert.holds else 1
-
-
-def _zip_runs(x_seq, y_seq):
-    """Merged run segments of two equal-length sequences: ((xv, c), (yv, c))."""
-    ix = iy = 0
-    rem_x = x_seq.runs[0][1]
-    rem_y = y_seq.runs[0][1]
-    while ix < len(x_seq.runs) and iy < len(y_seq.runs):
-        step = min(rem_x, rem_y)
-        yield (x_seq.runs[ix][0], step), (y_seq.runs[iy][0], step)
-        rem_x -= step
-        rem_y -= step
-        if rem_x == 0:
-            ix += 1
-            if ix < len(x_seq.runs):
-                rem_x = x_seq.runs[ix][1]
-        if rem_y == 0:
-            iy += 1
-            if iy < len(y_seq.runs):
-                rem_y = y_seq.runs[iy][1]
 
 
 def _cmd_exhaustive(args) -> int:
@@ -258,8 +224,7 @@ def _cmd_exhaustive(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    den = args.p_den or 64
-    rows = list(sweep(args.function, args.n, den))
+    rows = list(sweep(args.function, args.n, _grid(args)))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "mi_bits", "bound_bits", "margin_bits"])

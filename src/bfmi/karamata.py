@@ -25,6 +25,7 @@ logarithms).
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -138,6 +139,23 @@ def _coerce_seq(seq) -> DescendingSeq:
     return DescendingSeq.from_values(seq)
 
 
+def _merged_runs(xs: DescendingSeq, ys: DescendingSeq):
+    """Yield (x value, y value, length) over the common refinement of two run lists.
+
+    Both sequences must have the same length.
+    """
+    y_runs = iter(ys.runs)
+    yv = rem_y = 0
+    for xv, rem_x in xs.runs:
+        while rem_x:
+            if not rem_y:
+                yv, rem_y = next(y_runs)
+            step = min(rem_x, rem_y)
+            yield xv, yv, step
+            rem_x -= step
+            rem_y -= step
+
+
 def check_majorization(x, y) -> MajorizationCertificate:
     """Does ``x`` majorize ``y``?  Exact, zero tolerance.
 
@@ -157,34 +175,17 @@ def check_majorization(x, y) -> MajorizationCertificate:
 
     first_violation = None
     gap = Fraction(0)  # prefix(y) - prefix(x); must stay <= 0
-    ix = iy = 0
-    rem_x = xs.runs[0][1]
-    rem_y = ys.runs[0][1]
     position = 0
-    while ix < len(xs.runs):
-        xv = xs.runs[ix][0]
-        yv = ys.runs[iy][0]
-        step = min(rem_x, rem_y)
+    for xv, yv, step in _merged_runs(xs, ys):
         delta = yv - xv
         new_gap = gap + step * delta
         if new_gap > 0:
             # gap <= 0 at the segment start, so delta > 0; solve for the
             # earliest prefix inside the segment that crosses zero
-            offset = (-gap) // delta + 1
-            first_violation = position + int(offset)
+            first_violation = position + (-gap) // delta + 1
             break
         gap = new_gap
         position += step
-        rem_x -= step
-        rem_y -= step
-        if rem_x == 0:
-            ix += 1
-            if ix < len(xs.runs):
-                rem_x = xs.runs[ix][1]
-        if rem_y == 0:
-            iy += 1
-            if iy < len(ys.runs):
-                rem_y = ys.runs[iy][1]
 
     totals_equal = xs.total() == ys.total()
     holds = first_violation is None and totals_equal
@@ -203,12 +204,10 @@ class KaramataInstance:
     """The exact sequence pair for dimension n and error probability p.
 
     ``x_seq`` is the majorizing side [a repeated K, c repeated
-    2^n*(n-1), b repeated K] and ``y_seq`` the majorized side (each of
-    the 2^n shell values w repeated 2^n - 1 times), both nonincreasing.
-    ``w`` lists all 2^n shell values in descending order (the value for
-    shell k carries multiplicity C(n, k)).  K = 2^(n-1) * (2^n - n) and
-    M = 2^n*(2^n - 1) - (2^n - 1) index the construction's run
-    boundaries.  Both sequence totals equal 2^n - 1 exactly.
+    2^n*(n-1), b repeated K] and ``y_seq`` the majorized side: shell k's
+    value w_k repeated C(n, k)*(2^n - 1) times, both nonincreasing.
+    K = 2^(n-1) * (2^n - n).  Both sequence totals equal 2^n - 1
+    exactly.
     """
 
     n: int
@@ -217,10 +216,32 @@ class KaramataInstance:
     b: Fraction
     c: Fraction
     K: int
-    M: int
-    w: tuple[Fraction, ...]
     x_seq: DescendingSeq
     y_seq: DescendingSeq
+
+    def write_prefix_sums(self, path) -> None:
+        """Dump every prefix sum as CSV rows: k, SL_num, SL_den, SR_num, SR_den, ok.
+
+        SL is the sum of the first k entries of ``y_seq`` (the majorized
+        side), SR that of ``x_seq``, each in lowest terms, and ``ok`` is
+        SL <= SR.  The sums are kept as integers over the lcm of the
+        run-value denominators and reduced only on output.
+        """
+        den = math.lcm(*(v.denominator for seq in (self.x_seq, self.y_seq) for v, _ in seq.runs))
+        sl = sr = k = 0
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["k", "SL_num", "SL_den", "SR_num", "SR_den", "ok"])
+            for xv, yv, step in _merged_runs(self.x_seq, self.y_seq):
+                x_num = xv.numerator * (den // xv.denominator)
+                y_num = yv.numerator * (den // yv.denominator)
+                for _ in range(step):
+                    k += 1
+                    sl += y_num
+                    sr += x_num
+                    gl = math.gcd(sl, den)
+                    gr = math.gcd(sr, den)
+                    writer.writerow([k, sl // gl, den // gl, sr // gr, den // gr, sl <= sr])
 
 
 def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
@@ -238,27 +259,18 @@ def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
     b = q / (size // 2)
     c = Fraction(1, size)
     big_k = (size // 2) * (size - n)
-    big_m = size * (size - 1) - (size - 1)
 
-    def shell_w(k: int) -> Fraction:
-        return (1 - (1 - q) ** (n - k) * q**k) / (size - 1)
-
-    w: list[Fraction] = []
-    y_runs = []
-    for k in range(n, -1, -1):
-        value = shell_w(k)
-        mult = math.comb(n, k)
-        w.extend([value] * mult)
-        y_runs.append((value, mult * (size - 1)))
-
+    # shell k holds C(n, k) values w_k, each repeated 2^n - 1 times
+    y_runs = [
+        ((1 - (1 - q) ** (n - k) * q**k) / (size - 1), math.comb(n, k) * (size - 1))
+        for k in range(n, -1, -1)
+    ]
     x_seq = DescendingSeq([(a, big_k), (c, size * (n - 1)), (b, big_k)])
     y_seq = DescendingSeq(y_runs)
     target = Fraction(size - 1)
     if x_seq.total() != target or y_seq.total() != target:
         raise AssertionError("sequence totals must equal 2^n - 1; construction bug")
-    return KaramataInstance(
-        n=n, p=q, a=a, b=b, c=c, K=big_k, M=big_m, w=tuple(w), x_seq=x_seq, y_seq=y_seq
-    )
+    return KaramataInstance(n=n, p=q, a=a, b=b, c=c, K=big_k, x_seq=x_seq, y_seq=y_seq)
 
 
 def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
@@ -278,9 +290,9 @@ def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
     """
     target = Fraction((1 << inst.n) - 1)
     subs = {
-        "w_max_le_a": inst.w[0] <= inst.a,
-        "two_wmax_le_a_plus_c": 2 * inst.w[0] <= inst.a + inst.c,
-        "w_min_ge_b": inst.w[-1] >= inst.b,
+        "w_max_le_a": inst.y_seq.max() <= inst.a,
+        "two_wmax_le_a_plus_c": 2 * inst.y_seq.max() <= inst.a + inst.c,
+        "w_min_ge_b": inst.y_seq.min() >= inst.b,
         "totals": inst.x_seq.total() == target and inst.y_seq.total() == target,
     }
     required = dict(subs)
@@ -349,7 +361,7 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
         raise ValueError(f"needs n >= 2, got n={n}")
     inst = build_karamata_sequences(n, p)
     size = 1 << n
-    sum_w_log_w = math.fsum(xlog2x(value) for value in inst.w)
+    sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(value) for value, count in inst.y_seq.runs)
     lhs_w = (size - 1) * sum_w_log_w
     rhs_w = -n * (n - 1) + (size - n) * (size // 2) * (xlog2x(inst.a) + xlog2x(inst.b))
     karamata_gap = rhs_w - lhs_w

@@ -43,8 +43,21 @@ from .mi import binary_entropy, mutual_information
 
 logger = logging.getLogger(__name__)
 
-# p = k/64 for k = 0..32: exact rationals covering both endpoints
-DEFAULT_P_GRID: tuple[Fraction, ...] = tuple(Fraction(k, 64) for k in range(33))
+
+def p_grid(den: int) -> tuple[Fraction, ...]:
+    """The exact grid p = k/den for k = 0..den/2, both endpoints included.
+
+    Raises
+    ------
+    ValueError
+        Unless 1 <= den <= 4096.
+    """
+    if not 1 <= den <= 4096:
+        raise ValueError(f"p_den must be in 1..4096, got {den}")
+    return tuple(Fraction(k, den) for k in range(den // 2 + 1))
+
+
+DEFAULT_P_GRID: tuple[Fraction, ...] = p_grid(64)
 
 # Float MI of an exactly-true rational inequality can dip below zero by
 # accumulated rounding; 1e-9 sits three orders above the error observed
@@ -150,15 +163,12 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     return mi_full, mi_reduced
 
 
-def sweep(class_spec, n: int, p_den: int):
-    """Yield (p, mi_bits, bound_bits, margin_bits) for p = k/p_den, k = 0..p_den/2."""
-    if not 1 <= p_den <= 4096:
-        raise ValueError(f"p_den must be in 1..4096, got {p_den}")
+def sweep(class_spec, n: int, grid=DEFAULT_P_GRID):
+    """Yield (p, mi_bits, bound_bits, margin_bits) for each p of the grid."""
     table = make_class(n, _resolve_class(class_spec))
-    for k in range(p_den // 2 + 1):
-        p = Fraction(k, p_den)
+    for p in grid:
         result = mutual_information(joint_yz(table, p))
-        yield p, result.mi_bits, result.bound_bits, result.margin_bits
+        yield Fraction(p), result.mi_bits, result.bound_bits, result.margin_bits
 
 
 def marginal_spot_check(samples: int = 32, max_k: int = 12, seed: int = 0) -> list[dict]:

@@ -1,4 +1,4 @@
-"""Exact channel model: transition factors, the marginal identity, joint tables.
+"""Exact channel model: pairwise joint probabilities, the marginal identity, joint tables.
 
 The transform-based ``joint_yz`` is checked for exact equality against
 a naive oracle that sums joint_xy over the preimage of 1, term by term.
@@ -12,7 +12,7 @@ from itertools import permutations
 import pytest
 
 from bfmi.boolfn import Class1, Class3, Dictator, TruthTable, apply_index_map, complement, input_index_map, make_class
-from bfmi.channel import JointYZ, joint_xy, joint_yz, marginal_sum, pz1, transition
+from bfmi.channel import JointYZ, joint_xy, joint_yz, marginal_sum
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
 
@@ -29,19 +29,6 @@ def naive_joint_yz(table, p):
         )
         rows.append((py - p1, p1))
     return rows
-
-
-class TestTransition:
-    def test_values(self):
-        assert transition(0, 0, Fraction(1, 4)) == Fraction(3, 4)
-        assert transition(0, 1, Fraction(1, 4)) == Fraction(1, 4)
-        assert transition(1, 1, 0) == 1
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            transition(2, 0, Fraction(1, 4))
-        with pytest.raises(ValueError):
-            transition(0, 0, Fraction(3, 4))
 
 
 class TestJointXY:
@@ -137,7 +124,7 @@ class TestJointYZ:
             py = Fraction(1, 1 << n)
             assert all(p0 + p1 == py for p0, p1 in j.rows)
             assert sum((p0 + p1 for p0, p1 in j.rows), Fraction(0)) == 1
-            assert pz1(j) == Fraction(table.ones_count(), 1 << n)
+            assert j.pz1 == Fraction(table.ones_count(), 1 << n)
 
     def test_pz1_is_independent_of_p(self):
         table = TruthTable(4, 0b1011_0010_0111_0001)

@@ -162,6 +162,13 @@ class TestSweepAndReduce:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "0"
 
+    def test_sweep_honours_single_p(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--function", "dictator:j=1", "--n", "2", "--p", "1/4")
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert len(lines) == 2
+        assert lines[1].split(",")[0] == "1/4"
+
     def test_reduce_check(self, capsys):
         code, out, _ = run(capsys, "reduce-check", "--n", "4", "--r", "2", "--p", "1/8")
         assert code == 0
@@ -177,6 +184,16 @@ class TestUsageErrors:
     def test_malformed_p_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n", "2", "--function", "class1", "--p", "0.7"])
+        assert exc.value.code == 2
+
+    def test_zero_grid_denominator_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "karamata", "--n", "3", "--p-den", "0")
+        assert code == 2
+        assert "1..4096" in err
+
+    def test_option_the_subcommand_does_not_read_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"])
         assert exc.value.code == 2
 
     def test_bad_class_spec_is_usage_error(self, capsys):

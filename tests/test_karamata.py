@@ -4,6 +4,7 @@
 prefix scan below is its independent oracle.
 """
 
+import csv
 import random
 from fractions import Fraction
 
@@ -112,7 +113,6 @@ class TestSequenceConstruction:
         inst = build_karamata_sequences(2, Fraction(1, 4))
         assert (inst.a, inst.b, inst.c) == (Fraction(3, 8), Fraction(1, 8), Fraction(1, 4))
         assert inst.K == 4
-        assert inst.M == 9
         assert inst.x_seq.runs == (
             (Fraction(3, 8), 4),
             (Fraction(1, 4), 4),
@@ -130,7 +130,6 @@ class TestSequenceConstruction:
         assert inst.a == inst.b == inst.c == Fraction(1, 4)
         assert inst.x_seq.runs == ((Fraction(1, 4), 12),)
         assert inst.y_seq.runs == ((Fraction(1, 4), 12),)
-        assert set(inst.w) == {Fraction(1, 4)}
 
     def test_noiseless_point_has_one_vanishing_shell(self):
         for n in (2, 3, 5):
@@ -140,7 +139,6 @@ class TestSequenceConstruction:
                 (Fraction(1, size - 1), (size - 1) ** 2),
                 (Fraction(0), size - 1),
             )
-            assert inst.w.count(Fraction(0)) == 1
 
     def test_scope_and_domain(self):
         with pytest.raises(ValueError):
@@ -159,8 +157,11 @@ class TestSequenceConstruction:
             for p in (Fraction(0), Fraction(1, 64), Fraction(1, 4), Fraction(1, 2)):
                 inst = build_karamata_sequences(n, p)
                 assert inst.a >= inst.c >= inst.b
-                assert all(u >= v for u, v in zip(inst.w, inst.w[1:]))
-                assert len(inst.w) == 1 << n
+                runs = inst.y_seq.runs
+                assert all(u > v for (u, _), (v, _) in zip(runs, runs[1:]))
+                # 2^n shell values in all, each repeated 2^n - 1 times
+                assert all(count % ((1 << n) - 1) == 0 for _, count in runs)
+                assert sum(count // ((1 << n) - 1) for _, count in runs) == 1 << n
 
     def test_sequence_lengths(self):
         for n in (2, 3, 4, 7):
@@ -173,8 +174,8 @@ class TestCertificates:
     def test_ledger_values_n2(self):
         inst = build_karamata_sequences(2, Fraction(1, 4))
         cert = sub_inequality_ledger(inst)
-        assert inst.w[0] == Fraction(5, 16) <= inst.a
-        assert 2 * inst.w[0] == inst.a + inst.c  # equality case
+        assert inst.y_seq.max() == Fraction(5, 16) <= inst.a
+        assert 2 * inst.y_seq.max() == inst.a + inst.c  # equality case
         assert cert.holds
         assert cert.sub_inequalities == {
             "w_max_le_a": True,
@@ -190,7 +191,7 @@ class TestCertificates:
         # majorization itself still holds, via the direct middle-segment
         # prefix sums, so the certificate does too
         inst = build_karamata_sequences(2, Fraction(3, 8))
-        assert 2 * inst.w[0] == Fraction(55, 96) > inst.a + inst.c == Fraction(9, 16)
+        assert 2 * inst.y_seq.max() == Fraction(55, 96) > inst.a + inst.c == Fraction(9, 16)
         cert = sub_inequality_ledger(inst)
         assert cert.sub_inequalities["two_wmax_le_a_plus_c"] is False
         assert cert.sub_inequalities["middle_prefix_sums_direct"] is True
@@ -198,18 +199,18 @@ class TestCertificates:
         assert check_majorization(inst.x_seq, inst.y_seq).holds
         for p in (Fraction(1, 4), Fraction(1, 2)):
             tight = build_karamata_sequences(2, p)
-            assert 2 * tight.w[0] == tight.a + tight.c
+            assert 2 * tight.y_seq.max() == tight.a + tight.c
 
     def test_pairing_lemma_holds_from_three_variables_up(self):
         for n in (3, 4, 5, 8):
             for p in GRID:
                 inst = build_karamata_sequences(n, p)
-                assert 2 * inst.w[0] <= inst.a + inst.c
+                assert 2 * inst.y_seq.max() <= inst.a + inst.c
 
     def test_ledger_at_symmetric_point(self):
         for n in (2, 4, 6):
             inst = build_karamata_sequences(n, Fraction(1, 2))
-            assert inst.w[0] == Fraction(1, 1 << n) == inst.b
+            assert inst.y_seq.max() == Fraction(1, 1 << n) == inst.b
             assert sub_inequality_ledger(inst).holds
 
     def test_instances_majorize_exactly(self):
@@ -232,6 +233,26 @@ class TestCertificates:
                     first,
                     totals,
                 )
+
+
+class TestPrefixSumDump:
+    def test_matches_fraction_prefix_sums(self, tmp_path):
+        path = tmp_path / "sums.csv"
+        for n in (2, 3, 4):
+            for p in (Fraction(0), Fraction(3, 64), Fraction(1, 4), Fraction(1, 2)):
+                inst = build_karamata_sequences(n, p)
+                inst.write_prefix_sums(path)
+                with open(path, newline="") as fh:
+                    rows = list(csv.reader(fh))
+                expected = [["k", "SL_num", "SL_den", "SR_num", "SR_den", "ok"]]
+                sl = sr = Fraction(0)
+                for k, (xv, yv) in enumerate(zip(inst.x_seq.values(), inst.y_seq.values()), start=1):
+                    sl += yv
+                    sr += xv
+                    expected.append([str(v) for v in (
+                        k, sl.numerator, sl.denominator, sr.numerator, sr.denominator, sl <= sr
+                    )])
+                assert rows == expected
 
 
 class TestConclusion:

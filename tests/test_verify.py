@@ -21,6 +21,7 @@ from bfmi.verify import (
     class3_reduction_check,
     exhaustive_check,
     marginal_spot_check,
+    p_grid,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
@@ -171,24 +172,25 @@ class TestExhaustive:
 
 class TestSweep:
     def test_dictator_margins_vanish(self):
-        rows = list(sweep(Dictator(1), 3, 4))
+        rows = list(sweep(Dictator(1), 3, p_grid(4)))
         assert [p for p, *_ in rows] == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
         assert all(abs(margin) <= 1e-12 for *_, margin in rows)
 
     def test_endpoint_margins_for_single_one(self):
-        rows = list(sweep("class1:i=0", 3, 2))
+        rows = list(sweep("class1:i=0", 3, p_grid(2)))
         by_p = {p: margin for p, _, _, margin in rows}
         assert abs(by_p[Fraction(1, 2)]) <= 1e-12
         assert abs(by_p[Fraction(0)] - (1 - binary_entropy(Fraction(1, 8)))) <= 1e-12
 
     def test_subcube_row_count_and_margins(self):
-        rows = list(sweep(Class3(2), 6, 64))
+        rows = list(sweep(Class3(2), 6, p_grid(64)))
         assert len(rows) == 33
         assert all(margin >= -1e-9 for *_, margin in rows)
 
     def test_denominator_capped(self):
-        with pytest.raises(ValueError):
-            list(sweep(Dictator(1), 2, 5000))
+        for den in (0, 5000):
+            with pytest.raises(ValueError):
+                p_grid(den)
 
 
 class TestSpotChecks:
