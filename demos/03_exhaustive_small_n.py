@@ -23,9 +23,3 @@ for n in (2, 3, 4):
             f"{' (incl. dictator)' if attained else ''}"
         )
     print()
-
-# orbit-deduplicated scan: same maxima, far fewer tables
-summaries = exhaustive_check(3, [Fraction(1, 4)], use_canonicalization=True)
-s = summaries[0]
-print(f"n = 3 canonicalized: {s.num_orbits} orbits instead of 256 tables, "
-      f"max MI = {s.max_mi_bits:.9f}")

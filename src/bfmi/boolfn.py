@@ -333,25 +333,13 @@ def canonical_form(f: TruthTable) -> TruthTable:
     input negations.  Idempotent and constant on orbits.  Supported for
     n <= 6 only (the group has 2 * n! * 2^n elements).
     """
-    if f.n > CANONICAL_MAX_N:
-        raise ValueError(f"canonical_form supports n <= {CANONICAL_MAX_N}, got n={f.n}")
-    size = f.size
-    full = (1 << size) - 1
-    best_mask = None
-    best_key = None
-    for index_map in _all_index_maps(f.n):
-        mapped = apply_index_map(f, index_map).mask
-        for cand in (mapped, mapped ^ full):
-            key = _lex_key(cand, size)
-            if best_key is None or key < best_key:
-                best_key, best_mask = key, cand
-    return TruthTable(f.n, best_mask)
+    return TruthTable(f.n, min(orbit(f), key=lambda mask: _lex_key(mask, f.size)))
 
 
 def orbit(f: TruthTable) -> set[int]:
     """All masks reachable from ``f`` under the symmetry group (n <= 6)."""
     if f.n > CANONICAL_MAX_N:
-        raise ValueError(f"orbit enumeration supports n <= {CANONICAL_MAX_N}")
+        raise ValueError(f"symmetry orbits support n <= {CANONICAL_MAX_N}, got n={f.n}")
     full = (1 << f.size) - 1
     out = set()
     for index_map in _all_index_maps(f.n):

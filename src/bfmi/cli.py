@@ -46,6 +46,16 @@ def _parse_p(text: str) -> Fraction:
     return p
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid(args) -> tuple[Fraction, ...]:
     return (args.p,) if args.p is not None else p_grid(args.p_den)
 
@@ -144,8 +154,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
     p_exh.add_argument("--n", type=int, required=True)
-    p_exh.add_argument("--canonical", action="store_true", help="scan one representative per orbit")
-    p_exh.add_argument("--jobs", type=int, default=1, help="worker processes for the scan tiers")
+    p_exh.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for the n = 5 tier (n <= 4 ignores it)")
 
     p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
     p_sweep.add_argument("--n", type=int, required=True)
@@ -215,9 +225,7 @@ def _cmd_karamata(args) -> int:
 
 
 def _cmd_exhaustive(args) -> int:
-    summaries = exhaustive_check(
-        args.n, _grid(args), use_canonicalization=args.canonical, jobs=args.jobs
-    )
+    summaries = exhaustive_check(args.n, _grid(args), jobs=args.jobs)
     text = summaries_to_json(summaries) if args.format == "json" else summaries_to_csv(summaries)
     _emit(text, args.out)
     return 0 if all(s.max_margin >= -PASS_MARGIN_TOLERANCE for s in summaries) else 1

@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -35,7 +36,6 @@ from .boolfn import (
     format_class_spec,
     make_class,
     parse_class_spec,
-    _all_index_maps,
 )
 from .channel import Rational, as_probability, joint_yz, marginal_sum
 from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
@@ -65,6 +65,13 @@ DEFAULT_P_GRID: tuple[Fraction, ...] = p_grid(64)
 PASS_MARGIN_TOLERANCE = 1e-9
 
 ATTAINMENT_TOLERANCE = 1e-12
+
+# Exhaustive scans list at most this many argmax orbits (ties are
+# combinatorially large at p in {0, 1/2}); the n = 5 tier cuts its 2^32
+# index space into chunks of 2^CHUNK_BITS, which keeps per-chunk arrays
+# modest.
+ARGMAX_CAP = 16
+CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -99,7 +106,6 @@ class ExhaustiveSummary:
     n: int
     p: Fraction
     num_functions_scanned: int
-    num_orbits: Optional[int]
     max_mi_bits: float
     argmax_canonical_tables: tuple[TruthTable, ...]
     bound_bits: float
@@ -222,36 +228,7 @@ def _bit_matrix(masks: np.ndarray, size: int) -> np.ndarray:
     return ((masks[:, None] >> np.arange(size, dtype=masks.dtype)) & 1).astype(np.float64)
 
 
-def _canonical_codes_all(n: int) -> np.ndarray:
-    """Canonical (lex-smallest orbit member) mask for every n-variable table.
-
-    Vectorized counterpart of :func:`bfmi.boolfn.canonical_form`; the
-    test suite pins the two to each other.  Practical for n <= 4.
-    """
-    if n > 4:
-        raise ValueError("vectorized canonical codes support n <= 4")
-    size = 1 << n
-    nfun = 1 << size
-    bits = _bit_matrix(np.arange(nfun, dtype=np.int64), size)
-    lex_w = (2.0 ** np.arange(size - 1, -1, -1)).astype(np.float64)  # bits[0] most significant
-    mask_w = (2.0 ** np.arange(size)).astype(np.float64)
-    best_key = None
-    best_mask = None
-    for index_map in _all_index_maps(n):
-        mapped = bits[:, index_map]
-        for cand in (mapped, 1.0 - mapped):
-            key = cand @ lex_w
-            mask = cand @ mask_w
-            if best_key is None:
-                best_key, best_mask = key, mask
-            else:
-                take = key < best_key
-                best_key = np.where(take, key, best_key)
-                best_mask = np.where(take, mask, best_mask)
-    return best_mask.astype(np.int64)
-
-
-def _canonical_dedupe(n: int, masks, cap: int) -> list[int]:
+def _canonical_dedupe(n: int, masks) -> list[int]:
     seen = set()
     out = []
     for mask in masks:
@@ -259,7 +236,7 @@ def _canonical_dedupe(n: int, masks, cap: int) -> list[int]:
         if canon not in seen:
             seen.add(canon)
             out.append(canon)
-            if len(out) >= cap:
+            if len(out) >= ARGMAX_CAP:
                 break
     return sorted(out)
 
@@ -285,85 +262,62 @@ def _scan_chunk_n5(args) -> tuple[int, float, list[tuple[int, float]]]:
     return int(idx.size), local_max, [(int(idx[i]), float(mi[i])) for i in top]
 
 
-def exhaustive_check(
-    n: int,
-    p_grid=DEFAULT_P_GRID,
-    use_canonicalization: bool = False,
-    jobs: int = 1,
-    chunk_bits: int = 20,
-    argmax_cap: int = 16,
-) -> list[ExhaustiveSummary]:
+def _dense_tier(n: int, grid):
+    """Yield (scanned, max MI, argmax candidate masks) per p over all tables."""
+    size = 1 << n
+    masks = np.arange(1 << size, dtype=np.int64)
+    bits = _bit_matrix(masks, size)
+    for p in grid:
+        mi = _mi_from_bits(bits, _kernel_matrix(n, p), n)
+        max_mi = float(mi.max())
+        arg_idx = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)
+        yield int(masks.size), max_mi, masks[arg_idx[: 8 * ARGMAX_CAP]]
+
+
+def _chunked_tier_n5(grid, jobs: int):
+    """Yield (scanned, max MI, argmax candidate masks) per p, n = 5.
+
+    One worker pool serves the whole grid when ``jobs`` > 1.
+    """
+    total = 1 << 32
+    chunk = 1 << CHUNK_BITS
+    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
+        for p in grid:
+            args = [(str(p), start, min(start + chunk, total)) for start in range(0, total, chunk)]
+            if pool is None:
+                results = [_scan_chunk_n5(a) for a in args]
+            else:
+                results = pool.map(_scan_chunk_n5, args, chunksize=1)
+            max_mi = max(r[1] for r in results)
+            candidates = [m for r in results for (m, v) in r[2] if v >= max_mi - ATTAINMENT_TOLERANCE]
+            yield sum(r[0] for r in results), max_mi, candidates
+
+
+def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[ExhaustiveSummary]:
     """Scan all 2^(2^n) truth tables for each grid p; one summary per p.
 
-    n <= 4 runs dense (optionally deduplicated to one representative
-    per symmetry orbit).  n = 5 requires ``use_canonicalization`` and
-    runs the long-running symmetry-reduced tier: the index space is cut
-    into chunks (optionally fanned out over ``jobs`` workers) and each
-    chunk keeps one representative per cheap exact symmetry filter.
-    ``argmax_canonical_tables`` lists up to ``argmax_cap`` distinct
-    canonical forms attaining the maximum within 1e-12 (ties are
-    combinatorially large at p in {0, 1/2}, hence the cap).
+    n <= 4 runs dense.  n = 5 runs the long-running symmetry-reduced
+    tier: the index space is cut into chunks (fanned out over ``jobs``
+    workers when ``jobs`` > 1) and each chunk keeps one representative
+    per cheap exact symmetry filter.  ``argmax_canonical_tables`` lists
+    up to ``ARGMAX_CAP`` distinct canonical forms attaining the maximum
+    within 1e-12.
     """
     grid = [as_probability(p, Fraction(1, 2)) for p in p_grid]
     if n <= 0:
         raise ValueError("n must be positive")
-    if n == 5 and not use_canonicalization:
-        raise ValueError("n=5 exhaustive scan requires use_canonicalization")
     if n > 5:
         raise ValueError(f"exhaustive scan of n={n} (2^{1 << n} tables) is not supported")
-
-    if n <= 4:
-        size = 1 << n
-        if use_canonicalization:
-            scan_masks = np.unique(_canonical_codes_all(n))
-            num_orbits: Optional[int] = int(scan_masks.size)
-        else:
-            scan_masks = np.arange(1 << size, dtype=np.int64)
-            num_orbits = None
-        bits = _bit_matrix(scan_masks, size)
-        summaries = []
-        for p in grid:
-            mi = _mi_from_bits(bits, _kernel_matrix(n, p), n)
-            max_mi = float(mi.max())
-            arg_idx = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)
-            canon = _canonical_dedupe(n, scan_masks[arg_idx[: 8 * argmax_cap]], argmax_cap)
-            bound = 1.0 - binary_entropy(p)
-            summaries.append(
-                ExhaustiveSummary(
-                    n=n,
-                    p=p,
-                    num_functions_scanned=int(scan_masks.size),
-                    num_orbits=num_orbits,
-                    max_mi_bits=max_mi,
-                    argmax_canonical_tables=tuple(TruthTable(n, m) for m in canon),
-                    bound_bits=bound,
-                    max_margin=bound - max_mi,
-                )
-            )
-        return summaries
-
-    # n == 5: symmetry-reduced chunked tier
-    total = 1 << 32
-    chunk = 1 << max(12, min(chunk_bits, 22))  # keeps per-chunk arrays modest
+    tier = _dense_tier(n, grid) if n <= 4 else _chunked_tier_n5(grid, jobs)
     summaries = []
-    for p in grid:
-        args = [(str(p), start, min(start + chunk, total)) for start in range(0, total, chunk)]
-        if jobs > 1:
-            with Pool(jobs) as pool:
-                results = pool.map(_scan_chunk_n5, args, chunksize=1)
-        else:
-            results = [_scan_chunk_n5(a) for a in args]
-        scanned = sum(r[0] for r in results)
-        max_mi = max(r[1] for r in results)
-        candidates = [m for r in results for (m, v) in r[2] if v >= max_mi - ATTAINMENT_TOLERANCE]
-        canon = _canonical_dedupe(n, candidates, argmax_cap)
+    for p, (scanned, max_mi, candidates) in zip(grid, tier, strict=True):
+        canon = _canonical_dedupe(n, candidates)
         bound = 1.0 - binary_entropy(p)
         summaries.append(
             ExhaustiveSummary(
                 n=n,
                 p=p,
                 num_functions_scanned=scanned,
-                num_orbits=None,
                 max_mi_bits=max_mi,
                 argmax_canonical_tables=tuple(TruthTable(n, m) for m in canon),
                 bound_bits=bound,
@@ -425,7 +379,6 @@ def summary_to_dict(s: ExhaustiveSummary) -> dict:
         "n": s.n,
         "p": str(s.p),
         "num_functions_scanned": s.num_functions_scanned,
-        "num_orbits": s.num_orbits,
         "max_mi_bits": s.max_mi_bits,
         "bound_bits": s.bound_bits,
         "max_margin": s.max_margin,
@@ -443,7 +396,7 @@ def summaries_to_csv(summaries: Iterable[ExhaustiveSummary]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(
-        ["n", "p", "num_functions_scanned", "num_orbits", "max_mi_bits", "bound_bits", "max_margin", "argmax_bits_hex"]
+        ["n", "p", "num_functions_scanned", "max_mi_bits", "bound_bits", "max_margin", "argmax_bits_hex"]
     )
     for s in summaries:
         hexes = ";".join(json.loads(t.to_json())["bits_hex"] for t in s.argmax_canonical_tables)
@@ -452,7 +405,6 @@ def summaries_to_csv(summaries: Iterable[ExhaustiveSummary]) -> str:
                 s.n,
                 str(s.p),
                 s.num_functions_scanned,
-                "" if s.num_orbits is None else s.num_orbits,
                 repr(s.max_mi_bits),
                 repr(s.bound_bits),
                 repr(s.max_margin),

@@ -190,6 +190,21 @@ class TestCanonicalForm:
         forms = {canonical_form(TruthTable(n, m)).mask for m in range(2 ** (2**n))}
         assert len(forms) == expected_orbits
 
+    @pytest.mark.parametrize("n, expected_orbits", [(1, 2), (2, 4), (3, 14), (4, 222)])
+    def test_orbit_walk_counts_orbits_and_finds_lex_min(self, n, expected_orbits):
+        # NPN orbit counts, OEIS A000370; n = 4 walks all 2^16 tables
+        seen = set()
+        count = 0
+        for mask in range(2 ** (2**n)):
+            if mask in seen:
+                continue
+            members = orbit(TruthTable(n, mask))
+            seen |= members
+            count += 1
+            lex_min = min(members, key=lambda m: TruthTable(n, m).bits)
+            assert canonical_form(TruthTable(n, mask)).mask == lex_min
+        assert count == expected_orbits
+
     def test_orbit_enumeration_contains_whole_equivalence_class(self):
         t = make_class(2, Dictator(1))
         # dictators, anti-dictators on both variables: 4 of them

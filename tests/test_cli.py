@@ -147,11 +147,6 @@ class TestExhaustive:
         doc = json.loads(out)
         assert doc["summaries"][0]["num_functions_scanned"] == 16
 
-    def test_n5_without_canonical_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "exhaustive", "--n", "5", "--p", "1/4")
-        assert code == 2
-        assert "canonicalization" in err
-
 
 class TestSweepAndReduce:
     def test_sweep_rows(self, capsys):
@@ -190,6 +185,13 @@ class TestUsageErrors:
         code, _, err = run(capsys, "karamata", "--n", "3", "--p-den", "0")
         assert code == 2
         assert "1..4096" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_non_positive_jobs_is_usage_error(self, capsys, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["exhaustive", "--n", "2", "--p", "1/4", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_option_the_subcommand_does_not_read_exits_2(self):
         with pytest.raises(SystemExit) as exc:

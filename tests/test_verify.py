@@ -7,14 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bfmi import verify
 from bfmi.boolfn import Class1, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
 from bfmi.channel import joint_yz
+from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import binary_entropy, mutual_information
 from bfmi.verify import (
     PASS_MARGIN_TOLERANCE,
     VerifyReport,
-    _canonical_codes_all,
     _kernel_matrix,
     _mi_from_bits,
     _scan_chunk_n5,
@@ -112,14 +113,6 @@ class TestVectorEngine:
                     exact = mutual_information(joint_yz(TruthTable(n, mask), p)).mi_bits
                     assert abs(value - exact) <= 1e-12
 
-    def test_vectorized_canonical_codes_match_per_table_form(self):
-        rng = random.Random(59)
-        for n in (1, 2, 3, 4):
-            codes = _canonical_codes_all(n)
-            for _ in range(25):
-                mask = rng.getrandbits(1 << n)
-                assert codes[mask] == canonical_form(TruthTable(n, mask)).mask
-
 
 class TestExhaustive:
     def test_n2_max_is_the_dictator_value(self):
@@ -144,23 +137,43 @@ class TestExhaustive:
         ).mi_bits
         assert s.max_mi_bits - exact_dictator <= 1e-12
 
-    def test_canonicalized_scan_agrees_with_plain(self):
-        for n, orbits in ((2, 4), (3, 14)):
-            plain = exhaustive_check(n, SMALL_GRID)
-            canon = exhaustive_check(n, SMALL_GRID, use_canonicalization=True)
-            assert all(c.num_orbits == orbits for c in canon)
-            for a, b in zip(plain, canon):
-                assert abs(a.max_mi_bits - b.max_mi_bits) <= 1e-12
-
     def test_argmax_never_empty(self):
         for s in exhaustive_check(2, SMALL_GRID):
             assert len(s.argmax_canonical_tables) >= 1
 
     def test_gating(self):
         with pytest.raises(ValueError):
-            exhaustive_check(5, (Fraction(1, 4),))
+            exhaustive_check(6, (Fraction(1, 4),))
         with pytest.raises(ValueError):
-            exhaustive_check(6, (Fraction(1, 4),), use_canonicalization=True)
+            exhaustive_check(0, (Fraction(1, 4),))
+
+    def test_n5_dispatches_to_the_chunked_tier(self, monkeypatch, capsys):
+        # a cheap stand-in for the chunk worker: every chunk reports 3
+        # tables; chunks 7 and 4000 attain the maximum (4000 within the
+        # tie tolerance), chunk 9 falls just short of it
+        top = 1 / 8
+        values = {7: top, 4000: top - 1e-13, 9: top - 1e-6}
+
+        def stub(args):
+            p_str, start, stop = args
+            assert p_str == "1/4" and stop - start == 1 << 20
+            value = values.get(start >> 20, 1 / 16)
+            return 3, value, [(start, value)]
+
+        monkeypatch.setattr(verify, "_scan_chunk_n5", stub)
+        expected = sorted(canonical_form(TruthTable(5, k << 20)).mask for k in (7, 4000))
+        [s] = exhaustive_check(5, (Fraction(1, 4),))
+        assert s.num_functions_scanned == 3 * 4096
+        assert s.max_mi_bits == top
+        assert [t.mask for t in s.argmax_canonical_tables] == expected
+
+        assert main(["exhaustive", "--n", "5", "--p", "1/4"]) == 0
+        [entry] = json.loads(capsys.readouterr().out)["summaries"]
+        assert entry["num_functions_scanned"] == 3 * 4096
+        assert entry["max_mi_bits"] == top
+        assert entry["argmax_canonical_tables"] == [
+            json.loads(TruthTable(5, m).to_json()) for m in expected
+        ]
 
     def test_n5_chunk_worker(self):
         # tiny index slice; the filter keeps even masks with <= 16 ones
