@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .boolfn import Class1, Class2, Class3, Class4, Dictator, TruthTable, make_class, parse_class_spec
+from .boolfn import Class1, Class2, Class3, Class4, TruthTable, make_class, parse_class_spec
 from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify_instance
 from .mi import mutual_information
@@ -87,10 +87,12 @@ def _load_table(args) -> TruthTable:
 def _expand_class_specs(text: str, n_min: int, n_max: int):
     """Yield (class, n range) pairs in report order.
 
-    Family names expand to concrete specs; each family-expanded
-    ``Class3(r)``/``Class4(r)`` gets only the n where it exists,
-    max(n_min, r+1)..n_max.  Full specs pass through with the whole
-    range, so the ones that do not fit some n are still reported.
+    The family names ``all``, ``class3`` and ``class4`` expand to
+    concrete specs; each family-expanded ``Class3(r)``/``Class4(r)``
+    gets only the n where it exists, max(n_min, r+1)..n_max.  Any other
+    name is a spec (``class1`` is ``class1:i=0``) and passes through with
+    the whole range, so the ones that do not fit some n are still
+    reported.
     """
     n_range = range(n_min, n_max + 1)
 
@@ -99,24 +101,18 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
             for family in families:
                 yield family(r), range(max(n_min, r + 1), n_max + 1)
 
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise ValueError(f"--classes names no class: {text!r}")
+    for name in names:
         if name == "all":
             yield Class1(), n_range
             yield Class2(), n_range
             yield from subcubes(Class3, Class4)
-        elif name == "class1":
-            yield Class1(), n_range
-        elif name == "class2":
-            yield Class2(), n_range
         elif name == "class3":
             yield from subcubes(Class3)
         elif name == "class4":
             yield from subcubes(Class4)
-        elif name == "dictator":
-            yield Dictator(), n_range
         else:
             yield parse_class_spec(name), n_range
 
@@ -155,7 +151,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
     p_exh.add_argument("--n", type=int, required=True)
     p_exh.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes for the n = 5 tier (n <= 4 ignores it)")
+                       help="worker processes, capped at the number of 2^20-table chunks "
+                            "(n <= 4 is one chunk and runs in-process; n = 5 has 4096)")
 
     p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
     p_sweep.add_argument("--n", type=int, required=True)
@@ -188,6 +185,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} is greater than --n-max {args.n_max}")
+    if args.lemma_samples < 0:
+        raise ValueError(f"--lemma-samples must be at least 0, got {args.lemma_samples}")
     grid = _grid(args)
     reports = []
     for cls, n_range in _expand_class_specs(args.classes, args.n_min, args.n_max):

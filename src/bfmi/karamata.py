@@ -170,8 +170,9 @@ def check_majorization(x, y) -> MajorizationCertificate:
     """
     xs = _coerce_seq(x)
     ys = _coerce_seq(y)
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    # the stored lengths, not len(): for n >= 32 they exceed sys.maxsize
+    if xs._length != ys._length:
+        raise ValueError(f"length mismatch: {xs._length} vs {ys._length}")
 
     first_violation = None
     gap = Fraction(0)  # prefix(y) - prefix(x); must stay <= 0

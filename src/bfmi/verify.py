@@ -5,7 +5,9 @@ MI, the bound 1 - H(p) and the margin, attaching the exact
 majorization certificate for the single-one/single-zero classes.
 ``exhaustive_check`` scans every truth table of a small dimension with
 a vectorized float engine (the exact engine is its oracle in the test
-suite).  Report emission is deterministic: fixed iteration order,
+suite): one chunk worker scans a slice of the table space for the whole
+p grid, and one merge picks the maximum and the argmax orbits, walking
+each orbit once.  Report emission is deterministic: fixed iteration order,
 fixed summation order, shortest-roundtrip float formatting.
 """
 
@@ -15,7 +17,6 @@ import csv
 import io
 import json
 import logging
-import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -29,12 +30,12 @@ from .boolfn import (
     Class1,
     Class2,
     Class3,
-    Dictator,
     FunctionClass,
     TruthTable,
-    canonical_form,
+    _lex_key,
     format_class_spec,
     make_class,
+    orbit,
     parse_class_spec,
 )
 from .channel import Rational, as_probability, joint_yz, marginal_sum
@@ -67,9 +68,8 @@ PASS_MARGIN_TOLERANCE = 1e-9
 ATTAINMENT_TOLERANCE = 1e-12
 
 # Exhaustive scans list at most this many argmax orbits (ties are
-# combinatorially large at p in {0, 1/2}); the n = 5 tier cuts its 2^32
-# index space into chunks of 2^CHUNK_BITS, which keeps per-chunk arrays
-# modest.
+# combinatorially large at p in {0, 1/2}) and cut the table space into
+# chunks of 2^CHUNK_BITS masks, which keeps per-chunk arrays modest.
 ARGMAX_CAP = 16
 CHUNK_BITS = 20
 
@@ -224,100 +224,87 @@ def _mi_from_bits(bits: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
     return (t1 + t0).sum(axis=1)
 
 
-def _bit_matrix(masks: np.ndarray, size: int) -> np.ndarray:
-    return ((masks[:, None] >> np.arange(size, dtype=masks.dtype)) & 1).astype(np.float64)
-
-
 def _canonical_dedupe(n: int, masks) -> list[int]:
-    seen = set()
+    """Sorted canonical forms of the first ``ARGMAX_CAP`` orbits met in ``masks``.
+
+    Each orbit is walked once; later masks inside a walked orbit are skipped.
+    """
+    size = 1 << n
+    walked: set[int] = set()
     out = []
     for mask in masks:
-        canon = canonical_form(TruthTable(n, int(mask))).mask
-        if canon not in seen:
-            seen.add(canon)
-            out.append(canon)
-            if len(out) >= ARGMAX_CAP:
-                break
+        if mask in walked:
+            continue
+        members = orbit(TruthTable(n, mask))
+        walked |= members
+        out.append(min(members, key=lambda m: _lex_key(m, size)))
+        if len(out) >= ARGMAX_CAP:
+            break
     return sorted(out)
 
 
-def _scan_chunk_n5(args) -> tuple[int, float, list[tuple[int, float]]]:
-    """Scan one index chunk of the n=5 space, symmetry-filtered.
+def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
+    """Scan the masks start..stop-1 of the n-variable table space.
 
-    Keeps only tables with f(0...0) = 0 and at most 2^(n-1) ones; every
-    orbit has such a representative, so the global maximum over kept
-    tables equals the maximum over all tables.
+    Returns, for every grid p, (tables scanned, max MI, up to
+    ``8 * ARGMAX_CAP`` (mask, MI) pairs within ``ATTAINMENT_TOLERANCE``
+    of that max, in mask order).  When the space needs more than one
+    chunk (n = 5), only tables with f(0...0) = 0 and at most 2^(n-1)
+    ones are kept; every orbit has such a member, so the maximum over
+    the kept tables is the maximum over all tables.  A chunk start
+    k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), so no
+    chunk comes out empty.
     """
-    p_str, start, stop = args
-    n = 5
+    n, grid, start, stop = args
     size = 1 << n
-    kernel = _kernel_matrix(n, Fraction(p_str))
-    idx = np.arange(start, stop, 2, dtype=np.int64)  # f(0...0) = 0: even masks only
-    idx = idx[np.bitwise_count(idx) <= size // 2]
-    if idx.size == 0:
-        return 0, -math.inf, []
-    mi = _mi_from_bits(_bit_matrix(idx, size), kernel, n)
-    local_max = float(mi.max())
-    top = np.flatnonzero(mi >= local_max - ATTAINMENT_TOLERANCE)[:8]
-    return int(idx.size), local_max, [(int(idx[i]), float(mi[i])) for i in top]
-
-
-def _dense_tier(n: int, grid):
-    """Yield (scanned, max MI, argmax candidate masks) per p over all tables."""
-    size = 1 << n
-    masks = np.arange(1 << size, dtype=np.int64)
-    bits = _bit_matrix(masks, size)
+    if size <= CHUNK_BITS:
+        masks = np.arange(start, stop, dtype=np.int64)
+    else:
+        masks = np.arange(start, stop, 2, dtype=np.int64)  # chunks start even
+        masks = masks[np.bitwise_count(masks) <= size // 2]
+    bits = ((masks[:, None] >> np.arange(size, dtype=np.int64)) & 1).astype(np.float64)
+    out = []
     for p in grid:
         mi = _mi_from_bits(bits, _kernel_matrix(n, p), n)
         max_mi = float(mi.max())
-        arg_idx = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)
-        yield int(masks.size), max_mi, masks[arg_idx[: 8 * ARGMAX_CAP]]
-
-
-def _chunked_tier_n5(grid, jobs: int):
-    """Yield (scanned, max MI, argmax candidate masks) per p, n = 5.
-
-    One worker pool serves the whole grid when ``jobs`` > 1.
-    """
-    total = 1 << 32
-    chunk = 1 << CHUNK_BITS
-    with Pool(jobs) if jobs > 1 else nullcontext() as pool:
-        for p in grid:
-            args = [(str(p), start, min(start + chunk, total)) for start in range(0, total, chunk)]
-            if pool is None:
-                results = [_scan_chunk_n5(a) for a in args]
-            else:
-                results = pool.map(_scan_chunk_n5, args, chunksize=1)
-            max_mi = max(r[1] for r in results)
-            candidates = [m for r in results for (m, v) in r[2] if v >= max_mi - ATTAINMENT_TOLERANCE]
-            yield sum(r[0] for r in results), max_mi, candidates
+        top = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)[: 8 * ARGMAX_CAP]
+        out.append((int(masks.size), max_mi, [(int(masks[i]), float(mi[i])) for i in top]))
+    return out
 
 
 def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[ExhaustiveSummary]:
     """Scan all 2^(2^n) truth tables for each grid p; one summary per p.
 
-    n <= 4 runs dense.  n = 5 runs the long-running symmetry-reduced
-    tier: the index space is cut into chunks (fanned out over ``jobs``
-    workers when ``jobs`` > 1) and each chunk keeps one representative
-    per cheap exact symmetry filter.  ``argmax_canonical_tables`` lists
-    up to ``ARGMAX_CAP`` distinct canonical forms attaining the maximum
-    within 1e-12.
+    The table space is cut into chunks of 2^CHUNK_BITS masks, each
+    scanned once for the whole grid by :func:`_scan_chunk`: n <= 4 is a
+    single unfiltered chunk run in-process; n = 5 is 4096
+    symmetry-filtered chunks, fanned out over min(``jobs``, 4096)
+    worker processes when ``jobs`` > 1.  ``argmax_canonical_tables``
+    lists up to ``ARGMAX_CAP`` distinct canonical forms attaining the
+    maximum within 1e-12.
     """
-    grid = [as_probability(p, Fraction(1, 2)) for p in p_grid]
+    grid = tuple(as_probability(p, Fraction(1, 2)) for p in p_grid)
     if n <= 0:
         raise ValueError("n must be positive")
     if n > 5:
         raise ValueError(f"exhaustive scan of n={n} (2^{1 << n} tables) is not supported")
-    tier = _dense_tier(n, grid) if n <= 4 else _chunked_tier_n5(grid, jobs)
+    total = 1 << (1 << n)
+    step = 1 << CHUNK_BITS
+    args = [(n, grid, start, min(start + step, total)) for start in range(0, total, step)]
+    workers = min(jobs, len(args))
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        chunks = pool.map(_scan_chunk, args, chunksize=1) if pool else [_scan_chunk(a) for a in args]
     summaries = []
-    for p, (scanned, max_mi, candidates) in zip(grid, tier, strict=True):
+    for p, results in zip(grid, zip(*chunks), strict=True):
+        max_mi = max(r[1] for r in results)
+        candidates = [m for r in results for m, v in r[2] if v >= max_mi - ATTAINMENT_TOLERANCE]
         canon = _canonical_dedupe(n, candidates)
         bound = 1.0 - binary_entropy(p)
         summaries.append(
             ExhaustiveSummary(
                 n=n,
                 p=p,
-                num_functions_scanned=scanned,
+                num_functions_scanned=sum(r[0] for r in results),
                 max_mi_bits=max_mi,
                 argmax_canonical_tables=tuple(TruthTable(n, m) for m in canon),
                 bound_bits=bound,

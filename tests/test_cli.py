@@ -1,8 +1,10 @@
 """End-to-end CLI behaviour: subcommands, file outputs, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +141,12 @@ class TestKaramata:
         assert code == 2
         assert "single --p" in err
 
+    def test_no_dimension_ceiling(self, capsys):
+        # 2^40 * (2^40 - 1) prefixes: longer than sys.maxsize
+        code, out, _ = run(capsys, "karamata", "--n", "40", "--p", "13/64")
+        assert code == 0
+        assert json.loads(out)["holds"] is True
+
 
 class TestExhaustive:
     def test_n2_json(self, capsys):
@@ -198,6 +206,21 @@ class TestUsageErrors:
             main(["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--n-min", "5", "--n-max", "3"], "--n-min"),
+            (["--classes", ","], "--classes"),
+            (["--lemma-samples", "-1"], "--lemma-samples"),
+        ],
+        ids=["n-min-above-n-max", "empty-classes", "negative-lemma-samples"],
+    )
+    def test_bad_verify_input_names_the_option(self, capsys, argv, option):
+        code, out, err = run(capsys, "verify", "--p", "1/4", *argv)
+        assert code == 2
+        assert not out
+        assert option in err
+
     def test_bad_class_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "--n", "2", "--function", "clazz9", "--p", "1/4")
         assert code == 2
@@ -211,10 +234,11 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "bfmi.cli", "compute", "--n", "2",
              "--function", "dictator:j=1", "--p", "0"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mi_bits"] == 1.0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bfmi import verify
+from bfmi import boolfn, verify
 from bfmi.boolfn import Class1, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
 from bfmi.channel import joint_yz
 from bfmi.cli import main
@@ -18,7 +18,7 @@ from bfmi.verify import (
     VerifyReport,
     _kernel_matrix,
     _mi_from_bits,
-    _scan_chunk_n5,
+    _scan_chunk,
     class3_reduction_check,
     exhaustive_check,
     marginal_spot_check,
@@ -147,7 +147,7 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_check(0, (Fraction(1, 4),))
 
-    def test_n5_dispatches_to_the_chunked_tier(self, monkeypatch, capsys):
+    def test_n5_merges_chunks_within_the_tie_tolerance(self, monkeypatch, capsys):
         # a cheap stand-in for the chunk worker: every chunk reports 3
         # tables; chunks 7 and 4000 attain the maximum (4000 within the
         # tie tolerance), chunk 9 falls just short of it
@@ -155,12 +155,12 @@ class TestExhaustive:
         values = {7: top, 4000: top - 1e-13, 9: top - 1e-6}
 
         def stub(args):
-            p_str, start, stop = args
-            assert p_str == "1/4" and stop - start == 1 << 20
+            n, grid, start, stop = args
+            assert n == 5 and grid == (Fraction(1, 4),) and stop - start == 1 << 20
             value = values.get(start >> 20, 1 / 16)
-            return 3, value, [(start, value)]
+            return [(3, value, [(start, value)])]
 
-        monkeypatch.setattr(verify, "_scan_chunk_n5", stub)
+        monkeypatch.setattr(verify, "_scan_chunk", stub)
         expected = sorted(canonical_form(TruthTable(5, k << 20)).mask for k in (7, 4000))
         [s] = exhaustive_check(5, (Fraction(1, 4),))
         assert s.num_functions_scanned == 3 * 4096
@@ -175,12 +175,51 @@ class TestExhaustive:
             json.loads(TruthTable(5, m).to_json()) for m in expected
         ]
 
+    def test_n4_is_one_unfiltered_chunk(self, monkeypatch):
+        seen = []
+
+        def spy(args):
+            seen.append(args[2:])
+            return _scan_chunk(args)
+
+        monkeypatch.setattr(verify, "_scan_chunk", spy)
+        [s] = exhaustive_check(4, (Fraction(1, 4),), jobs=4)
+        assert seen == [(0, 1 << 16)]
+        assert s.num_functions_scanned == 1 << 16
+
     def test_n5_chunk_worker(self):
         # tiny index slice; the filter keeps even masks with <= 16 ones
-        count, local_max, top = _scan_chunk_n5(("1/4", 0, 4096))
-        assert count == 2048
-        assert local_max <= 1 - binary_entropy(Fraction(1, 4)) + 1e-9
-        assert top and all(v <= local_max for _, v in top)
+        grid = (Fraction(1, 4), Fraction(1, 2))
+        results = _scan_chunk((5, grid, 0, 4096))
+        assert len(results) == len(grid)
+        for p, (count, local_max, top) in zip(grid, results):
+            assert count == 2048
+            assert local_max <= 1 - binary_entropy(p) + 1e-9
+            assert top and all(v <= local_max for _, v in top)
+            assert all(m % 2 == 0 and m.bit_count() <= 16 for m, _ in top)
+        assert len(results[1][2]) == 8 * verify.ARGMAX_CAP  # p = 1/2: every table ties
+
+    def test_argmax_lists_are_pinned(self):
+        # canonical masks of every argmax orbit over the 8ths grid at n = 3;
+        # p = 0 and p = 1/2 are tie-heavy (at 1/2 all 14 orbits tie at 0)
+        got = {s.p: [t.mask for t in s.argmax_canonical_tables] for s in exhaustive_check(3, p_grid(8))}
+        assert got == {
+            Fraction(0): [60, 120, 150, 216, 232, 240],
+            Fraction(1, 8): [240],
+            Fraction(1, 4): [240],
+            Fraction(3, 8): [240],
+            Fraction(1, 2): [0, 24, 60, 96, 104, 120, 128, 150, 152, 192, 216, 224, 232, 240],
+        }
+
+    def test_dedupe_walks_each_argmax_orbit_once(self, monkeypatch):
+        # at n = 4, p = 13/64 the 8 dictator tables x_j, 1 - x_j tie; their
+        # one orbit is walked once, one call per input map (4! * 2^4 = 384)
+        calls = []
+        real = boolfn.apply_index_map
+        monkeypatch.setattr(boolfn, "apply_index_map", lambda *a: calls.append(1) or real(*a))
+        [s] = exhaustive_check(4, (Fraction(13, 64),))
+        assert len(calls) == 384
+        assert s.argmax_canonical_tables == (canonical_form(make_class(4, Dictator(1))),)
 
 
 class TestSweep:
