@@ -147,7 +147,7 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_check(0, (Fraction(1, 4),))
 
-    def test_n5_merges_chunks_within_the_tie_tolerance(self, monkeypatch, capsys):
+    def test_n5_dispatches_to_the_chunked_tier(self, monkeypatch, capsys):
         # a cheap stand-in for the chunk worker: every chunk reports 3
         # tables; chunks 7 and 4000 attain the maximum (4000 within the
         # tie tolerance), chunk 9 falls just short of it
