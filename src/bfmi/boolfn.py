@@ -195,21 +195,21 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
         if not 0 <= c.fixed_prefix < 1 << c.r:
             raise ValueError(f"fixed_prefix {c.fixed_prefix} needs r={c.r} bits")
         shift = n - c.r
-        mask = 0
-        for i in range(size):
-            if i >> shift == c.fixed_prefix:
-                mask |= 1 << i
+        # the subcube is the contiguous index block fixed_prefix << shift, of length 2^shift
+        mask = ((1 << (1 << shift)) - 1) << (c.fixed_prefix << shift)
         if isinstance(c, Class4):
             mask ^= (1 << size) - 1
         return TruthTable(n, mask)
     if isinstance(c, Dictator):
         if not 1 <= c.j <= n:
             raise ValueError(f"dictator coordinate j={c.j} out of range for n={n}")
-        bit = n - c.j  # x_j sits at bit position n-j of the index
-        mask = 0
-        for i in range(size):
-            if (i >> bit) & 1:
-                mask |= 1 << i
+        width = 1 << (n - c.j)  # x_j sits at bit position n-j of the index
+        # one period is width zeros then width ones; double it until it spans the table
+        # (doubling, not a repunit division: big-int division is quadratic)
+        mask, period = ((1 << width) - 1) << width, 2 * width
+        while period < size:
+            mask |= mask << period
+            period *= 2
         return TruthTable(n, mask)
     if isinstance(c, Lex):
         if not 0 <= c.ones_count <= size:

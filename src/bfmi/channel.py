@@ -16,9 +16,13 @@ is the marginal identity checked by :func:`marginal_sum`.
 uses the xor-convolution structure of the channel: with
 h(v) = (1-p)^(n-|v|) * p^|v| / 2^n one has p_YZ(., 1) = f * h (xor
 convolution), which a Walsh-Hadamard transform evaluates with integer
-arithmetic only.  For p = s/d every cell comes out as an integer over
-4^n·d^n, and :class:`JointYZ` keeps exactly those integer numerators;
-Fractions are built only for the ``rows`` view and at the CSV boundary.
+arithmetic only.  One in-place NumPy butterfly does both passes: the
+forward transform of the 0/1 indicator runs in int64 (every partial sum
+is at most 2^n), the scaled inverse on an object array of Python ints.
+Nothing is cached between calls.  For p = s/d every cell comes out as
+an integer over 4^n·d^n, and :class:`JointYZ` keeps exactly those
+integer numerators; Fractions are built only for the ``rows`` view and
+at the CSV boundary.
 The result is exact; the naive preimage sum is kept as an independent
 oracle in the test suite.
 """
@@ -27,11 +31,8 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -124,20 +125,6 @@ class JointYZ:
         if Fraction(sum(self.p1_nums), self.den) != self.pz1:
             raise ValueError("pz1 does not match the p1 column sum")
 
-    @classmethod
-    def from_rows(cls, n: int, p: Rational, rows: Iterable[tuple[Fraction, Fraction]]) -> "JointYZ":
-        """Build from exact (p0, p1) rows, lifted to their lcm denominator."""
-        rows = tuple((Fraction(a), Fraction(b)) for a, b in rows)
-        py = Fraction(1, 1 << n)
-        for y, (p0, p1) in enumerate(rows):
-            if p0 < 0 or p1 < 0:
-                raise ValueError(f"negative probability in row {y}")
-            if p0 + p1 != py:
-                raise ValueError(f"row {y} does not sum to 1/2^n")
-        den = math.lcm(1 << n, *(p1.denominator for _, p1 in rows))
-        nums = tuple(p1.numerator * (den // p1.denominator) for _, p1 in rows)
-        return cls(n, Fraction(p), den, nums, Fraction(sum(nums), den))
-
     @property
     def pz0(self) -> Fraction:
         return 1 - self.pz1
@@ -149,15 +136,6 @@ class JointYZ:
     def rows(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """``rows[y] = (p0, p1)`` as exact Fractions; a read-only view built per access."""
         return tuple(self._cells(num) for num in self.p1_nums)
-
-    def distinct_rows(self) -> list[tuple[tuple[Fraction, Fraction], int]]:
-        """Distinct (p0, p1) rows with multiplicities, descending by p1.
-
-        For the structured subcube classes this is the compressed view
-        (the distinct per-row values with their repeat counts).
-        """
-        counts = sorted(Counter(self.p1_nums).items(), reverse=True)
-        return [(self._cells(num), count) for num, count in counts]
 
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms."""
@@ -171,26 +149,16 @@ class JointYZ:
                 writer.writerow([y, (py_num - num) // g0, den // g0, num // g1, den // g1])
 
 
-def _wht_inplace(v: list[int]) -> None:
-    # unnormalized Walsh-Hadamard butterfly; applying it twice gives len(v) * identity
-    length = len(v)
+def _wht(v: np.ndarray) -> None:
+    # unnormalized Walsh-Hadamard butterfly, in place; applying it twice gives len(v) * identity
     h = 1
-    while h < length:
-        for base in range(0, length, 2 * h):
-            for j in range(base, base + h):
-                a = v[j]
-                b = v[j + h]
-                v[j] = a + b
-                v[j + h] = a - b
+    while h < len(v):
+        pairs = v.reshape(-1, 2, h)
+        a, b = pairs[:, 0], pairs[:, 1]
+        a += b
+        b *= -2
+        b += a  # (a + b) - 2b = a - b
         h *= 2
-
-
-@lru_cache(maxsize=256)
-def _ones_spectrum(n: int, mask: int) -> tuple[int, ...]:
-    # forward transform of the indicator; reused across the whole p grid
-    v = [(mask >> i) & 1 for i in range(1 << n)]
-    _wht_inplace(v)
-    return tuple(v)
 
 
 def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
@@ -210,13 +178,21 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     s, den = q.numerator, q.denominator
     t = den - 2 * s  # numerator of 1 - 2p over den
 
-    # scale the transform by (1-2p)^|w|, common denominator den^n pulled out
-    scale = [t**k * den ** (n - k) for k in range(n + 1)]
-    spectrum = [coef * scale[w.bit_count()] for w, coef in enumerate(_ones_spectrum(n, f.mask))]
-    _wht_inplace(spectrum)
+    # forward transform of the indicator; int64 is exact, every partial sum is at most 2^n
+    packed = np.frombuffer(f.mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    ones = np.unpackbits(packed, bitorder="little")[:size].astype(np.int64)
+    _wht(ones)
+    # scale the transform by (1-2p)^|w|, common denominator den^n pulled out;
+    # the inverse runs on Python ints (object array)
+    scale = np.array([t**k * den ** (n - k) for k in range(n + 1)], dtype=object)
+    spectrum = scale[np.bitwise_count(np.arange(size, dtype=np.uint32))]
+    spectrum *= ones
+    del ones
+    _wht(spectrum)
+    nums = spectrum.tolist()
 
     big_den = 4**n * den**n
     py_num = big_den >> n  # 1/2^n over big_den
-    if min(spectrum) < 0 or max(spectrum) > py_num:
+    if min(nums) < 0 or max(nums) > py_num:
         raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
-    return JointYZ(n, q, big_den, tuple(spectrum), Fraction(f.ones_count(), size))
+    return JointYZ(n, q, big_den, tuple(nums), Fraction(f.ones_count(), size))

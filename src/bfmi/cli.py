@@ -15,7 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .boolfn import Class1, Class2, Class3, Class4, TruthTable, make_class, parse_class_spec
+from .boolfn import MAX_N, Class1, Class2, Class3, Class4, TruthTable, make_class, parse_class_spec
 from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify_instance
 from .mi import mutual_information
@@ -185,6 +185,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.n_min < 1:
+        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
+    if args.n_max > MAX_N:
+        raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
     if args.n_min > args.n_max:
         raise ValueError(f"--n-min {args.n_min} is greater than --n-max {args.n_max}")
     if args.lemma_samples < 0:

@@ -42,10 +42,12 @@ class DescendingSeq:
     ``runs`` is a tuple of (value, count) pairs with strictly
     decreasing values and positive counts; equal neighbours supplied by
     the caller are merged.  Ties inside the underlying sequence are
-    therefore permitted (p in {0, 1/2} produces them).
+    therefore permitted (p in {0, 1/2} produces them).  ``length`` is
+    the number of elements; it is an attribute, not ``len()``, because
+    from n = 32 on it exceeds ``sys.maxsize``.
     """
 
-    __slots__ = ("runs", "_length")
+    __slots__ = ("runs", "length")
 
     def __init__(self, runs: Iterable[tuple[Rational, int]]):
         merged: list[tuple[Fraction, int]] = []
@@ -63,15 +65,12 @@ class DescendingSeq:
         if not merged:
             raise ValueError("sequence must be non-empty")
         self.runs = tuple(merged)
-        self._length = sum(count for _, count in merged)
+        self.length = sum(count for _, count in merged)
 
     @classmethod
     def from_values(cls, values: Iterable[Rational]) -> "DescendingSeq":
         """Compress an explicit nonincreasing list of values."""
         return cls((v, 1) for v in values)
-
-    def __len__(self) -> int:
-        return self._length
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DescendingSeq) and self.runs == other.runs
@@ -87,8 +86,8 @@ class DescendingSeq:
         return sum((v * c for v, c in self.runs), Fraction(0))
 
     def prefix_sum(self, t: int) -> Fraction:
-        """Exact sum of the first ``t`` elements (0 <= t <= len)."""
-        if not 0 <= t <= self._length:
+        """Exact sum of the first ``t`` elements (0 <= t <= length)."""
+        if not 0 <= t <= self.length:
             raise ValueError(f"prefix length {t} out of range")
         acc = Fraction(0)
         for value, count in self.runs:
@@ -170,9 +169,8 @@ def check_majorization(x, y) -> MajorizationCertificate:
     """
     xs = _coerce_seq(x)
     ys = _coerce_seq(y)
-    # the stored lengths, not len(): for n >= 32 they exceed sys.maxsize
-    if xs._length != ys._length:
-        raise ValueError(f"length mismatch: {xs._length} vs {ys._length}")
+    if xs.length != ys.length:
+        raise ValueError(f"length mismatch: {xs.length} vs {ys.length}")
 
     first_violation = None
     gap = Fraction(0)  # prefix(y) - prefix(x); must stay <= 0

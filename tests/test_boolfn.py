@@ -62,6 +62,25 @@ class TestConstructors:
         for n, r in ((3, 1), (4, 2), (5, 4)):
             assert make_class(n, Class4(r, 1)) == complement(make_class(n, Class3(r, 1)))
 
+    def test_subcube_and_dictator_masks_match_a_per_index_loop(self):
+        def loop_mask(n, keep):
+            mask = 0
+            for i in range(1 << n):
+                if keep(i):
+                    mask |= 1 << i
+            return mask
+
+        full = lambda n: (1 << (1 << n)) - 1
+        for n in range(1, 11):
+            for j in range(1, n + 1):
+                expected = loop_mask(n, lambda i: (i >> (n - j)) & 1)
+                assert make_class(n, Dictator(j)).mask == expected
+            for r in range(1, n):
+                for prefix in range(1 << r):
+                    expected = loop_mask(n, lambda i: i >> (n - r) == prefix)
+                    assert make_class(n, Class3(r, prefix)).mask == expected
+                    assert make_class(n, Class4(r, prefix)).mask == expected ^ full(n)
+
     def test_lex_takes_smallest_indices(self):
         assert make_class(3, Lex(3)).ones() == [0, 1, 2]
         assert make_class(2, Lex(0)).mask == 0

@@ -212,8 +212,11 @@ class TestUsageErrors:
             (["--n-min", "5", "--n-max", "3"], "--n-min"),
             (["--classes", ","], "--classes"),
             (["--lemma-samples", "-1"], "--lemma-samples"),
+            (["--n-min", "0", "--n-max", "1"], "--n-min"),
+            (["--n-min", "24", "--n-max", "25"], "--n-max"),
         ],
-        ids=["n-min-above-n-max", "empty-classes", "negative-lemma-samples"],
+        ids=["n-min-above-n-max", "empty-classes", "negative-lemma-samples",
+             "n-min-below-1", "n-max-above-max-n"],
     )
     def test_bad_verify_input_names_the_option(self, capsys, argv, option):
         code, out, err = run(capsys, "verify", "--p", "1/4", *argv)

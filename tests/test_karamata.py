@@ -42,7 +42,7 @@ class TestDescendingSeq:
     def test_compression_and_length(self):
         seq = DescendingSeq.from_values([3, 3, 2, 1, 1, 1])
         assert seq.runs == ((Fraction(3), 2), (Fraction(2), 1), (Fraction(1), 3))
-        assert len(seq) == 6
+        assert seq.length == 6
         assert seq.total() == 11
         assert list(seq.values()) == [3, 3, 2, 1, 1, 1]
 
@@ -167,7 +167,10 @@ class TestSequenceConstruction:
         for n in (2, 3, 4, 7):
             inst = build_karamata_sequences(n, Fraction(3, 16))
             size = 1 << n
-            assert len(inst.x_seq) == len(inst.y_seq) == size * (size - 1)
+            assert inst.x_seq.length == inst.y_seq.length == size * (size - 1)
+        # beyond sys.maxsize, where len() could not report it
+        inst = build_karamata_sequences(40, Fraction(13, 64))
+        assert inst.x_seq.length == inst.y_seq.length == 2**40 * (2**40 - 1)
 
 
 class TestCertificates:
