@@ -95,8 +95,10 @@ class TruthTable:
     @classmethod
     def from_json(cls, text: str) -> "TruthTable":
         obj = json.loads(text)
+        n = obj.get("n") if isinstance(obj, dict) else None
+        if type(n) is not int or not 1 <= n <= MAX_N:  # a bool is not an n
+            raise ValueError(f"truth-table n must be an integer in 1..{MAX_N}, got {json.dumps(n)}")
         try:
-            n = int(obj["n"])
             raw = bytes.fromhex(obj["bits_hex"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed truth-table JSON: {exc}") from exc

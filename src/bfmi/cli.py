@@ -20,11 +20,11 @@ from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify_instance
 from .mi import mutual_information
 from .verify import (
-    DEFAULT_P_GRID,
-    PASS_MARGIN_TOLERANCE,
+    IDENTITY_TOLERANCE,
     certificate_to_dict,
     exhaustive_check,
     class3_reduction_check,
+    margin_passes,
     marginal_spot_check,
     p_grid,
     reports_to_csv,
@@ -166,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[str, bool]:
     if args.p is None:
         raise ValueError("compute needs --p")
     table = _load_table(args)
@@ -174,17 +174,11 @@ def _cmd_compute(args) -> int:
     if args.dump_joint:
         joint.write_csv(args.dump_joint)
     result = mutual_information(joint)
-    _emit(
-        json.dumps(
-            {"mi_bits": result.mi_bits, "bound_bits": result.bound_bits, "margin_bits": result.margin_bits},
-            indent=2,
-        ),
-        args.out,
-    )
-    return 0
+    doc = {"mi_bits": result.mi_bits, "bound_bits": result.bound_bits, "margin_bits": result.margin_bits}
+    return json.dumps(doc, indent=2), margin_passes(result.margin_bits)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, bool]:
     if args.n_min < 1:
         raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max > MAX_N:
@@ -198,67 +192,56 @@ def _cmd_verify(args) -> int:
     for cls, n_range in _expand_class_specs(args.classes, args.n_min, args.n_max):
         reports.extend(verify_class(cls, n_range, grid))
     text = reports_to_json(reports) if args.format == "json" else reports_to_csv(reports)
-    _emit(text, args.out)
     ok = all(r.status == "pass" for r in reports)
     if args.lemma_samples:
         checks = marginal_spot_check(samples=args.lemma_samples, seed=args.seed)
         ok = ok and all(c["ok"] for c in checks)
         print(f"marginal identity spot checks: {sum(c['ok'] for c in checks)}/{len(checks)} ok",
               file=sys.stderr)
-    return 0 if ok else 1
+    return text, ok
 
 
-def _cmd_karamata(args) -> int:
-    if args.p is None:
+def _cmd_karamata(args) -> tuple[str, bool]:
+    # a single --p emits its certificate bare; a grid wraps them all
+    if args.p is None and args.dump_sums:
+        raise ValueError("--dump-sums needs a single --p")
+    entries = []
+    for p in _grid(args):
+        inst = build_karamata_sequences(args.n, p)
+        cert = certify_instance(inst)
         if args.dump_sums:
-            raise ValueError("--dump-sums needs a single --p")
-        # hardening mode: certify the whole grid
-        entries = []
-        ok = True
-        for p in _grid(args):
-            cert = certify_instance(build_karamata_sequences(args.n, p))
-            ok = ok and cert.holds
-            entries.append({"n": args.n, "p": str(p), **certificate_to_dict(cert)})
-        _emit(json.dumps({"version": 1, "certificates": entries}, indent=2), args.out)
-        return 0 if ok else 1
-    inst = build_karamata_sequences(args.n, args.p)
-    cert = certify_instance(inst)
-    if args.dump_sums:
-        inst.write_prefix_sums(args.dump_sums)
-    _emit(json.dumps({"n": args.n, "p": str(inst.p), **certificate_to_dict(cert)}, indent=2), args.out)
-    return 0 if cert.holds else 1
+            inst.write_prefix_sums(args.dump_sums)
+        entries.append({"n": args.n, "p": str(inst.p), **certificate_to_dict(cert)})
+    doc = entries[0] if args.p is not None else {"version": 1, "certificates": entries}
+    return json.dumps(doc, indent=2), all(e["holds"] for e in entries)
 
 
-def _cmd_exhaustive(args) -> int:
+def _cmd_exhaustive(args) -> tuple[str, bool]:
     summaries = exhaustive_check(args.n, _grid(args), jobs=args.jobs)
     text = summaries_to_json(summaries) if args.format == "json" else summaries_to_csv(summaries)
-    _emit(text, args.out)
-    return 0 if all(s.max_margin >= -PASS_MARGIN_TOLERANCE for s in summaries) else 1
+    return text, all(margin_passes(s.max_margin) for s in summaries)
 
 
-def _cmd_sweep(args) -> int:
-    rows = list(sweep(args.function, args.n, _grid(args)))
+def _cmd_sweep(args) -> tuple[str, bool]:
+    rows = list(sweep(parse_class_spec(args.function), args.n, _grid(args)))
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "mi_bits", "bound_bits", "margin_bits"])
     for p, mi_bits, bound_bits, margin_bits in rows:
         writer.writerow([str(p), repr(mi_bits), repr(bound_bits), repr(margin_bits)])
-    _emit(buf.getvalue(), args.out)
-    return 0
+    return buf.getvalue(), all(margin_passes(margin) for *_, margin in rows)
 
 
-def _cmd_reduce_check(args) -> int:
+def _cmd_reduce_check(args) -> tuple[str, bool]:
     if args.p is None:
         raise ValueError("reduce-check needs --p")
     mi_full, mi_reduced = class3_reduction_check(args.n, args.r, args.p)
     diff = abs(mi_full - mi_reduced)
-    _emit(
-        json.dumps({"mi_full": mi_full, "mi_reduced": mi_reduced, "abs_diff": diff}, indent=2),
-        args.out,
-    )
-    return 0 if diff <= 1e-12 else 1
+    doc = {"mi_full": mi_full, "mi_reduced": mi_reduced, "abs_diff": diff}
+    return json.dumps(doc, indent=2), diff <= IDENTITY_TOLERANCE
 
 
+# each command returns (report text, whether every check passed)
 _COMMANDS = {
     "compute": _cmd_compute,
     "verify": _cmd_verify,
@@ -272,11 +255,14 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # the one place that writes the report and maps its verdict to an exit code
     try:
-        return _COMMANDS[args.command](args)
+        text, ok = _COMMANDS[args.command](args)
+        _emit(text, args.out)
     except (ValueError, OSError) as exc:
         print(f"mi: error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

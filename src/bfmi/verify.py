@@ -36,7 +36,6 @@ from .boolfn import (
     format_class_spec,
     make_class,
     orbit,
-    parse_class_spec,
 )
 from .channel import Rational, as_probability, joint_yz, marginal_sum
 from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
@@ -65,6 +64,10 @@ DEFAULT_P_GRID: tuple[Fraction, ...] = p_grid(64)
 # at n <= 12 and well below any meaningful violation.
 PASS_MARGIN_TOLERANCE = 1e-9
 
+# Both sides of an exact identity (the subcube reduction), each evaluated
+# in float, must agree within this.
+IDENTITY_TOLERANCE = 1e-12
+
 ATTAINMENT_TOLERANCE = 1e-12
 
 # Exhaustive scans list at most this many argmax orbits (ties are
@@ -74,13 +77,18 @@ ARGMAX_CAP = 16
 CHUNK_BITS = 20
 
 
+def margin_passes(margin_bits: float) -> bool:
+    """The one margin rule: MI <= 1 - H(p) up to float rounding."""
+    return margin_bits >= -PASS_MARGIN_TOLERANCE
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Per (class, n, p) outcome of a bound check.
 
-    ``status`` is derived from the other fields, the one place pass/fail
-    is decided: "pass" when ``margin_bits >= -PASS_MARGIN_TOLERANCE`` and
-    the certificate, if any, holds; "fail" otherwise.
+    ``status`` is derived from the other fields: "pass" when
+    :func:`margin_passes` accepts ``margin_bits`` and the certificate, if
+    any, holds; "fail" otherwise.
     """
 
     class_spec: str
@@ -93,7 +101,7 @@ class VerifyReport:
 
     @property
     def status(self) -> str:
-        passed = self.margin_bits >= -PASS_MARGIN_TOLERANCE and (
+        passed = margin_passes(self.margin_bits) and (
             self.karamata_certificate is None or self.karamata_certificate.holds
         )
         return "pass" if passed else "fail"
@@ -112,31 +120,23 @@ class ExhaustiveSummary:
     max_margin: float
 
 
-def _resolve_class(class_spec) -> FunctionClass:
-    if isinstance(class_spec, str):
-        return parse_class_spec(class_spec)
-    return class_spec
-
-
 def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> list[VerifyReport]:
-    """Verify MI <= 1 - H(p) for one class across an (n, p) grid.
+    """Verify MI <= 1 - H(p) for one :class:`FunctionClass` across an (n, p) grid.
 
-    ``class_spec`` is a :class:`FunctionClass` or a spec string such as
-    ``"class3:r=2:prefix=1"``.  Invalid class/n combinations are
-    skipped with a logged diagnostic.  For the single-one and
-    single-zero classes each report carries the full exact majorization
-    certificate.
+    The n where the class does not exist are skipped, with one logged
+    warning that lists them.  For the single-one and single-zero
+    classes each report carries the full exact majorization certificate.
     """
-    cls = _resolve_class(class_spec)
-    spec_str = format_class_spec(cls)
+    spec_str = format_class_spec(class_spec)
     reports = []
+    skipped = []
     for n in n_range:
         try:
-            table = make_class(n, cls)
+            table = make_class(n, class_spec)
         except ValueError as exc:
-            logger.warning("skipping %s at n=%d: %s", spec_str, n, exc)
+            skipped.append((n, exc))
             continue
-        attach_certificate = isinstance(cls, (Class1, Class2)) and n >= 2
+        attach_certificate = isinstance(class_spec, (Class1, Class2)) and n >= 2
         for p in p_grid:
             result = mutual_information(joint_yz(table, p))
             cert = None
@@ -153,6 +153,9 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
                     karamata_certificate=cert,
                 )
             )
+    if skipped:
+        ns = ", ".join(str(n) for n, _ in skipped)
+        logger.warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
     return reports
 
 
@@ -169,9 +172,9 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     return mi_full, mi_reduced
 
 
-def sweep(class_spec, n: int, grid=DEFAULT_P_GRID):
+def sweep(class_spec: FunctionClass, n: int, grid=DEFAULT_P_GRID):
     """Yield (p, mi_bits, bound_bits, margin_bits) for each p of the grid."""
-    table = make_class(n, _resolve_class(class_spec))
+    table = make_class(n, class_spec)
     for p in grid:
         result = mutual_information(joint_yz(table, p))
         yield Fraction(p), result.mi_bits, result.bound_bits, result.margin_bits
@@ -209,19 +212,26 @@ def _kernel_matrix(n: int, p: Fraction) -> np.ndarray:
 
 
 def _mi_from_bits(bits: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
-    """MI(Y; Z) per row of a 0/1 bit matrix (one truth table per row)."""
+    """MI(Y; Z) per row of a 0/1 bit matrix (one truth table per row).
+
+    Holds three buffers of the bit matrix's shape; p1's takes the p0 term.
+    """
     size = 1 << n
     py = 1.0 / size
-    p1 = np.clip(bits @ kernel, 0.0, py)
+    p1 = bits @ kernel
+    np.clip(p1, 0.0, py, out=p1)
     p0 = py - p1
     pz1 = bits.sum(axis=1) / size
     pz0 = 1.0 - pz1
+    terms = np.empty_like(p1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = p1 * (np.log2(p1) - np.log2(py * pz1)[:, None])
-        t0 = p0 * (np.log2(p0) - np.log2(py * pz0)[:, None])
-    t1 = np.where(p1 > 0.0, t1, 0.0)
-    t0 = np.where(p0 > 0.0, t0, 0.0)
-    return (t1 + t0).sum(axis=1)
+        for p, pz, out in ((p1, pz1, terms), (p0, pz0, p1)):
+            np.log2(p, out=out)
+            out -= np.log2(py * pz)[:, None]
+            out *= p
+            out[p <= 0.0] = 0.0
+    terms += p1
+    return terms.sum(axis=1)
 
 
 def _canonical_dedupe(n: int, masks) -> list[int]:

@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from bfmi import cli, verify
 from bfmi.boolfn import Dictator, make_class
 from bfmi.cli import main
+from bfmi.karamata import MajorizationCertificate
+from bfmi.mi import MIResult, binary_entropy, mutual_information
 
 
 def run(capsys, *argv):
@@ -88,7 +92,8 @@ class TestVerify:
             )
         assert code == 0
         assert [r["n"] for r in json.loads(out)["reports"]] == [4]
-        assert len([rec for rec in caplog.records if "skipping" in rec.message]) == 2
+        [skip] = [rec for rec in caplog.records if "skipping" in rec.message]
+        assert "class3:r=3:prefix=0 at n=2, 3:" in skip.message
 
     def test_csv_format_and_out_file(self, capsys, tmp_path):
         path = tmp_path / "reports.csv"
@@ -178,6 +183,76 @@ class TestSweepAndReduce:
         assert json.loads(out)["abs_diff"] <= 1e-12
 
 
+@pytest.fixture
+def failing_margin(monkeypatch):
+    """Every MI result reports a margin of -1e-6, just past the pass tolerance."""
+
+    def fake(joint):
+        r = mutual_information(joint)
+        return MIResult(mi_bits=r.mi_bits, bound_bits=r.bound_bits, margin_bits=-1e-6)
+
+    monkeypatch.setattr(cli, "mutual_information", fake)
+    monkeypatch.setattr(verify, "mutual_information", fake)
+
+
+class TestVerdicts:
+    """A failed check exits 1 from every subcommand, after writing the whole report."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--n", "3", "--function", "dictator:j=1", "--p", "1/4"],
+            ["sweep", "--function", "dictator:j=1", "--n", "3", "--p-den", "4"],
+            ["verify", "--classes", "dictator", "--n-max", "3", "--p", "1/4"],
+        ],
+        ids=["compute", "sweep", "verify"],
+    )
+    def test_failing_margin_exits_1(self, capsys, failing_margin, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert "-1e-06" in out
+
+    def test_exhaustive_max_above_the_bound_exits_1(self, capsys, monkeypatch):
+        def stub(args):
+            n, grid, start, stop = args
+            return [(stop - start, 1 - binary_entropy(p) + 1e-6, [(0b0011, 1 - binary_entropy(p) + 1e-6)])
+                    for p in grid]
+
+        monkeypatch.setattr(verify, "_scan_chunk", stub)
+        code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4")
+        assert code == 1
+        [entry] = json.loads(out)["summaries"]
+        assert entry["max_margin"] < -verify.PASS_MARGIN_TOLERANCE
+
+    def test_karamata_grid_exits_1_when_any_certificate_fails(self, capsys, monkeypatch):
+        real = cli.certify_instance
+        monkeypatch.setattr(
+            cli, "certify_instance",
+            lambda inst: MajorizationCertificate(holds=False) if inst.p == Fraction(1, 4) else real(inst),
+        )
+        code, out, _ = run(capsys, "karamata", "--n", "3", "--p-den", "8")
+        assert code == 1
+        assert [c["holds"] for c in json.loads(out)["certificates"]] == [True, True, False, True, True]
+        code, out, _ = run(capsys, "karamata", "--n", "3", "--p", "1/4")
+        assert code == 1
+        assert json.loads(out)["holds"] is False
+
+    def test_reduce_check_past_the_identity_tolerance_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "class3_reduction_check", lambda n, r, p: (0.5, 0.5 + 1e-9))
+        code, out, _ = run(capsys, "reduce-check", "--n", "4", "--r", "2", "--p", "1/8")
+        assert code == 1
+        assert json.loads(out)["abs_diff"] > verify.IDENTITY_TOLERANCE
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "compute", "--n", "2", "--function", "class1", "--p", "1/4",
+            "--out", str(tmp_path / "missing" / "mi.json"),
+        )
+        assert code == 2
+        assert not out
+        assert err.startswith("mi: error:")
+
+
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -223,6 +298,20 @@ class TestUsageErrors:
         assert code == 2
         assert not out
         assert option in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        ['{"n": -1}', '{"n": 2.7, "bits_hex": "0f"}', '{"n": true, "bits_hex": "00"}',
+         '{"n": 100, "bits_hex": "00"}'],
+        ids=["negative", "float", "bool", "above-max-n"],
+    )
+    def test_bad_table_n_is_named(self, capsys, tmp_path, doc):
+        path = tmp_path / "table.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "compute", "--table", str(path), "--p", "1/4")
+        assert code == 2
+        assert not out
+        assert "truth-table n must be an integer in 1..24" in err
 
     def test_bad_class_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "--n", "2", "--function", "clazz9", "--p", "1/4")

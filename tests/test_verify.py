@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bfmi import boolfn, verify
-from bfmi.boolfn import Class1, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
+from bfmi.boolfn import Class1, Class2, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
 from bfmi.channel import joint_yz
 from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
@@ -43,8 +43,8 @@ class TestVerifyClass:
         assert all(r.karamata_certificate.holds for r in reports)
 
     def test_single_zero_class_has_identical_mi(self):
-        a = verify_class("class1:i=0", range(2, 5), SMALL_GRID)
-        b = verify_class("class2:i=0", range(2, 5), SMALL_GRID)
+        a = verify_class(Class1(0), range(2, 5), SMALL_GRID)
+        b = verify_class(Class2(0), range(2, 5), SMALL_GRID)
         for ra, rb in zip(a, b):
             assert abs(ra.mi_bits - rb.mi_bits) <= 1e-12
 
@@ -229,7 +229,7 @@ class TestSweep:
         assert all(abs(margin) <= 1e-12 for *_, margin in rows)
 
     def test_endpoint_margins_for_single_one(self):
-        rows = list(sweep("class1:i=0", 3, p_grid(2)))
+        rows = list(sweep(Class1(0), 3, p_grid(2)))
         by_p = {p: margin for p, _, _, margin in rows}
         assert abs(by_p[Fraction(1, 2)]) <= 1e-12
         assert abs(by_p[Fraction(0)] - (1 - binary_entropy(Fraction(1, 8)))) <= 1e-12
