@@ -29,7 +29,6 @@ oracle in the test suite.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,13 +139,16 @@ class JointYZ:
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms."""
         den, py_num = self.den, self.den >> self.n
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y_index", "p0_num", "p0_den", "p1_num", "p1_den"])
+
+        def lines():
+            yield "y_index,p0_num,p0_den,p1_num,p1_den\r\n"
             for y, num in enumerate(self.p1_nums):
                 g0 = math.gcd(py_num - num, den)
                 g1 = math.gcd(num, den)
-                writer.writerow([y, (py_num - num) // g0, den // g0, num // g1, den // g1])
+                yield f"{y},{(py_num - num) // g0},{den // g0},{num // g1},{den // g1}\r\n"
+
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines())
 
 
 def _wht(v: np.ndarray) -> None:

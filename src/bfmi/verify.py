@@ -4,10 +4,14 @@
 MI, the bound 1 - H(p) and the margin, attaching the exact
 majorization certificate for the single-one/single-zero classes.
 ``exhaustive_check`` scans every truth table of a small dimension with
-a vectorized float engine (the exact engine is its oracle in the test
-suite): one chunk worker scans a slice of the table space for the whole
-p grid, and one merge picks the maximum and the argmax orbits, walking
-each orbit once.  Report emission is deterministic: fixed iteration order,
+a vectorized float kernel (the exact engine is its oracle in the test
+suite).  p_YZ(y, 1) depends on f only through the distance profile
+(N_0(y), ..., N_n(y)), N_d(y) counting the ones of f at Hamming
+distance d from y.  One chunk worker scans a slice of the table space:
+it codes every (table, y) profile as one small integer, once for the
+whole p grid, and per p gathers the MI terms from one table over the
+codes.  One merge picks the maximum and the argmax orbits, walking each
+orbit once.  Report emission is deterministic: fixed iteration order,
 fixed summation order, shortest-roundtrip float formatting.
 """
 
@@ -17,6 +21,7 @@ import csv
 import io
 import json
 import logging
+import math
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -199,39 +204,59 @@ def marginal_spot_check(samples: int = 32, max_k: int = 12, seed: int = 0) -> li
 # ---------------------------------------------------------------------------
 
 
-def _kernel_matrix(n: int, p: Fraction) -> np.ndarray:
-    """float64 matrix of joint_xy(x, y) values, built from exact rationals."""
+def _profile_strides(n: int) -> np.ndarray:
+    """Mixed-radix strides of the profile code: 1, then stride_d * (C(n, d) + 1).
+
+    The last entry is the number of codes.
+    """
+    return np.cumprod([1] + [math.comb(n, d) + 1 for d in range(n + 1)])
+
+
+def _profile_codes(n: int, masks: np.ndarray) -> np.ndarray:
+    """int16 distance-profile codes, shape (2^n, len(masks)), one column per table.
+
+    The code of y under f is sum_d N_d(y) * stride_d, where N_d(y) counts
+    the ones of f at Hamming distance d from y.  It is a sum of per-byte
+    lookups: one 2^n x 256 table per byte of the mask.  Codes stay below
+    700 at n = 4 and below 17 424 at n = 5.
+    """
     size = 1 << n
-    q = Fraction(p)
-    powers = np.asarray(
-        [float((1 - q) ** (n - d) * q**d / size) for d in range(n + 1)], dtype=np.float64
-    )
-    idx = np.arange(size, dtype=np.uint32)
-    dist = np.bitwise_count(idx[:, None] ^ idx[None, :])
-    return powers[dist]
+    idx = np.arange(size)
+    contrib = _profile_strides(n)[np.bitwise_count(idx[:, None] ^ idx[None, :])]  # [x, y]
+    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1  # [bit, byte]
+    codes = np.zeros((size, masks.size), dtype=np.int16)
+    for k in range(0, size, 8):
+        xs = contrib[k : k + 8]
+        lookup = (xs.T @ byte_bits[: len(xs)]).astype(np.int16)
+        codes += lookup[:, (masks >> k) & 0xFF]
+    return codes
 
 
-def _mi_from_bits(bits: np.ndarray, kernel: np.ndarray, n: int) -> np.ndarray:
-    """MI(Y; Z) per row of a 0/1 bit matrix (one truth table per row).
+def _mi_from_codes(codes: np.ndarray, n: int, p: Fraction) -> np.ndarray:
+    """MI(Y; Z) per table from its profile codes.
 
-    Holds three buffers of the bit matrix's shape; p1's takes the p0 term.
+    One term table over the codes holds both cells' p log2(p / (p_Y p_Z))
+    terms: p1 = sum_d N_d * h_d with h_d the float of the exact
+    (1-p)^(n-d) p^d / 2^n, and p_Z(1) = sum_d N_d / 2^n, since every
+    profile counts all ones of f.  MI sums one gather per y.
     """
     size = 1 << n
     py = 1.0 / size
-    p1 = bits @ kernel
-    np.clip(p1, 0.0, py, out=p1)
-    p0 = py - p1
-    pz1 = bits.sum(axis=1) / size
-    pz0 = 1.0 - pz1
-    terms = np.empty_like(p1)
+    strides = _profile_strides(n)
+    radix = strides[1:] // strides[:-1]
+    profiles = np.arange(strides[-1])[:, None] // strides[:-1] % radix  # N_d of every code
+    q = Fraction(p)
+    h = np.array([float((1 - q) ** (n - d) * q**d / size) for d in range(n + 1)])
+    p1 = np.clip(profiles @ h, 0.0, py)
+    pz1 = profiles.sum(axis=1) / size
+    terms = np.zeros_like(p1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p, pz, out in ((p1, pz1, terms), (p0, pz0, p1)):
-            np.log2(p, out=out)
-            out -= np.log2(py * pz)[:, None]
-            out *= p
-            out[p <= 0.0] = 0.0
-    terms += p1
-    return terms.sum(axis=1)
+        for pc, pz in ((p1, pz1), (py - p1, 1.0 - pz1)):
+            terms += np.where(pc > 0.0, pc * (np.log2(pc) - np.log2(py * pz)), 0.0)
+    mi = np.zeros(codes.shape[1])
+    for column in codes:
+        mi += terms[column]
+    return mi
 
 
 def _canonical_dedupe(n: int, masks) -> list[int]:
@@ -263,7 +288,9 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     ones are kept; every orbit has such a member, so the maximum over
     the kept tables is the maximum over all tables.  A chunk start
     k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), so no
-    chunk comes out empty.
+    chunk comes out empty.  The profile codes are built once per chunk
+    (:func:`_profile_codes`); each p then costs one term table and one
+    gather per y (:func:`_mi_from_codes`).
     """
     n, grid, start, stop = args
     size = 1 << n
@@ -272,10 +299,10 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     else:
         masks = np.arange(start, stop, 2, dtype=np.int64)  # chunks start even
         masks = masks[np.bitwise_count(masks) <= size // 2]
-    bits = ((masks[:, None] >> np.arange(size, dtype=np.int64)) & 1).astype(np.float64)
+    codes = _profile_codes(n, masks)
     out = []
     for p in grid:
-        mi = _mi_from_bits(bits, _kernel_matrix(n, p), n)
+        mi = _mi_from_codes(codes, n, p)
         max_mi = float(mi.max())
         top = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)[: 8 * ARGMAX_CAP]
         out.append((int(masks.size), max_mi, [(int(masks[i]), float(mi[i])) for i in top]))

@@ -28,8 +28,8 @@ from bfmi.karamata import build_karamata_sequences, check_majorization
 from bfmi.mi import binary_entropy, mi_class1_closed, mutual_information, qlogq_identity_check
 from bfmi.verify import (
     DEFAULT_P_GRID,
-    _kernel_matrix,
-    _mi_from_bits,
+    _mi_from_codes,
+    _profile_codes,
     class3_reduction_check,
     exhaustive_check,
     verify_class,
@@ -251,19 +251,19 @@ def test_criterion_9_property_suites():
     for n in (1, 2, 3):
         size = 1 << n
         masks = np.arange(1 << size, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(size, dtype=np.int64)) & 1).astype(np.float64)
+        codes = _profile_codes(n, masks)
         previous = None
         for p_grid in DEFAULT_P_GRID:
-            mi = _mi_from_bits(bits, _kernel_matrix(n, p_grid), n)
+            mi = _mi_from_codes(codes, n, p_grid)
             if previous is not None:
                 ok = ok and bool(np.all(previous >= mi - 1e-12))
             previous = mi
-        noiseless = _mi_from_bits(bits, _kernel_matrix(n, Fraction(0)), n)
+        noiseless = _mi_from_codes(codes, n, Fraction(0))
         targets = np.array(
             [binary_entropy(Fraction(int(m).bit_count(), size)) for m in masks]
         )
         ok = ok and bool(np.all(np.abs(noiseless - targets) <= 1e-12))
-        flat = _mi_from_bits(bits, _kernel_matrix(n, Fraction(1, 2)), n)
+        flat = _mi_from_codes(codes, n, Fraction(1, 2))
         ok = ok and bool(np.all(np.abs(flat) <= 1e-12))
 
     _conclude(

@@ -16,8 +16,8 @@ from bfmi.mi import binary_entropy, mutual_information
 from bfmi.verify import (
     PASS_MARGIN_TOLERANCE,
     VerifyReport,
-    _kernel_matrix,
-    _mi_from_bits,
+    _mi_from_codes,
+    _profile_codes,
     _scan_chunk,
     class3_reduction_check,
     exhaustive_check,
@@ -97,21 +97,27 @@ class TestReduction:
 
 
 class TestVectorEngine:
-    """The float scan engine against the exact-rational engine."""
+    """The float scan kernel against the exact-rational engine."""
 
     def test_matches_exact_engine_on_random_tables(self):
         rng = random.Random(53)
-        for n in (1, 2, 3, 4):
+        grid = SMALL_GRID + (Fraction(1, 3), Fraction(2047, 4096))
+        for n in (1, 2, 3, 4, 5):
             size = 1 << n
             masks = [rng.getrandbits(size) for _ in range(20)] + [0, (1 << size) - 1]
-            bits = np.array(
-                [[(m >> i) & 1 for i in range(size)] for m in masks], dtype=np.float64
-            )
-            for p in SMALL_GRID:
-                got = _mi_from_bits(bits, _kernel_matrix(n, p), n)
+            codes = _profile_codes(n, np.array(masks, dtype=np.int64))
+            for p in grid:
+                got = _mi_from_codes(codes, n, p)
                 for mask, value in zip(masks, got):
                     exact = mutual_information(joint_yz(TruthTable(n, mask), p)).mi_bits
                     assert abs(value - exact) <= 1e-12
+
+    def test_largest_code_fits_the_code_dtype(self):
+        # the all-ones table has the full profile C(5, d) at every y
+        codes = _profile_codes(5, np.array([0, (1 << 32) - 1], dtype=np.int64))
+        assert int(codes.max()) == 17423
+        assert np.iinfo(codes.dtype).max >= 17423
+        assert codes[:, 0].tolist() == [0] * 32
 
 
 class TestExhaustive:
@@ -209,6 +215,21 @@ class TestExhaustive:
             Fraction(1, 4): [240],
             Fraction(3, 8): [240],
             Fraction(1, 2): [0, 24, 60, 96, 104, 120, 128, 150, 152, 192, 216, 224, 232, 240],
+        }
+        # n = 4: at p = 0 and p = 1/2 the ties exceed ARGMAX_CAP, so these are
+        # the first 16 orbits met in mask order
+        grid = (Fraction(0), Fraction(13, 64), Fraction(1, 2))
+        got = {s.p: [t.mask for t in s.argmax_canonical_tables] for s in exhaustive_check(4, grid)}
+        assert got == {
+            Fraction(0): [
+                16320, 31680, 32448, 32640, 48064, 48832, 56256, 60352,
+                62400, 63168, 63360, 64192, 64704, 64896, 65152, 65280,
+            ],
+            Fraction(13, 64): [65280],
+            Fraction(1, 2): [
+                0, 6144, 15360, 24576, 26624, 30720, 32768, 38912,
+                48128, 49152, 55296, 57344, 59392, 61440, 63488, 64512,
+            ],
         }
 
     def test_dedupe_walks_each_argmax_orbit_once(self, monkeypatch):
