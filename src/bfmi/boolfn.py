@@ -10,15 +10,18 @@ The symmetry group acting on truth tables is generated by output
 complement, input-coordinate permutations and input-coordinate
 negations.  All of these preserve the mutual information between
 f(X) and the channel output, so ``canonical_form`` can be used to
-deduplicate exhaustive scans.
+deduplicate exhaustive scans.  The group acts by NumPy gathers of a
+table's bits; ``orbit`` gathers all images in one pass, and nothing is
+cached between calls.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
+
+import numpy as np
 
 MAX_N = 24  # bit vectors stay <= 16 Mi entries
 CANONICAL_MAX_N = 6  # group size 2 * n! * 2^n; beyond this orbits are too wide
@@ -70,18 +73,6 @@ class TruthTable:
     def ones(self) -> list[int]:
         """Indices of inputs mapped to 1, ascending."""
         return [i for i in range(self.size) if (self.mask >> i) & 1]
-
-    @classmethod
-    def from_bits(cls, n: int, bits) -> "TruthTable":
-        bits = list(bits)
-        if len(bits) != 1 << n:
-            raise ValueError(f"expected {1 << n} bits, got {len(bits)}")
-        mask = 0
-        for i, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            mask |= b << i
-        return cls(n, mask)
 
     def to_json(self) -> str:
         """Serialize as ``{"n": ..., "bits_hex": ...}``.
@@ -286,41 +277,48 @@ def complement(f: TruthTable) -> TruthTable:
     return TruthTable(f.n, f.mask ^ ((1 << f.size) - 1))
 
 
+def _index_maps(n: int, perms, negs) -> np.ndarray:
+    """The :func:`input_index_map` of every (perm, neg) pair, one int32 row each, perm-major."""
+    weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # coordinate j is bit n-1-j of an index
+    coords = (np.arange(1 << n)[:, None] & weights) != 0  # [index, coordinate]
+    moved = (coords[:, np.asarray(perms)] @ weights).T  # [perm, index]
+    flips = ((np.asarray(negs)[:, None] & weights[::-1]) != 0) @ weights  # [neg]
+    return (moved[:, None, :] ^ flips[None, :, None]).reshape(-1, 1 << n)
+
+
+def _bits(f: TruthTable) -> np.ndarray:
+    """The table of ``f`` as a uint8 0/1 array, index 0 first."""
+    raw = np.frombuffer(f.mask.to_bytes((f.size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=f.size, bitorder="little")
+
+
 def input_index_map(n: int, perm, neg: int) -> tuple[int, ...]:
     """Index map of the input transformation x_j -> x_perm[j] xor neg_j.
 
     ``perm`` is a 0-based tuple over coordinates (coordinate j reads from
     coordinate perm[j]); ``neg`` is an n-bit negation pattern, bit j for
     coordinate j (both 0-based, coordinate 0 = x_1).  Applying the map
-    ``m`` to a table gives new_bits[i] = bits[m[i]].
+    ``m`` to a table gives new_bits[i] = bits[m[i]].  Raises ``ValueError``
+    unless ``perm`` is a permutation of range(n) and 0 <= neg < 2^n.
     """
-    size = 1 << n
-    out = []
-    for i in range(size):
-        coords = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-        src = 0
-        for j in range(n):
-            src = (src << 1) | (coords[perm[j]] ^ ((neg >> j) & 1))
-        out.append(src)
-    return tuple(out)
+    if sorted(perm) != list(range(n)):
+        raise ValueError(f"perm must be a permutation of range({n}), got {perm!r}")
+    if not 0 <= neg < 1 << n:
+        raise ValueError(f"neg must be in 0..{(1 << n) - 1}, got {neg}")
+    return tuple(_index_maps(n, [perm], [neg])[0].tolist())
 
 
 def apply_index_map(f: TruthTable, index_map) -> TruthTable:
-    """Relabel inputs of ``f`` by an index map (new_bits[i] = bits[map[i]])."""
-    mask = 0
-    for i in range(f.size):
-        if (f.mask >> index_map[i]) & 1:
-            mask |= 1 << i
-    return TruthTable(f.n, mask)
+    """Relabel inputs of ``f`` by an index map (new_bits[i] = bits[map[i]]).
 
-
-@lru_cache(maxsize=8)
-def _all_index_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        input_index_map(n, perm, neg)
-        for perm in permutations(range(n))
-        for neg in range(1 << n)
-    )
+    One gather of the bits of ``f`` through the map, packed back into a
+    mask.  Raises ``ValueError`` unless the map has exactly 2^n integer
+    entries, each in 0..2^n-1.
+    """
+    m = np.asarray(index_map)
+    if m.shape != (f.size,) or m.dtype.kind not in "iu" or not ((m >= 0) & (m < f.size)).all():
+        raise ValueError(f"index map must hold {f.size} integer entries in 0..{f.size - 1}")
+    return TruthTable(f.n, int.from_bytes(np.packbits(_bits(f)[m], bitorder="little").tobytes(), "little"))
 
 
 def _lex_key(mask: int, size: int) -> int:
@@ -339,13 +337,14 @@ def canonical_form(f: TruthTable) -> TruthTable:
 
 
 def orbit(f: TruthTable) -> set[int]:
-    """All masks reachable from ``f`` under the symmetry group (n <= 6)."""
+    """All masks reachable from ``f`` under the symmetry group (n <= 6).
+
+    One gather of the bits of ``f`` through all n! * 2^n input maps at
+    once, each image packed into a uint64 mask, plus the complements.
+    """
     if f.n > CANONICAL_MAX_N:
         raise ValueError(f"symmetry orbits support n <= {CANONICAL_MAX_N}, got n={f.n}")
-    full = (1 << f.size) - 1
-    out = set()
-    for index_map in _all_index_maps(f.n):
-        mapped = apply_index_map(f, index_map).mask
-        out.add(mapped)
-        out.add(mapped ^ full)
-    return out
+    maps = _index_maps(f.n, list(permutations(range(f.n))), range(f.size))
+    packed = np.packbits(_bits(f)[maps], axis=1, bitorder="little")
+    images = packed @ (np.uint64(1) << np.arange(0, f.size, 8, dtype=np.uint64))
+    return set(np.concatenate([images, images ^ np.uint64((1 << f.size) - 1)]).tolist())

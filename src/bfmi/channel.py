@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable
+from .boolfn import TruthTable, _bits
 
 Rational = Fraction | int
 
@@ -181,8 +181,7 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     t = den - 2 * s  # numerator of 1 - 2p over den
 
     # forward transform of the indicator; int64 is exact, every partial sum is at most 2^n
-    packed = np.frombuffer(f.mask.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
-    ones = np.unpackbits(packed, bitorder="little")[:size].astype(np.int64)
+    ones = _bits(f).astype(np.int64)
     _wht(ones)
     # scale the transform by (1-2p)^|w|, common denominator den^n pulled out;
     # the inverse runs on Python ints (object array)

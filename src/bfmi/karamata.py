@@ -47,7 +47,7 @@ class DescendingSeq:
     from n = 32 on it exceeds ``sys.maxsize``.
     """
 
-    __slots__ = ("runs", "length")
+    __slots__ = ("runs", "length", "_total")
 
     def __init__(self, runs: Iterable[tuple[Rational, int]]):
         merged: list[tuple[Fraction, int]] = []
@@ -66,6 +66,7 @@ class DescendingSeq:
             raise ValueError("sequence must be non-empty")
         self.runs = tuple(merged)
         self.length = sum(count for _, count in merged)
+        self._total = sum((v * c for v, c in merged), Fraction(0))
 
     @classmethod
     def from_values(cls, values: Iterable[Rational]) -> "DescendingSeq":
@@ -83,7 +84,7 @@ class DescendingSeq:
         return f"DescendingSeq({inner})"
 
     def total(self) -> Fraction:
-        return sum((v * c for v, c in self.runs), Fraction(0))
+        return self._total
 
     def prefix_sum(self, t: int) -> Fraction:
         """Exact sum of the first ``t`` elements (0 <= t <= length)."""

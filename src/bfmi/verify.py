@@ -74,6 +74,7 @@ PASS_MARGIN_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
 
 ATTAINMENT_TOLERANCE = 1e-12
+SPOT_CHECK_MAX_K = 12  # marginal_spot_check draws k from 1..SPOT_CHECK_MAX_K
 
 # Exhaustive scans list at most this many argmax orbits (ties are
 # combinatorially large at p in {0, 1/2}) and cut the table space into
@@ -185,13 +186,13 @@ def sweep(class_spec: FunctionClass, n: int, grid=DEFAULT_P_GRID):
         yield Fraction(p), result.mi_bits, result.bound_bits, result.margin_bits
 
 
-def marginal_spot_check(samples: int = 32, max_k: int = 12, seed: int = 0) -> list[dict]:
+def marginal_spot_check(samples: int = 32, seed: int = 0) -> list[dict]:
     """Randomized spot checks of the exact marginal identity sum = 1/2^k."""
     rng = random.Random(seed)
     p_values = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
     out = []
     for _ in range(samples):
-        k = rng.randint(1, max_k)
+        k = rng.randint(1, SPOT_CHECK_MAX_K)
         y = rng.randrange(1 << k)
         p = rng.choice(p_values)
         ok = marginal_sum(y, k, p) == Fraction(1, 1 << k)

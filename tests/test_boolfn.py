@@ -150,18 +150,20 @@ class TestComplement:
             assert complement(complement(t)) == t
 
 
+def _brute_force_source(n, perm, neg, i):
+    """The index that entry i reads under x_j -> x_perm[j] xor neg_j, one coordinate at a time."""
+    coords = [(i >> (n - 1 - j)) & 1 for j in range(n)]
+    src = 0
+    for j in range(n):
+        src = (src << 1) | (coords[perm[j]] ^ ((neg >> j) & 1))
+    return src
+
+
 def _brute_force_orbits(n):
     """Independent orbit enumeration acting on bit tuples."""
 
     def act(bits, perm, neg, comp):
-        out = []
-        for i in range(2**n):
-            coords = [(i >> (n - 1 - j)) & 1 for j in range(n)]
-            src = 0
-            for j in range(n):
-                src = (src << 1) | (coords[perm[j]] ^ ((neg >> j) & 1))
-            out.append(bits[src] ^ comp)
-        return tuple(out)
+        return tuple(bits[_brute_force_source(n, perm, neg, i)] ^ comp for i in range(2**n))
 
     seen = set()
     count = 0
@@ -177,6 +179,33 @@ def _brute_force_orbits(n):
     return count
 
 
+class TestIndexMaps:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_input_index_map_matches_per_index_loop(self, n):
+        for perm in permutations(range(n)):
+            for neg in range(1 << n):
+                expected = tuple(_brute_force_source(n, perm, neg, i) for i in range(1 << n))
+                assert input_index_map(n, perm, neg) == expected
+
+    @pytest.mark.parametrize(
+        "index_map",
+        [(0, 1, 2), (0, 1, 2, 3, 0), (0, 1, 2, 4), (0, 1, 2, 7), (0, 1, 2, -1)],
+        ids=["short", "long", "entry-2^n", "entry-7", "negative"],
+    )
+    def test_apply_index_map_rejects_malformed_maps(self, index_map):
+        with pytest.raises(ValueError):
+            apply_index_map(TruthTable(2, 0b1111), index_map)
+
+    @pytest.mark.parametrize(
+        "perm, neg",
+        [((0, 0, 2), 0), ((0, 1), 0), ((1, 2, 3), 0), ((0, 1, 2), 8), ((0, 1, 2), -1)],
+        ids=["repeated", "short", "off-range", "neg-2^n", "neg-negative"],
+    )
+    def test_input_index_map_rejects_bad_elements(self, perm, neg):
+        with pytest.raises(ValueError):
+            input_index_map(3, perm, neg)
+
+
 class TestCanonicalForm:
     def test_all_ones_maps_to_all_zeros(self):
         t = TruthTable(3, (1 << 8) - 1)
@@ -189,12 +218,12 @@ class TestCanonicalForm:
 
     def test_idempotent_and_orbit_constant(self):
         rng = random.Random(19)
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6):
             maps = [
                 input_index_map(n, perm, rng.randrange(1 << n))
                 for perm in permutations(range(n))
             ]
-            for _ in range(20):
+            for _ in range(20 if n < 6 else 3):  # an n = 6 canonical form costs about 0.3 s
                 t = TruthTable(n, rng.getrandbits(1 << n))
                 canon = canonical_form(t)
                 assert canonical_form(canon) == canon

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bfmi import boolfn, verify
+from bfmi import verify
 from bfmi.boolfn import Class1, Class2, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
 from bfmi.channel import joint_yz
 from bfmi.cli import main
@@ -233,13 +233,13 @@ class TestExhaustive:
         }
 
     def test_dedupe_walks_each_argmax_orbit_once(self, monkeypatch):
-        # at n = 4, p = 13/64 the 8 dictator tables x_j, 1 - x_j tie; their
-        # one orbit is walked once, one call per input map (4! * 2^4 = 384)
+        # at n = 4, p = 13/64 the 8 dictator tables x_j, 1 - x_j tie; they
+        # form one orbit, which the dedupe walks once
         calls = []
-        real = boolfn.apply_index_map
-        monkeypatch.setattr(boolfn, "apply_index_map", lambda *a: calls.append(1) or real(*a))
+        real = verify.orbit
+        monkeypatch.setattr(verify, "orbit", lambda f: calls.append(f) or real(f))
         [s] = exhaustive_check(4, (Fraction(13, 64),))
-        assert len(calls) == 384
+        assert len(calls) == 1
         assert s.argmax_canonical_tables == (canonical_form(make_class(4, Dictator(1))),)
 
 
