@@ -12,23 +12,34 @@ majorization holds, convexity of g(x) = x * log2(x) (Karamata's
 inequality) yields the bound.
 
 The majorization conditions are log-free, so they are certified here
-with exact rational arithmetic and zero tolerance.  Sequences are
-stored run-length encoded: the prefix-sum gap between the two sides is
-affine in the prefix length wherever both runs are constant, so its
-maximum over a run segment is attained at a segment endpoint, and
-checking every merged run boundary certifies every prefix exactly.
-A dense elementwise scan is kept as an independent oracle in the test
-suite.  Only :func:`karamata_conclusion` and
-:func:`bound_equivalence_check` touch floating point (they involve
-logarithms).
+exactly and with zero tolerance.  For p = s/d in lowest terms every
+value above is an integer numerator over the one shared denominator
+D = 2^n * d^n * (2^n - 1):
+
+    A = 2(d-s) * d^(n-1) * (2^n - 1),   C = d^n * (2^n - 1),
+    B = 2s * d^(n-1) * (2^n - 1),       W_k = 2^n * (d^n - (d-s)^(n-k) * s^k),
+
+and both sequence totals are (2^n - 1) * D.  The construction, the
+run walk, the scalar ledger and the prefix-sum dump do integer
+arithmetic only; a ``Fraction`` is built only where a caller reads a
+value as a rational (``p``, ``a``/``b``/``c``, ``max()``/``min()``/
+``total()``).  Sequences are stored run-length encoded: the prefix-sum
+gap between the two sides is affine in the prefix length wherever both
+runs are constant, so its maximum over a run segment is attained at a
+segment endpoint, and checking every merged run boundary certifies
+every prefix exactly.  A dense elementwise scan is kept as an
+independent oracle in the test suite.  Only :func:`karamata_conclusion`
+and :func:`bound_equivalence_check` touch floating point (they involve
+logarithms); each value enters them as one correctly rounded division
+``num / den``, the same float that ``float(Fraction(num, den))`` gives.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 from typing import Iterable, Optional
 
 from .boolfn import Class1, make_class
@@ -37,79 +48,79 @@ from .mi import binary_entropy, mutual_information, xlog2x
 
 
 class DescendingSeq:
-    """A nonincreasing sequence of exact rationals, run-length encoded.
+    """A nonincreasing sequence of rationals num/den, run-length encoded.
 
-    ``runs`` is a tuple of (value, count) pairs with strictly
-    decreasing values and positive counts; equal neighbours supplied by
-    the caller are merged.  Ties inside the underlying sequence are
+    ``runs`` is a tuple of (integer numerator, count) pairs with
+    strictly decreasing numerators and positive counts, all over the one
+    positive denominator ``den``; equal neighbours supplied by the
+    caller are merged.  Ties inside the underlying sequence are
     therefore permitted (p in {0, 1/2} produces them).  ``length`` is
-    the number of elements; it is an attribute, not ``len()``, because
+    the number of elements and ``total_num`` the numerator of their sum
+    over ``den``.  ``length`` is an attribute, not ``len()``, because
     from n = 32 on it exceeds ``sys.maxsize``.
     """
 
-    __slots__ = ("runs", "length", "_total")
+    __slots__ = ("runs", "den", "length", "total_num")
 
-    def __init__(self, runs: Iterable[tuple[Rational, int]]):
-        merged: list[tuple[Fraction, int]] = []
-        for value, count in runs:
-            value = Fraction(value)
-            count = int(count)
+    def __init__(self, runs: Iterable[tuple[int, int]], den: int = 1):
+        den = index(den)
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        merged: list[tuple[int, int]] = []
+        for num, count in runs:
+            num = index(num)
+            count = index(count)
             if count <= 0:
                 raise ValueError("run counts must be positive")
-            if merged and merged[-1][0] == value:
-                merged[-1] = (value, merged[-1][1] + count)
-            elif merged and merged[-1][0] < value:
+            if merged and merged[-1][0] == num:
+                merged[-1] = (num, merged[-1][1] + count)
+            elif merged and merged[-1][0] < num:
                 raise ValueError("sequence is not descending")
             else:
-                merged.append((value, count))
+                merged.append((num, count))
         if not merged:
             raise ValueError("sequence must be non-empty")
         self.runs = tuple(merged)
+        self.den = den
         self.length = sum(count for _, count in merged)
-        self._total = sum((v * c for v, c in merged), Fraction(0))
+        self.total_num = sum(num * count for num, count in merged)
 
-    @classmethod
-    def from_values(cls, values: Iterable[Rational]) -> "DescendingSeq":
-        """Compress an explicit nonincreasing list of values."""
-        return cls((v, 1) for v in values)
+    def _key(self):
+        # runs and den divided by their common gcd: equal values, equal keys
+        g = math.gcd(self.den, *(num for num, _ in self.runs))
+        return self.den // g, tuple((num // g, count) for num, count in self.runs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DescendingSeq) and self.runs == other.runs
+        return isinstance(other, DescendingSeq) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self.runs)
+        return hash(self._key())
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v}x{c}" for v, c in self.runs)
+        inner = ", ".join(f"{Fraction(num, self.den)}x{count}" for num, count in self.runs)
         return f"DescendingSeq({inner})"
 
     def total(self) -> Fraction:
-        return self._total
+        return Fraction(self.total_num, self.den)
 
-    def prefix_sum(self, t: int) -> Fraction:
-        """Exact sum of the first ``t`` elements (0 <= t <= length)."""
+    def prefix_num(self, t: int) -> int:
+        """Numerator over ``den`` of the sum of the first ``t`` elements (0 <= t <= length)."""
         if not 0 <= t <= self.length:
             raise ValueError(f"prefix length {t} out of range")
-        acc = Fraction(0)
-        for value, count in self.runs:
+        acc = 0
+        for num, count in self.runs:
             if t <= 0:
                 break
             take = min(t, count)
-            acc += value * take
+            acc += num * take
             t -= take
         return acc
 
-    def values(self):
-        """Iterate the dense sequence (beware: may be astronomically long)."""
-        for v, c in self.runs:
-            for _ in range(c):
-                yield v
-
     def max(self) -> Fraction:
-        return self.runs[0][0]
+        return Fraction(self.runs[0][0], self.den)
 
     def min(self) -> Fraction:
-        return self.runs[-1][0]
+        return Fraction(self.runs[-1][0], self.den)
 
 
 @dataclass(frozen=True)
@@ -133,50 +144,51 @@ class MajorizationCertificate:
             raise ValueError("certificate cannot hold with a violation or unequal totals")
 
 
-def _coerce_seq(seq) -> DescendingSeq:
-    if isinstance(seq, DescendingSeq):
-        return seq
-    return DescendingSeq.from_values(seq)
+def _merged_runs(x_runs, y_runs):
+    """Yield (x numerator, y numerator, length) over the common refinement of two run lists.
 
-
-def _merged_runs(xs: DescendingSeq, ys: DescendingSeq):
-    """Yield (x value, y value, length) over the common refinement of two run lists.
-
-    Both sequences must have the same length.
+    Both run lists must cover the same length.
     """
-    y_runs = iter(ys.runs)
+    y_iter = iter(y_runs)
     yv = rem_y = 0
-    for xv, rem_x in xs.runs:
+    for xv, rem_x in x_runs:
         while rem_x:
             if not rem_y:
-                yv, rem_y = next(y_runs)
+                yv, rem_y = next(y_iter)
             step = min(rem_x, rem_y)
             yield xv, yv, step
             rem_x -= step
             rem_y -= step
 
 
-def check_majorization(x, y) -> MajorizationCertificate:
-    """Does ``x`` majorize ``y``?  Exact, zero tolerance.
+def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCertificate:
+    """Does ``xs`` majorize ``ys``?  Exact, zero tolerance.
 
     Certifies sum_{j<=k} y_j <= sum_{j<=k} x_j for every prefix length
-    k, plus equality of the grand totals.  Accepts
-    :class:`DescendingSeq` or any iterable of nonincreasing rationals.
+    k, plus equality of the grand totals.  Two different denominators
+    are lifted to their lcm once, on entry; the walk itself compares
+    integer numerators.
 
     Raises
     ------
     ValueError
-        On length mismatch or non-descending input.
+        On length mismatch.
     """
-    xs = _coerce_seq(x)
-    ys = _coerce_seq(y)
     if xs.length != ys.length:
         raise ValueError(f"length mismatch: {xs.length} vs {ys.length}")
+    x_runs, y_runs = xs.runs, ys.runs
+    x_total, y_total = xs.total_num, ys.total_num
+    if xs.den != ys.den:
+        den = math.lcm(xs.den, ys.den)
+        fx, fy = den // xs.den, den // ys.den
+        x_runs = [(num * fx, count) for num, count in x_runs]
+        y_runs = [(num * fy, count) for num, count in y_runs]
+        x_total, y_total = x_total * fx, y_total * fy
 
     first_violation = None
-    gap = Fraction(0)  # prefix(y) - prefix(x); must stay <= 0
+    gap = 0  # prefix(y) - prefix(x), in numerators; must stay <= 0
     position = 0
-    for xv, yv, step in _merged_runs(xs, ys):
+    for xv, yv, step in _merged_runs(x_runs, y_runs):
         delta = yv - xv
         new_gap = gap + step * delta
         if new_gap > 0:
@@ -187,7 +199,7 @@ def check_majorization(x, y) -> MajorizationCertificate:
         gap = new_gap
         position += step
 
-    totals_equal = xs.total() == ys.total()
+    totals_equal = x_total == y_total
     holds = first_violation is None and totals_equal
     return MajorizationCertificate(
         holds=holds, first_violation=first_violation, totals_equal=totals_equal
@@ -206,42 +218,63 @@ class KaramataInstance:
     ``x_seq`` is the majorizing side [a repeated K, c repeated
     2^n*(n-1), b repeated K] and ``y_seq`` the majorized side: shell k's
     value w_k repeated C(n, k)*(2^n - 1) times, both nonincreasing.
-    K = 2^(n-1) * (2^n - n).  Both sequence totals equal 2^n - 1
-    exactly.
+    K = 2^(n-1) * (2^n - n).  Every value is an integer numerator over
+    the shared denominator ``den`` (D in the module docstring), which
+    both sequences carry; ``a_num``, ``b_num`` and ``c_num`` are those
+    of a, b and c, read as rationals through ``a``, ``b`` and ``c``.
+    Both sequence totals equal 2^n - 1 exactly.
     """
 
     n: int
     p: Fraction
-    a: Fraction
-    b: Fraction
-    c: Fraction
     K: int
+    den: int
+    a_num: int
+    b_num: int
+    c_num: int
     x_seq: DescendingSeq
     y_seq: DescendingSeq
+
+    def __post_init__(self):
+        if not self.x_seq.den == self.y_seq.den == self.den:
+            raise ValueError("both sequences must share the instance denominator")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.a_num, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.b_num, self.den)
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(self.c_num, self.den)
 
     def write_prefix_sums(self, path) -> None:
         """Dump every prefix sum as CSV rows: k, SL_num, SL_den, SR_num, SR_den, ok.
 
         SL is the sum of the first k entries of ``y_seq`` (the majorized
         side), SR that of ``x_seq``, each in lowest terms, and ``ok`` is
-        SL <= SR.  The sums are kept as integers over the lcm of the
-        run-value denominators and reduced only on output.
+        SL <= SR.  The sums are kept as integer numerators over ``den``
+        and reduced only on output.
         """
-        den = math.lcm(*(v.denominator for seq in (self.x_seq, self.y_seq) for v, _ in seq.runs))
-        sl = sr = k = 0
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "SL_num", "SL_den", "SR_num", "SR_den", "ok"])
-            for xv, yv, step in _merged_runs(self.x_seq, self.y_seq):
-                x_num = xv.numerator * (den // xv.denominator)
-                y_num = yv.numerator * (den // yv.denominator)
+        den = self.den
+
+        def lines():
+            yield "k,SL_num,SL_den,SR_num,SR_den,ok\r\n"
+            sl = sr = k = 0
+            for xv, yv, step in _merged_runs(self.x_seq.runs, self.y_seq.runs):
                 for _ in range(step):
                     k += 1
-                    sl += y_num
-                    sr += x_num
+                    sl += yv
+                    sr += xv
                     gl = math.gcd(sl, den)
                     gr = math.gcd(sr, den)
-                    writer.writerow([k, sl // gl, den // gl, sr // gr, den // gr, sl <= sr])
+                    yield f"{k},{sl // gl},{den // gl},{sr // gr},{den // gr},{sl <= sr}\r\n"
+
+        with open(path, "w", newline="") as fh:
+            fh.writelines(lines())
 
 
 def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
@@ -254,31 +287,36 @@ def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
     if n < 2:
         raise ValueError(f"the construction needs n >= 2, got n={n}")
     q = as_probability(p, Fraction(1, 2))
+    s, d = q.numerator, q.denominator
     size = 1 << n
-    a = (1 - q) / (size // 2)
-    b = q / (size // 2)
-    c = Fraction(1, size)
+    d_pow = d ** (n - 1)
+    den = size * d_pow * d * (size - 1)
+    a_num = 2 * (d - s) * d_pow * (size - 1)
+    b_num = 2 * s * d_pow * (size - 1)
+    c_num = d_pow * d * (size - 1)
     big_k = (size // 2) * (size - n)
 
     # shell k holds C(n, k) values w_k, each repeated 2^n - 1 times
     y_runs = [
-        ((1 - (1 - q) ** (n - k) * q**k) / (size - 1), math.comb(n, k) * (size - 1))
+        (size * (d_pow * d - (d - s) ** (n - k) * s**k), math.comb(n, k) * (size - 1))
         for k in range(n, -1, -1)
     ]
-    x_seq = DescendingSeq([(a, big_k), (c, size * (n - 1)), (b, big_k)])
-    y_seq = DescendingSeq(y_runs)
-    target = Fraction(size - 1)
-    if x_seq.total() != target or y_seq.total() != target:
+    x_seq = DescendingSeq([(a_num, big_k), (c_num, size * (n - 1)), (b_num, big_k)], den)
+    y_seq = DescendingSeq(y_runs, den)
+    target = (size - 1) * den
+    if x_seq.total_num != target or y_seq.total_num != target:
         raise AssertionError("sequence totals must equal 2^n - 1; construction bug")
-    return KaramataInstance(n=n, p=q, a=a, b=b, c=c, K=big_k, x_seq=x_seq, y_seq=y_seq)
+    return KaramataInstance(
+        n=n, p=q, K=big_k, den=den, a_num=a_num, b_num=b_num, c_num=c_num, x_seq=x_seq, y_seq=y_seq
+    )
 
 
 def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
     """Exact scalar comparisons used by the majorization argument.
 
     Checks w_max <= a, 2*w_max <= a + c, w_min >= b, and equality of
-    both sequence totals with 2^n - 1, all by exact rational
-    comparison.
+    both sequence totals with 2^n - 1, all by exact comparison of
+    numerators over the instance denominator.
 
     The pairing lemma 2*w_max <= a + c only enters the argument for
     n >= 3 and is genuinely false at n = 2 for p strictly between 1/4
@@ -288,18 +326,19 @@ def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
     comparison stays in the ledger for transparency, and ``holds``
     requires only the comparisons applicable at the given dimension.
     """
-    target = Fraction((1 << inst.n) - 1)
+    target = ((1 << inst.n) - 1) * inst.den
+    w_max = inst.y_seq.runs[0][0]
     subs = {
-        "w_max_le_a": inst.y_seq.max() <= inst.a,
-        "two_wmax_le_a_plus_c": 2 * inst.y_seq.max() <= inst.a + inst.c,
-        "w_min_ge_b": inst.y_seq.min() >= inst.b,
-        "totals": inst.x_seq.total() == target and inst.y_seq.total() == target,
+        "w_max_le_a": w_max <= inst.a_num,
+        "two_wmax_le_a_plus_c": 2 * w_max <= inst.a_num + inst.c_num,
+        "w_min_ge_b": inst.y_seq.runs[-1][0] >= inst.b_num,
+        "totals": inst.x_seq.total_num == target and inst.y_seq.total_num == target,
     }
     required = dict(subs)
     if inst.n == 2:
         filler = (1 << inst.n) * (inst.n - 1)
         subs["middle_prefix_sums_direct"] = all(
-            inst.y_seq.prefix_sum(t) <= inst.x_seq.prefix_sum(t)
+            inst.y_seq.prefix_num(t) <= inst.x_seq.prefix_num(t)
             for t in range(inst.K + 1, inst.K + filler + 1)
         )
         required.pop("two_wmax_le_a_plus_c")
@@ -324,19 +363,17 @@ def certify_instance(inst: KaramataInstance) -> MajorizationCertificate:
     )
 
 
-def karamata_conclusion(x, y) -> tuple[float, float]:
+def karamata_conclusion(xs: DescendingSeq, ys: DescendingSeq) -> tuple[float, float]:
     """Evaluate (sum g(y_i), sum g(x_i)) with g(t) = t * log2(t).
 
-    Requires that ``x`` majorizes ``y`` (checked; ValueError otherwise).
+    Requires that ``xs`` majorizes ``ys`` (checked; ValueError otherwise).
     By convexity of g the left component never exceeds the right beyond
     float rounding.
     """
-    xs = _coerce_seq(x)
-    ys = _coerce_seq(y)
     if not check_majorization(xs, ys).holds:
         raise ValueError("karamata_conclusion called on a non-majorizing pair")
-    lhs = math.fsum(count * xlog2x(value) for value, count in ys.runs)
-    rhs = math.fsum(count * xlog2x(value) for value, count in xs.runs)
+    lhs = math.fsum(count * xlog2x(num / ys.den) for num, count in ys.runs)
+    rhs = math.fsum(count * xlog2x(num / xs.den) for num, count in xs.runs)
     return lhs, rhs
 
 
@@ -360,10 +397,10 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     if n < 2:
         raise ValueError(f"needs n >= 2, got n={n}")
     inst = build_karamata_sequences(n, p)
-    size = 1 << n
-    sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(value) for value, count in inst.y_seq.runs)
+    size, den = 1 << n, inst.den
+    sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(num / den) for num, count in inst.y_seq.runs)
     lhs_w = (size - 1) * sum_w_log_w
-    rhs_w = -n * (n - 1) + (size - n) * (size // 2) * (xlog2x(inst.a) + xlog2x(inst.b))
+    rhs_w = -n * (n - 1) + (size - n) * (size // 2) * (xlog2x(inst.a_num / den) + xlog2x(inst.b_num / den))
     karamata_gap = rhs_w - lhs_w
 
     result = mutual_information(joint_yz(make_class(n, Class1()), inst.p))
