@@ -23,7 +23,7 @@ from .boolfn import (
     orbit,
     parse_class_spec,
 )
-from .channel import JointYZ, joint_xy, joint_yz, marginal_sum
+from .channel import JointYZ, joint_yz, marginal_sum
 from .karamata import (
     DescendingSeq,
     KaramataInstance,
@@ -43,13 +43,11 @@ from .verify import (
     VerifyReport,
     class3_reduction_check,
     exhaustive_check,
-    marginal_spot_check,
     p_grid,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
     summaries_to_json,
-    sweep,
     verify_class,
 )
 
@@ -83,11 +81,9 @@ __all__ = [
     "complement",
     "exhaustive_check",
     "format_class_spec",
-    "joint_xy",
     "joint_yz",
     "karamata_conclusion",
     "make_class",
-    "marginal_spot_check",
     "marginal_sum",
     "mi_class1_closed",
     "mutual_information",
@@ -100,7 +96,6 @@ __all__ = [
     "sub_inequality_ledger",
     "summaries_to_csv",
     "summaries_to_json",
-    "sweep",
     "verify_class",
     "xlog2x",
 ]

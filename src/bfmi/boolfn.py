@@ -53,26 +53,8 @@ class TruthTable:
         """Number of table entries, 2^n."""
         return 1 << self.n
 
-    @property
-    def bits(self) -> tuple[int, ...]:
-        """The table as a tuple of 0/1 ints, index 0 first."""
-        return tuple((self.mask >> i) & 1 for i in range(self.size))
-
-    def value(self, index: int) -> int:
-        """f at the given input index."""
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range for n={self.n}")
-        return (self.mask >> index) & 1
-
     def ones_count(self) -> int:
         return self.mask.bit_count()
-
-    def zeros_count(self) -> int:
-        return self.size - self.mask.bit_count()
-
-    def ones(self) -> list[int]:
-        """Indices of inputs mapped to 1, ascending."""
-        return [i for i in range(self.size) if (self.mask >> i) & 1]
 
     def to_json(self) -> str:
         """Serialize as ``{"n": ..., "bits_hex": ...}``.

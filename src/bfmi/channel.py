@@ -23,8 +23,8 @@ Nothing is cached between calls.  For p = s/d every cell comes out as
 an integer over 4^n·d^n, and :class:`JointYZ` keeps exactly those
 integer numerators; Fractions are built only for the ``rows`` view and
 at the CSV boundary.
-The result is exact; the naive preimage sum is kept as an independent
-oracle in the test suite.
+The result is exact.  The test suite checks it against a naive oracle
+that sums p(x, y) over the preimage f^{-1}(1) term by term.
 """
 
 from __future__ import annotations
@@ -48,21 +48,8 @@ def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
     return q
 
 
-def joint_xy(x_index: int, y_index: int, n: int, p: Rational) -> Fraction:
-    """Exact joint probability p(X = x, Y = y) for n-bit indices.
-
-    Equals (1-p)^(n-d) * p^d / 2^n with d the Hamming distance between
-    the index bit patterns.
-    """
-    if not (0 <= x_index < 1 << n and 0 <= y_index < 1 << n):
-        raise ValueError(f"indices out of range for n={n}")
-    q = Fraction(p)
-    d = (x_index ^ y_index).bit_count()
-    return (1 - q) ** (n - d) * q**d / Fraction(1 << n)
-
-
 def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:
-    """Sum of joint_xy(x, y, k, p) over all 2^k values of x, exactly.
+    """Sum of p(x, y) over all 2^k values of x, exactly.
 
     The contract (and the identity this library repeatedly leans on) is
     that the result equals 1/2^k for every y and p.  The sum is
@@ -128,13 +115,11 @@ class JointYZ:
     def pz0(self) -> Fraction:
         return 1 - self.pz1
 
-    def _cells(self, num: int) -> tuple[Fraction, Fraction]:
-        return Fraction((self.den >> self.n) - num, self.den), Fraction(num, self.den)
-
     @property
     def rows(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """``rows[y] = (p0, p1)`` as exact Fractions; a read-only view built per access."""
-        return tuple(self._cells(num) for num in self.p1_nums)
+        den, py_num = self.den, self.den >> self.n
+        return tuple((Fraction(py_num - num, den), Fraction(num, den)) for num in self.p1_nums)
 
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms."""
@@ -166,7 +151,8 @@ def _wht(v: np.ndarray) -> None:
 def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     """Exact joint distribution of (Y, Z = f(X)) under error probability p.
 
-    p_YZ(y, 1) is the sum of joint_xy(x, y) over the preimage f^{-1}(1);
+    p_YZ(y, 1) is the sum of p(x, y) over the preimage f^{-1}(1), which
+    the test suite's naive oracle evaluates term by term;
     p_YZ(y, 0) = 1/2^n - p_YZ(y, 1).
 
     Raises

@@ -21,14 +21,14 @@ from fractions import Fraction
 from .channel import JointYZ, Rational, as_probability
 
 
-def xlog2x(v: Rational) -> float:
-    """x * log2(x) with the 0 log 0 := 0 convention; x is exact."""
-    q = Fraction(v)
-    if q < 0:
-        raise ValueError(f"xlog2x needs a nonnegative argument, got {q}")
-    if q == 0:
+def xlog2x(v: Rational | float) -> float:
+    """x * log2(x) with the 0 log 0 := 0 convention; x is rounded to float once."""
+    if v < 0:
+        raise ValueError(f"xlog2x needs a nonnegative argument, got {v}")
+    if v == 0:
         return 0.0
-    return float(q) * math.log2(float(q))
+    x = float(v)
+    return x * math.log2(x)
 
 
 def binary_entropy(p: Rational) -> float:

@@ -22,7 +22,6 @@ import io
 import json
 import logging
 import math
-import random
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,14 +34,13 @@ from .boolfn import (
     Class1,
     Class2,
     Class3,
-    FunctionClass,
     TruthTable,
     _lex_key,
     format_class_spec,
     make_class,
     orbit,
 )
-from .channel import Rational, as_probability, joint_yz, marginal_sum
+from .channel import Rational, as_probability, joint_yz
 from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
 from .mi import binary_entropy, mutual_information
 
@@ -74,7 +72,6 @@ PASS_MARGIN_TOLERANCE = 1e-9
 IDENTITY_TOLERANCE = 1e-12
 
 ATTAINMENT_TOLERANCE = 1e-12
-SPOT_CHECK_MAX_K = 12  # marginal_spot_check draws k from 1..SPOT_CHECK_MAX_K
 
 # Exhaustive scans list at most this many argmax orbits (ties are
 # combinatorially large at p in {0, 1/2}) and cut the table space into
@@ -176,28 +173,6 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     mi_full = mutual_information(joint_yz(make_class(n, Class3(r)), p)).mi_bits
     mi_reduced = mutual_information(joint_yz(make_class(r, Class1()), p)).mi_bits
     return mi_full, mi_reduced
-
-
-def sweep(class_spec: FunctionClass, n: int, grid=DEFAULT_P_GRID):
-    """Yield (p, mi_bits, bound_bits, margin_bits) for each p of the grid."""
-    table = make_class(n, class_spec)
-    for p in grid:
-        result = mutual_information(joint_yz(table, p))
-        yield Fraction(p), result.mi_bits, result.bound_bits, result.margin_bits
-
-
-def marginal_spot_check(samples: int = 32, seed: int = 0) -> list[dict]:
-    """Randomized spot checks of the exact marginal identity sum = 1/2^k."""
-    rng = random.Random(seed)
-    p_values = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
-    out = []
-    for _ in range(samples):
-        k = rng.randint(1, SPOT_CHECK_MAX_K)
-        y = rng.randrange(1 << k)
-        p = rng.choice(p_values)
-        ok = marginal_sum(y, k, p) == Fraction(1, 1 << k)
-        out.append({"k": k, "y": y, "p": str(p), "ok": ok})
-    return out
 
 
 # ---------------------------------------------------------------------------

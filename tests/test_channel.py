@@ -1,7 +1,8 @@
 """Exact channel model: pairwise joint probabilities, the marginal identity, joint tables.
 
 The transform-based ``joint_yz`` is checked for exact equality against
-a naive oracle that sums joint_xy over the preimage of 1, term by term.
+a naive oracle that sums the pairwise ``joint_xy`` over the preimage of
+1, term by term.
 """
 
 import random
@@ -12,9 +13,22 @@ from itertools import permutations
 import pytest
 
 from bfmi.boolfn import Class1, Class3, Dictator, TruthTable, apply_index_map, complement, input_index_map, make_class
-from bfmi.channel import JointYZ, joint_xy, joint_yz, marginal_sum
+from bfmi.channel import JointYZ, joint_yz, marginal_sum
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
+
+
+def joint_xy(x_index, y_index, n, p):
+    """Exact joint probability p(X = x, Y = y) for n-bit indices.
+
+    Equals (1-p)^(n-d) * p^d / 2^n with d the Hamming distance between
+    the index bit patterns.
+    """
+    if not (0 <= x_index < 1 << n and 0 <= y_index < 1 << n):
+        raise ValueError(f"indices out of range for n={n}")
+    q = Fraction(p)
+    d = (x_index ^ y_index).bit_count()
+    return (1 - q) ** (n - d) * q**d / Fraction(1 << n)
 
 
 def naive_joint_yz(table, p):
@@ -24,7 +38,7 @@ def naive_joint_yz(table, p):
     rows = []
     for y in range(1 << n):
         p1 = sum(
-            (joint_xy(x, y, n, p) for x in range(1 << n) if table.value(x)),
+            (joint_xy(x, y, n, p) for x in range(1 << n) if (table.mask >> x) & 1),
             Fraction(0),
         )
         rows.append((py - p1, p1))

@@ -106,15 +106,6 @@ class TestVerify:
         assert out == ""
         assert path.read_text().splitlines()[0].startswith("class_spec,")
 
-    def test_lemma_spot_checks(self, capsys):
-        code, _, err = run(
-            capsys,
-            "verify", "--classes", "class1", "--n-max", "2", "--p", "1/4",
-            "--lemma-samples", "5", "--seed", "3",
-        )
-        assert code == 0
-        assert "5/5 ok" in err
-
 
 class TestKaramata:
     def test_certificate_and_dump(self, capsys, tmp_path):
@@ -237,6 +228,13 @@ class TestVerdicts:
         assert code == 1
         assert json.loads(out)["holds"] is False
 
+    def test_sweep_fails_on_a_failed_certificate(self, capsys, monkeypatch):
+        # sweep reads the same report status as verify: margin and certificate
+        monkeypatch.setattr(verify, "certify_instance", lambda inst: MajorizationCertificate(holds=False))
+        code, out, _ = run(capsys, "sweep", "--function", "class1", "--n", "3", "--p", "1/4")
+        assert code == 1
+        assert out.startswith("p,mi_bits,bound_bits,margin_bits")
+
     def test_reduce_check_past_the_identity_tolerance_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "class3_reduction_check", lambda n, r, p: (0.5, 0.5 + 1e-9))
         code, out, _ = run(capsys, "reduce-check", "--n", "4", "--r", "2", "--p", "1/8")
@@ -286,18 +284,29 @@ class TestUsageErrors:
         [
             (["--n-min", "5", "--n-max", "3"], "--n-min"),
             (["--classes", ","], "--classes"),
-            (["--lemma-samples", "-1"], "--lemma-samples"),
             (["--n-min", "0", "--n-max", "1"], "--n-min"),
             (["--n-min", "24", "--n-max", "25"], "--n-max"),
         ],
-        ids=["n-min-above-n-max", "empty-classes", "negative-lemma-samples",
-             "n-min-below-1", "n-max-above-max-n"],
+        ids=["n-min-above-n-max", "empty-classes", "n-min-below-1", "n-max-above-max-n"],
     )
     def test_bad_verify_input_names_the_option(self, capsys, argv, option):
         code, out, err = run(capsys, "verify", "--p", "1/4", *argv)
         assert code == 2
         assert not out
         assert option in err
+
+    def test_sweep_of_a_class_absent_at_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--function", "class3:r=9", "--n", "7", "--p", "1/4")
+        assert code == 2
+        assert not out
+        assert "r must be in 1..n-1" in err
+
+    @pytest.mark.parametrize("option", ["--lemma-samples", "--seed"])
+    def test_removed_verify_options_exit_2(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--p", "1/4", option, "1"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",

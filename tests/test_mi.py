@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from bfmi.boolfn import Class1, Dictator, TruthTable, complement, make_class
-from bfmi.channel import joint_xy, joint_yz
+from bfmi.channel import joint_yz
 from bfmi.mi import binary_entropy, mi_class1_closed, mutual_information, qlogq_identity_check, xlog2x
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
@@ -18,9 +18,12 @@ def direct_mi(table, p):
     """Independent double-sum oracle over all 2^(n+1) joint entries."""
     n = table.n
     py = Fraction(1, 1 << n)
+    ones = [x for x in range(1 << n) if (table.mask >> x) & 1]
+    # p(x, y) = (1-p)^(n-d) * p^d / 2^n, d the Hamming distance of x and y
+    weight = [(1 - p) ** (n - d) * p**d * py for d in range(n + 1)]
     rows = []
     for y in range(1 << n):
-        p1 = sum((joint_xy(x, y, n, p) for x in table.ones()), Fraction(0))
+        p1 = sum((weight[(x ^ y).bit_count()] for x in ones), Fraction(0))
         rows.append((py - p1, p1))
     pz = (1 - sum((r[1] for r in rows), Fraction(0)), sum((r[1] for r in rows), Fraction(0)))
     terms = []
@@ -65,6 +68,12 @@ class TestBinaryEntropy:
     def test_xlog2x_zero_convention(self):
         assert xlog2x(0) == 0.0
         assert xlog2x(Fraction(1, 2)) == -0.5
+
+    def test_xlog2x_rejects_negative_and_rounds_once(self):
+        with pytest.raises(ValueError):
+            xlog2x(Fraction(-1, 3))
+        for v in (Fraction(1, 3), Fraction(13, 64), Fraction(2**70 + 1, 3**50), 5):
+            assert xlog2x(v) == xlog2x(float(v)) == float(v) * math.log2(float(v))
 
 
 class TestMutualInformation:

@@ -21,13 +21,11 @@ from bfmi.verify import (
     _scan_chunk,
     class3_reduction_check,
     exhaustive_check,
-    marginal_spot_check,
     p_grid,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
     summaries_to_json,
-    sweep,
     verify_class,
 )
 
@@ -244,34 +242,28 @@ class TestExhaustive:
 
 
 class TestSweep:
+    """One class at one n over a p grid, the reports ``mi sweep`` projects."""
+
     def test_dictator_margins_vanish(self):
-        rows = list(sweep(Dictator(1), 3, p_grid(4)))
-        assert [p for p, *_ in rows] == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
-        assert all(abs(margin) <= 1e-12 for *_, margin in rows)
+        reports = verify_class(Dictator(1), [3], p_grid(4))
+        assert [r.p for r in reports] == [Fraction(0), Fraction(1, 4), Fraction(1, 2)]
+        assert all(abs(r.margin_bits) <= 1e-12 for r in reports)
 
     def test_endpoint_margins_for_single_one(self):
-        rows = list(sweep(Class1(0), 3, p_grid(2)))
-        by_p = {p: margin for p, _, _, margin in rows}
+        reports = verify_class(Class1(0), [3], p_grid(2))
+        by_p = {r.p: r.margin_bits for r in reports}
         assert abs(by_p[Fraction(1, 2)]) <= 1e-12
         assert abs(by_p[Fraction(0)] - (1 - binary_entropy(Fraction(1, 8)))) <= 1e-12
 
     def test_subcube_row_count_and_margins(self):
-        rows = list(sweep(Class3(2), 6, p_grid(64)))
-        assert len(rows) == 33
-        assert all(margin >= -1e-9 for *_, margin in rows)
+        reports = verify_class(Class3(2), [6], p_grid(64))
+        assert len(reports) == 33
+        assert all(r.margin_bits >= -1e-9 for r in reports)
 
     def test_denominator_capped(self):
         for den in (0, 5000):
             with pytest.raises(ValueError):
                 p_grid(den)
-
-
-class TestSpotChecks:
-    def test_all_pass_and_deterministic(self):
-        a = marginal_spot_check(samples=12, seed=5)
-        b = marginal_spot_check(samples=12, seed=5)
-        assert a == b
-        assert all(c["ok"] for c in a)
 
 
 class TestReports:
