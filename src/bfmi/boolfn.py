@@ -11,8 +11,9 @@ complement, input-coordinate permutations and input-coordinate
 negations.  All of these preserve the mutual information between
 f(X) and the channel output, so ``canonical_form`` can be used to
 deduplicate exhaustive scans.  The group acts by NumPy gathers of a
-table's bits; ``orbit`` gathers all images in one pass, and nothing is
-cached between calls.
+table's bits; ``orbit`` gathers all images in one pass, ``canonical_form``
+picks the least of them by one byte-reversal lookup over the whole orbit,
+and nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -303,9 +304,22 @@ def apply_index_map(f: TruthTable, index_map) -> TruthTable:
     return TruthTable(f.n, int.from_bytes(np.packbits(_bits(f)[m], bitorder="little").tobytes(), "little"))
 
 
-def _lex_key(mask: int, size: int) -> int:
-    # bits-lexicographic order == numeric order of the bit-reversed mask
-    return int(format(mask, f"0{size}b")[::-1], 2)
+# _REVERSED_BYTE[b] is b with its 8 bits in reverse order
+_REVERSED_BYTE = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).ravel()
+
+
+def _lex_min(masks: np.ndarray) -> int:
+    """The uint64 mask whose bit vector, index 0 first, is lexicographically smallest.
+
+    Bits-lexicographic order is the numeric order of the bit-reversed
+    mask.  One lookup reverses the bits of every byte; read big-endian,
+    the bytes then hold each mask reversed over all 64 bits, which for
+    2^n <= 64 is the reversed mask shifted by the same 64 - 2^n places.
+    """
+    keys = _REVERSED_BYTE[masks.astype("<u8", copy=False).view(np.uint8)].view(">u8")
+    return int(masks[keys.argmin()])
 
 
 def canonical_form(f: TruthTable) -> TruthTable:
@@ -315,18 +329,23 @@ def canonical_form(f: TruthTable) -> TruthTable:
     input negations.  Idempotent and constant on orbits.  Supported for
     n <= 6 only (the group has 2 * n! * 2^n elements).
     """
-    return TruthTable(f.n, min(orbit(f), key=lambda mask: _lex_key(mask, f.size)))
+    return TruthTable(f.n, _lex_min(_orbit_images(f)))
 
 
-def orbit(f: TruthTable) -> set[int]:
-    """All masks reachable from ``f`` under the symmetry group (n <= 6).
+def _orbit_images(f: TruthTable) -> np.ndarray:
+    """The image of ``f`` under every group element as a uint64 mask, repeats kept (n <= 6).
 
     One gather of the bits of ``f`` through all n! * 2^n input maps at
-    once, each image packed into a uint64 mask, plus the complements.
+    once, each image packed into a uint64 mask, then the complements.
     """
     if f.n > CANONICAL_MAX_N:
         raise ValueError(f"symmetry orbits support n <= {CANONICAL_MAX_N}, got n={f.n}")
     maps = _index_maps(f.n, list(permutations(range(f.n))), range(f.size))
     packed = np.packbits(_bits(f)[maps], axis=1, bitorder="little")
     images = packed @ (np.uint64(1) << np.arange(0, f.size, 8, dtype=np.uint64))
-    return set(np.concatenate([images, images ^ np.uint64((1 << f.size) - 1)]).tolist())
+    return np.concatenate([images, images ^ np.uint64((1 << f.size) - 1)])
+
+
+def orbit(f: TruthTable) -> set[int]:
+    """All masks reachable from ``f`` under the symmetry group (n <= 6)."""
+    return set(_orbit_images(f).tolist())

@@ -21,8 +21,9 @@ forward transform of the 0/1 indicator runs in int64 (every partial sum
 is at most 2^n), the scaled inverse on an object array of Python ints.
 Nothing is cached between calls.  For p = s/d every cell comes out as
 an integer over 4^n·d^n, and :class:`JointYZ` keeps exactly those
-integer numerators; Fractions are built only for the ``rows`` view and
-at the CSV boundary.
+integer numerators; Fractions are built only for the ``rows`` view.
+The CSV dump reduces each cell to lowest terms with ``math.gcd`` on
+those integers.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term.
 """
@@ -89,7 +90,7 @@ class JointYZ:
     [0, den/2^n] (so entries are nonnegative and every row sums to
     exactly 1/2^n, the uniform Y marginal), and ``pz1`` is the exact sum
     of the p1 column.  :class:`~fractions.Fraction` cells appear only in
-    the ``rows`` view and in the CSV dump.
+    the ``rows`` view; the CSV dump reduces integer cells with ``math.gcd``.
     """
 
     n: int

@@ -35,7 +35,7 @@ from .boolfn import (
     Class2,
     Class3,
     TruthTable,
-    _lex_key,
+    _lex_min,
     format_class_spec,
     make_class,
     orbit,
@@ -188,23 +188,48 @@ def _profile_strides(n: int) -> np.ndarray:
     return np.cumprod([1] + [math.comb(n, d) + 1 for d in range(n + 1)])
 
 
+def _byte_tables(n: int) -> np.ndarray:
+    """int16 per-byte code tables, shape (ceil(2^n / 8), 2^n, 256).
+
+    Entry [k, y, b] is the code that byte k of a mask adds at y when
+    that byte equals b: the sum of stride_d over the set bits j of b,
+    d being the Hamming distance from x = 8k + j to y.  The code of a
+    table is the sum of one entry per byte of its mask.
+    """
+    size = 1 << n
+    idx = np.arange(size)
+    contrib = np.zeros((max(size, 8), size), dtype=np.int64)  # [x, y]; x past the table adds nothing
+    contrib[:size] = _profile_strides(n)[np.bitwise_count(idx[:, None] ^ idx[None, :])]
+    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1  # [bit, byte]
+    return (contrib.reshape(-1, 8, size).transpose(0, 2, 1) @ byte_bits).astype(np.int16)
+
+
 def _profile_codes(n: int, masks: np.ndarray) -> np.ndarray:
     """int16 distance-profile codes, shape (2^n, len(masks)), one column per table.
 
     The code of y under f is sum_d N_d(y) * stride_d, where N_d(y) counts
-    the ones of f at Hamming distance d from y.  It is a sum of per-byte
-    lookups: one 2^n x 256 table per byte of the mask.  Codes stay below
-    700 at n = 4 and below 17 424 at n = 5.
+    the ones of f at Hamming distance d from y.  It is gathered byte by
+    byte from :func:`_byte_tables`.  Codes stay below 700 at n = 4 and
+    below 17 424 at n = 5.
+    """
+    codes = np.zeros((1 << n, masks.size), dtype=np.int16)
+    for k, table in enumerate(_byte_tables(n)):
+        codes += table[:, (masks >> (8 * k)) & 0xFF]
+    return codes
+
+
+def _space_codes(n: int) -> np.ndarray:
+    """The :func:`_profile_codes` of every mask 0 .. 2^(2^n) - 1, in mask order.
+
+    Mask order makes the code matrix an outer sum of the byte tables,
+    the high byte outermost, so no mask is ever gathered.  n <= 4 only:
+    the matrix has 2^n * 2^(2^n) entries.
     """
     size = 1 << n
-    idx = np.arange(size)
-    contrib = _profile_strides(n)[np.bitwise_count(idx[:, None] ^ idx[None, :])]  # [x, y]
-    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1  # [bit, byte]
-    codes = np.zeros((size, masks.size), dtype=np.int16)
-    for k in range(0, size, 8):
-        xs = contrib[k : k + 8]
-        lookup = (xs.T @ byte_bits[: len(xs)]).astype(np.int16)
-        codes += lookup[:, (masks >> k) & 0xFF]
+    tables = _byte_tables(n)[:, :, : 1 << min(size, 8)]
+    codes = tables[-1]
+    for table in tables[-2::-1]:
+        codes = (codes[:, :, None] + table[:, None, :]).reshape(size, -1)
     return codes
 
 
@@ -214,7 +239,7 @@ def _mi_from_codes(codes: np.ndarray, n: int, p: Fraction) -> np.ndarray:
     One term table over the codes holds both cells' p log2(p / (p_Y p_Z))
     terms: p1 = sum_d N_d * h_d with h_d the float of the exact
     (1-p)^(n-d) p^d / 2^n, and p_Z(1) = sum_d N_d / 2^n, since every
-    profile counts all ones of f.  MI sums one gather per y.
+    profile counts all ones of f.  MI sums one gather per y, in y order.
     """
     size = 1 << n
     py = 1.0 / size
@@ -230,8 +255,10 @@ def _mi_from_codes(codes: np.ndarray, n: int, p: Fraction) -> np.ndarray:
         for pc, pz in ((p1, pz1), (py - p1, 1.0 - pz1)):
             terms += np.where(pc > 0.0, pc * (np.log2(pc) - np.log2(py * pz)), 0.0)
     mi = np.zeros(codes.shape[1])
-    for column in codes:
-        mi += terms[column]
+    buf = np.empty_like(mi)
+    for column in codes:  # y = 0 .. 2^n - 1 into one reused buffer
+        np.take(terms, column, out=buf, mode="clip")  # codes are in range; "raise" would buffer out
+        mi += buf
     return mi
 
 
@@ -240,7 +267,6 @@ def _canonical_dedupe(n: int, masks) -> list[int]:
 
     Each orbit is walked once; later masks inside a walked orbit are skipped.
     """
-    size = 1 << n
     walked: set[int] = set()
     out = []
     for mask in masks:
@@ -248,7 +274,7 @@ def _canonical_dedupe(n: int, masks) -> list[int]:
             continue
         members = orbit(TruthTable(n, mask))
         walked |= members
-        out.append(min(members, key=lambda m: _lex_key(m, size)))
+        out.append(_lex_min(np.fromiter(members, np.uint64, len(members))))
         if len(out) >= ARGMAX_CAP:
             break
     return sorted(out)
@@ -264,24 +290,28 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     ones are kept; every orbit has such a member, so the maximum over
     the kept tables is the maximum over all tables.  A chunk start
     k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), so no
-    chunk comes out empty.  The profile codes are built once per chunk
-    (:func:`_profile_codes`); each p then costs one term table and one
+    chunk comes out empty.  The profile codes are built once per chunk:
+    the single n <= 4 chunk slices the whole-space outer sum of the byte
+    tables (:func:`_space_codes`) and gathers no mask; a filtered n = 5
+    chunk gathers one byte-table column per byte of each kept mask
+    (:func:`_profile_codes`).  Each p then costs one term table and one
     gather per y (:func:`_mi_from_codes`).
     """
     n, grid, start, stop = args
     size = 1 << n
     if size <= CHUNK_BITS:
-        masks = np.arange(start, stop, dtype=np.int64)
+        masks = range(start, stop)
+        codes = _space_codes(n)[:, start:stop]
     else:
         masks = np.arange(start, stop, 2, dtype=np.int64)  # chunks start even
         masks = masks[np.bitwise_count(masks) <= size // 2]
-    codes = _profile_codes(n, masks)
+        codes = _profile_codes(n, masks)
     out = []
     for p in grid:
         mi = _mi_from_codes(codes, n, p)
         max_mi = float(mi.max())
         top = np.flatnonzero(mi >= max_mi - ATTAINMENT_TOLERANCE)[: 8 * ARGMAX_CAP]
-        out.append((int(masks.size), max_mi, [(int(masks[i]), float(mi[i])) for i in top]))
+        out.append((len(masks), max_mi, [(int(masks[i]), float(mi[i])) for i in top]))
     return out
 
 

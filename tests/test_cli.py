@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, file outputs, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,10 +17,21 @@ from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import MIResult, binary_entropy, mutual_information
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def fresh_process(*argv):
+    """(exit code, stdout, stderr) of ``mi`` run in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "bfmi.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestCompute:
@@ -335,7 +347,7 @@ class TestUsageErrors:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run(
             [sys.executable, "-m", "bfmi.cli", "compute", "--n", "2",
              "--function", "dictator:j=1", "--p", "0"],
@@ -343,3 +355,47 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["mi_bits"] == 1.0
+
+
+class TestParserReuse:
+    """One argparse tree per process: later calls answer as a fresh ``mi`` would."""
+
+    @pytest.mark.parametrize(
+        "calls, codes",
+        [
+            ([["exhaustive", "--n", "2", "--p", "1/4", "--jobs", "0"],
+              ["exhaustive", "--n", "2", "--p", "1/4"]], [2, 0]),
+            ([["verify", "--p", "1/4", "--n-min", "0", "--n-max", "1"],
+              ["verify", "--p", "1/4", "--n-max", "3"]], [2, 0]),
+            ([["karamata", "--n", "3", "--p", "1/4"],
+              ["compute", "--n", "3", "--function", "dictator:j=2", "--p", "1/4"]], [0, 0]),
+        ],
+        ids=["argparse-error-then-good", "value-error-then-good", "two-subcommands"],
+    )
+    def test_repeated_calls_match_a_fresh_process(self, capsys, monkeypatch, calls, codes):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        assert [code for code, _, _ in seen] == codes
+        assert seen == [fresh_process(*argv) for argv in calls]
+
+    def test_parser_is_built_once(self):
+        main(["karamata", "--n", "2", "--p", "1/4"])
+        first = cli._parser
+        main(["karamata", "--n", "3", "--p", "1/4"])
+        assert cli._parser is first
+
+    def test_parse_args_keeps_no_state(self):
+        # no action accumulates into a shared default, and every default is immutable
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for subparser in sub.choices.values():
+            for action in subparser._actions:
+                assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
+                assert action.default is None or isinstance(action.default, (bool, int, str))

@@ -1,6 +1,7 @@
 """Harness behaviour: class sweeps, exhaustive scans, reduction, reports."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from bfmi.verify import (
     _mi_from_codes,
     _profile_codes,
     _scan_chunk,
+    _space_codes,
     class3_reduction_check,
     exhaustive_check,
     p_grid,
@@ -117,6 +119,22 @@ class TestVectorEngine:
         assert np.iinfo(codes.dtype).max >= 17423
         assert codes[:, 0].tolist() == [0] * 32
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_space_codes_are_the_codes_of_every_mask(self, n):
+        size, space = 1 << n, 1 << (1 << n)
+        codes = _space_codes(n)
+        assert codes.shape == (size, space) and codes.dtype == np.int16
+        assert np.array_equal(codes, _profile_codes(n, np.arange(space)))
+        # brute force: sum_d N_d(y) * stride_d, N_d(y) counting the ones at distance d from y
+        strides = [1]
+        for d in range(n):
+            strides.append(strides[-1] * (math.comb(n, d) + 1))
+        rng = random.Random(n)
+        for mask in [0, space - 1] + [rng.randrange(space) for _ in range(40)]:
+            for y in range(size):
+                ones = (x for x in range(size) if mask >> x & 1)
+                assert codes[y, mask] == sum(strides[(x ^ y).bit_count()] for x in ones)
+
 
 class TestExhaustive:
     def test_n2_max_is_the_dictator_value(self):
@@ -202,6 +220,20 @@ class TestExhaustive:
             assert top and all(v <= local_max for _, v in top)
             assert all(m % 2 == 0 and m.bit_count() <= 16 for m, _ in top)
         assert len(results[1][2]) == 8 * verify.ARGMAX_CAP  # p = 1/2: every table ties
+
+    @pytest.mark.parametrize(
+        "chunk, kept, max_mi, top_mask",
+        [
+            (0, 524097, 0.24894689433833309, 65534),
+            (37, 507624, 0.18405210722348275, 39780606),
+            (4095, 5036, 0.2718657621309444, 0xFFFF0000),  # near-empty: the last chunk
+        ],
+        ids=["chunk0", "chunk37", "chunk4095"],
+    )
+    def test_n5_chunks_are_pinned(self, chunk, kept, max_mi, top_mask):
+        # kept-table counts, float maxima and argmax masks of the byte-gather kernel
+        [result] = _scan_chunk((5, (Fraction(13, 64),), chunk << 20, (chunk + 1) << 20))
+        assert result == (kept, max_mi, [(top_mask, max_mi)])
 
     def test_argmax_lists_are_pinned(self):
         # canonical masks of every argmax orbit over the 8ths grid at n = 3;
