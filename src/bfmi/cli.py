@@ -241,14 +241,9 @@ _COMMANDS = {
 }
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:  # built on the first call, kept for the process: parse_args keeps no state
-        _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     # the one place that writes the report and maps its verdict to an exit code
     try:
         text, ok = _COMMANDS[args.command](args)

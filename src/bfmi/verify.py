@@ -36,9 +36,9 @@ from .boolfn import (
     Class3,
     TruthTable,
     _lex_min,
+    _orbit_images,
     format_class_spec,
     make_class,
-    orbit,
 )
 from .channel import Rational, as_probability, joint_yz
 from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
@@ -254,10 +254,13 @@ def _mi_from_codes(codes: np.ndarray, n: int, p: Fraction) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for pc, pz in ((p1, pz1), (py - p1, 1.0 - pz1)):
             terms += np.where(pc > 0.0, pc * (np.log2(pc) - np.log2(py * pz)), 0.0)
+    # every code fits the code dtype, so none wrapped and "clip" never clamps;
+    # mode="raise" would buffer out on every gather
+    assert strides[-1] <= np.iinfo(codes.dtype).max + 1
     mi = np.zeros(codes.shape[1])
     buf = np.empty_like(mi)
     for column in codes:  # y = 0 .. 2^n - 1 into one reused buffer
-        np.take(terms, column, out=buf, mode="clip")  # codes are in range; "raise" would buffer out
+        np.take(terms, column, out=buf, mode="clip")
         mi += buf
     return mi
 
@@ -272,9 +275,9 @@ def _canonical_dedupe(n: int, masks) -> list[int]:
     for mask in masks:
         if mask in walked:
             continue
-        members = orbit(TruthTable(n, mask))
-        walked |= members
-        out.append(_lex_min(np.fromiter(members, np.uint64, len(members))))
+        images = _orbit_images(TruthTable(n, mask))
+        walked.update(images.tolist())
+        out.append(_lex_min(images))
         if len(out) >= ARGMAX_CAP:
             break
     return sorted(out)

@@ -1,6 +1,5 @@
 """End-to-end CLI behaviour: subcommands, file outputs, exit codes."""
 
-import argparse
 import json
 import os
 import subprocess
@@ -357,8 +356,8 @@ class TestEntryPoint:
         assert json.loads(proc.stdout)["mi_bits"] == 1.0
 
 
-class TestParserReuse:
-    """One argparse tree per process: later calls answer as a fresh ``mi`` would."""
+class TestRepeatedCalls:
+    """``main`` keeps no state between calls: each answers as a fresh ``mi`` would."""
 
     @pytest.mark.parametrize(
         "calls, codes",
@@ -384,18 +383,3 @@ class TestParserReuse:
             seen.append((code, out.out, out.err))
         assert [code for code, _, _ in seen] == codes
         assert seen == [fresh_process(*argv) for argv in calls]
-
-    def test_parser_is_built_once(self):
-        main(["karamata", "--n", "2", "--p", "1/4"])
-        first = cli._parser
-        main(["karamata", "--n", "3", "--p", "1/4"])
-        assert cli._parser is first
-
-    def test_parse_args_keeps_no_state(self):
-        # no action accumulates into a shared default, and every default is immutable
-        parser = cli._build_parser()
-        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        for subparser in sub.choices.values():
-            for action in subparser._actions:
-                assert not isinstance(action, (argparse._AppendAction, argparse._AppendConstAction))
-                assert action.default is None or isinstance(action.default, (bool, int, str))

@@ -266,8 +266,8 @@ class TestExhaustive:
         # at n = 4, p = 13/64 the 8 dictator tables x_j, 1 - x_j tie; they
         # form one orbit, which the dedupe walks once
         calls = []
-        real = verify.orbit
-        monkeypatch.setattr(verify, "orbit", lambda f: calls.append(f) or real(f))
+        real = verify._orbit_images
+        monkeypatch.setattr(verify, "_orbit_images", lambda f: calls.append(f) or real(f))
         [s] = exhaustive_check(4, (Fraction(13, 64),))
         assert len(calls) == 1
         assert s.argmax_canonical_tables == (canonical_form(make_class(4, Dictator(1))),)
