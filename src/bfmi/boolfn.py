@@ -260,12 +260,19 @@ def complement(f: TruthTable) -> TruthTable:
     return TruthTable(f.n, f.mask ^ ((1 << f.size) - 1))
 
 
-def _index_maps(n: int, perms, negs) -> np.ndarray:
-    """The :func:`input_index_map` of every (perm, neg) pair, one int32 row each, perm-major."""
+def _index_maps(n: int) -> np.ndarray:
+    """The index map of every input transformation, one int32 row each, perm-major.
+
+    Row p * 2^n + neg is the map of x_j -> x_perm[j] xor neg_j, for the
+    p-th ``perm`` of ``itertools.permutations(range(n))`` and the n-bit
+    negation pattern ``neg`` (bit j for coordinate j, both 0-based,
+    coordinate 0 = x_1).  Applying a map ``m`` to a table gives
+    new_bits[i] = bits[m[i]].
+    """
     weights = 1 << np.arange(n - 1, -1, -1, dtype=np.int32)  # coordinate j is bit n-1-j of an index
     coords = (np.arange(1 << n)[:, None] & weights) != 0  # [index, coordinate]
-    moved = (coords[:, np.asarray(perms)] @ weights).T  # [perm, index]
-    flips = ((np.asarray(negs)[:, None] & weights[::-1]) != 0) @ weights  # [neg]
+    moved = (coords[:, np.asarray(list(permutations(range(n))))] @ weights).T  # [perm, index]
+    flips = ((np.arange(1 << n)[:, None] & weights[::-1]) != 0) @ weights  # [neg]
     return (moved[:, None, :] ^ flips[None, :, None]).reshape(-1, 1 << n)
 
 
@@ -273,35 +280,6 @@ def _bits(f: TruthTable) -> np.ndarray:
     """The table of ``f`` as a uint8 0/1 array, index 0 first."""
     raw = np.frombuffer(f.mask.to_bytes((f.size + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(raw, count=f.size, bitorder="little")
-
-
-def input_index_map(n: int, perm, neg: int) -> tuple[int, ...]:
-    """Index map of the input transformation x_j -> x_perm[j] xor neg_j.
-
-    ``perm`` is a 0-based tuple over coordinates (coordinate j reads from
-    coordinate perm[j]); ``neg`` is an n-bit negation pattern, bit j for
-    coordinate j (both 0-based, coordinate 0 = x_1).  Applying the map
-    ``m`` to a table gives new_bits[i] = bits[m[i]].  Raises ``ValueError``
-    unless ``perm`` is a permutation of range(n) and 0 <= neg < 2^n.
-    """
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"perm must be a permutation of range({n}), got {perm!r}")
-    if not 0 <= neg < 1 << n:
-        raise ValueError(f"neg must be in 0..{(1 << n) - 1}, got {neg}")
-    return tuple(_index_maps(n, [perm], [neg])[0].tolist())
-
-
-def apply_index_map(f: TruthTable, index_map) -> TruthTable:
-    """Relabel inputs of ``f`` by an index map (new_bits[i] = bits[map[i]]).
-
-    One gather of the bits of ``f`` through the map, packed back into a
-    mask.  Raises ``ValueError`` unless the map has exactly 2^n integer
-    entries, each in 0..2^n-1.
-    """
-    m = np.asarray(index_map)
-    if m.shape != (f.size,) or m.dtype.kind not in "iu" or not ((m >= 0) & (m < f.size)).all():
-        raise ValueError(f"index map must hold {f.size} integer entries in 0..{f.size - 1}")
-    return TruthTable(f.n, int.from_bytes(np.packbits(_bits(f)[m], bitorder="little").tobytes(), "little"))
 
 
 # _REVERSED_BYTE[b] is b with its 8 bits in reverse order
@@ -340,8 +318,7 @@ def _orbit_images(f: TruthTable) -> np.ndarray:
     """
     if f.n > CANONICAL_MAX_N:
         raise ValueError(f"symmetry orbits support n <= {CANONICAL_MAX_N}, got n={f.n}")
-    maps = _index_maps(f.n, list(permutations(range(f.n))), range(f.size))
-    packed = np.packbits(_bits(f)[maps], axis=1, bitorder="little")
+    packed = np.packbits(_bits(f)[_index_maps(f.n)], axis=1, bitorder="little")
     images = packed @ (np.uint64(1) << np.arange(0, f.size, 8, dtype=np.uint64))
     return np.concatenate([images, images ^ np.uint64((1 << f.size) - 1)])
 

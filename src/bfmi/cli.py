@@ -9,8 +9,6 @@ checks pass, 1 = some check failed, 2 = usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -21,11 +19,13 @@ from .karamata import build_karamata_sequences, certify_instance
 from .mi import mutual_information
 from .verify import (
     IDENTITY_TOLERANCE,
+    _csv_text,
     certificate_to_dict,
     exhaustive_check,
     class3_reduction_check,
     margin_passes,
     p_grid,
+    report_to_dict,
     reports_to_csv,
     reports_to_json,
     summaries_to_csv,
@@ -213,12 +213,8 @@ def _cmd_sweep(args) -> tuple[str, bool]:
     cls = parse_class_spec(args.function)
     make_class(args.n, cls)  # a class that does not exist at n is a usage error, not a skip
     reports = verify_class(cls, [args.n], _grid(args))
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["p", "mi_bits", "bound_bits", "margin_bits"])
-    for r in reports:
-        writer.writerow([str(r.p), repr(r.mi_bits), repr(r.bound_bits), repr(r.margin_bits)])
-    return buf.getvalue(), all(r.status == "pass" for r in reports)
+    text = _csv_text(["p", "mi_bits", "bound_bits", "margin_bits"], map(report_to_dict, reports))
+    return text, all(r.status == "pass" for r in reports)
 
 
 def _cmd_reduce_check(args) -> tuple[str, bool]:

@@ -393,18 +393,22 @@ def reports_to_json(reports: Iterable[VerifyReport]) -> str:
     return json.dumps({"version": 1, "reports": [report_to_dict(r) for r in reports]}, indent=2)
 
 
-def reports_to_csv(reports: Iterable[VerifyReport]) -> str:
+def _csv_text(header: list[str], rows: Iterable[dict]) -> str:
+    """CSV text of a header row and the ``header`` fields of each row dict (None writes empty)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(
-        ["class_spec", "n", "p", "mi_bits", "bound_bits", "margin_bits", "certificate_holds", "status"]
-    )
-    for r in reports:
-        cert = "" if r.karamata_certificate is None else r.karamata_certificate.holds
-        writer.writerow(
-            [r.class_spec, r.n, str(r.p), repr(r.mi_bits), repr(r.bound_bits), repr(r.margin_bits), cert, r.status]
-        )
+    writer.writerow(header)
+    writer.writerows([row[field] for field in header] for row in rows)
     return buf.getvalue()
+
+
+def reports_to_csv(reports: Iterable[VerifyReport]) -> str:
+    rows = [report_to_dict(r) for r in reports]
+    for row in rows:
+        cert = row["karamata_certificate"]
+        row["certificate_holds"] = None if cert is None else cert["holds"]
+    header = ["class_spec", "n", "p", "mi_bits", "bound_bits", "margin_bits", "certificate_holds", "status"]
+    return _csv_text(header, rows)
 
 
 def summary_to_dict(s: ExhaustiveSummary) -> dict:
@@ -426,22 +430,8 @@ def summaries_to_json(summaries: Iterable[ExhaustiveSummary]) -> str:
 
 
 def summaries_to_csv(summaries: Iterable[ExhaustiveSummary]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(
-        ["n", "p", "num_functions_scanned", "max_mi_bits", "bound_bits", "max_margin", "argmax_bits_hex"]
-    )
-    for s in summaries:
-        hexes = ";".join(json.loads(t.to_json())["bits_hex"] for t in s.argmax_canonical_tables)
-        writer.writerow(
-            [
-                s.n,
-                str(s.p),
-                s.num_functions_scanned,
-                repr(s.max_mi_bits),
-                repr(s.bound_bits),
-                repr(s.max_margin),
-                hexes,
-            ]
-        )
-    return buf.getvalue()
+    rows = [summary_to_dict(s) for s in summaries]
+    for row in rows:
+        row["argmax_bits_hex"] = ";".join(t["bits_hex"] for t in row["argmax_canonical_tables"])
+    header = ["n", "p", "num_functions_scanned", "max_mi_bits", "bound_bits", "max_margin", "argmax_bits_hex"]
+    return _csv_text(header, rows)

@@ -18,9 +18,7 @@ from bfmi.boolfn import (
     Class4,
     Dictator,
     TruthTable,
-    apply_index_map,
     complement,
-    input_index_map,
     make_class,
 )
 from bfmi.channel import joint_yz, marginal_sum
@@ -34,6 +32,7 @@ from bfmi.verify import (
     exhaustive_check,
     verify_class,
 )
+from test_boolfn import _brute_force_image
 
 P_FIVE = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
 
@@ -235,7 +234,7 @@ def test_criterion_9_property_suites():
             table = TruthTable(n, rng.getrandbits(1 << n))
             perm = list(range(n))
             rng.shuffle(perm)
-            moved = apply_index_map(table, input_index_map(n, tuple(perm), rng.randrange(1 << n)))
+            moved = _brute_force_image(table, perm, rng.randrange(1 << n))
             if rng.random() < 0.5:
                 moved = complement(moved)
             a = joint_yz(table, p)

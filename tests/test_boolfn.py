@@ -14,11 +14,10 @@ from bfmi.boolfn import (
     Dictator,
     Lex,
     TruthTable,
-    apply_index_map,
+    _index_maps,
     canonical_form,
     complement,
     format_class_spec,
-    input_index_map,
     make_class,
     orbit,
     parse_class_spec,
@@ -170,6 +169,12 @@ def _brute_force_source(n, perm, neg, i):
     return src
 
 
+def _brute_force_image(t, perm, neg):
+    """``t`` under x_j -> x_perm[j] xor neg_j, read one index at a time."""
+    sources = (_brute_force_source(t.n, perm, neg, i) for i in range(t.size))
+    return TruthTable(t.n, sum(((t.mask >> src) & 1) << i for i, src in enumerate(sources)))
+
+
 def _brute_force_orbits(n):
     """Independent orbit enumeration acting on bit tuples."""
 
@@ -193,28 +198,9 @@ def _brute_force_orbits(n):
 class TestIndexMaps:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_input_index_map_matches_per_index_loop(self, n):
-        for perm in permutations(range(n)):
-            for neg in range(1 << n):
-                expected = tuple(_brute_force_source(n, perm, neg, i) for i in range(1 << n))
-                assert input_index_map(n, perm, neg) == expected
-
-    @pytest.mark.parametrize(
-        "index_map",
-        [(0, 1, 2), (0, 1, 2, 3, 0), (0, 1, 2, 4), (0, 1, 2, 7), (0, 1, 2, -1)],
-        ids=["short", "long", "entry-2^n", "entry-7", "negative"],
-    )
-    def test_apply_index_map_rejects_malformed_maps(self, index_map):
-        with pytest.raises(ValueError):
-            apply_index_map(TruthTable(2, 0b1111), index_map)
-
-    @pytest.mark.parametrize(
-        "perm, neg",
-        [((0, 0, 2), 0), ((0, 1), 0), ((1, 2, 3), 0), ((0, 1, 2), 8), ((0, 1, 2), -1)],
-        ids=["repeated", "short", "off-range", "neg-2^n", "neg-negative"],
-    )
-    def test_input_index_map_rejects_bad_elements(self, perm, neg):
-        with pytest.raises(ValueError):
-            input_index_map(3, perm, neg)
+        elements = [(perm, neg) for perm in permutations(range(n)) for neg in range(1 << n)]
+        expected = [[_brute_force_source(n, perm, neg, i) for i in range(1 << n)] for perm, neg in elements]
+        assert _index_maps(n).tolist() == expected
 
 
 class TestCanonicalForm:
@@ -230,15 +216,12 @@ class TestCanonicalForm:
     def test_idempotent_and_orbit_constant(self):
         rng = random.Random(19)
         for n in (2, 3, 4, 5, 6):
-            maps = [
-                input_index_map(n, perm, rng.randrange(1 << n))
-                for perm in permutations(range(n))
-            ]
+            elements = [(perm, rng.randrange(1 << n)) for perm in permutations(range(n))]
             for _ in range(20 if n < 6 else 3):  # an n = 6 canonical form costs about 0.3 s
                 t = TruthTable(n, rng.getrandbits(1 << n))
                 canon = canonical_form(t)
                 assert canonical_form(canon) == canon
-                moved = apply_index_map(t, rng.choice(maps))
+                moved = _brute_force_image(t, *rng.choice(elements))
                 if rng.random() < 0.5:
                     moved = complement(moved)
                 assert canonical_form(moved) == canon

@@ -12,8 +12,9 @@ from itertools import permutations
 
 import pytest
 
-from bfmi.boolfn import Class1, Class3, Dictator, TruthTable, apply_index_map, complement, input_index_map, make_class
+from bfmi.boolfn import Class1, Class3, Dictator, TruthTable, complement, make_class
 from bfmi.channel import JointYZ, joint_yz, marginal_sum
+from test_boolfn import _brute_force_image
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
 
@@ -170,7 +171,7 @@ class TestSymmetries:
             table = TruthTable(n, rng.getrandbits(1 << n))
             base = joint_yz(table, p)
             for perm in list(permutations(range(n)))[:4]:
-                moved = apply_index_map(table, input_index_map(n, perm, 0))
+                moved = _brute_force_image(table, perm, 0)
                 assert Counter(joint_yz(moved, p).rows) == Counter(base.rows)
 
     def test_complement_swaps_columns(self):

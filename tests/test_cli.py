@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: subcommands, file outputs, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -161,6 +163,45 @@ class TestExhaustive:
         assert code == 0
         doc = json.loads(out)
         assert doc["summaries"][0]["num_functions_scanned"] == 16
+
+
+class TestCsvIsJson:
+    """Each CSV report is its JSON record: every shared field is ``str()`` of the JSON value."""
+
+    @staticmethod
+    def both(capsys, *argv):
+        """(CSV rows as dicts, JSON document) of one ``mi`` command."""
+        rows = list(csv.DictReader(io.StringIO(run(capsys, *argv, "--format", "csv")[1])))
+        return rows, json.loads(run(capsys, *argv, "--format", "json")[1])
+
+    def test_verify(self, capsys):
+        rows, doc = self.both(capsys, "verify", "--classes", "all,dictator,lex:n1=3",
+                              "--n-min", "2", "--n-max", "5", "--p-den", "8")
+        records = doc["reports"]
+        assert len(rows) == len(records)
+        certs = [rec.pop("karamata_certificate") for rec in records]
+        assert None in certs and any(c is not None for c in certs)
+        for row, rec, cert in zip(rows, records, certs):
+            assert row.pop("certificate_holds") == ("" if cert is None else str(cert["holds"]))
+            assert row == {key: str(value) for key, value in rec.items()}
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive(self, capsys, n):
+        rows, doc = self.both(capsys, "exhaustive", "--n", str(n), "--p-den", "8")
+        records = doc["summaries"]
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            tables = rec.pop("argmax_canonical_tables")
+            assert row.pop("argmax_bits_hex") == ";".join(t["bits_hex"] for t in tables)
+            assert row == {key: str(value) for key, value in rec.items()}
+
+    def test_sweep_projects_the_verify_record(self, capsys):
+        _, out, _ = run(capsys, "sweep", "--function", "class3:r=2", "--n", "4", "--p-den", "8")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        _, out, _ = run(capsys, "verify", "--classes", "class3:r=2", "--n-min", "4", "--n-max", "4", "--p-den", "8")
+        columns = ("p", "mi_bits", "bound_bits", "margin_bits")
+        assert rows and list(rows[0]) == list(columns)
+        assert rows == [{key: str(rec[key]) for key in columns} for rec in json.loads(out)["reports"]]
 
 
 class TestSweepAndReduce:
