@@ -16,16 +16,21 @@ is the marginal identity checked by :func:`marginal_sum`.
 uses the xor-convolution structure of the channel: with
 h(v) = (1-p)^(n-|v|) * p^|v| / 2^n one has p_YZ(., 1) = f * h (xor
 convolution), which a Walsh-Hadamard transform evaluates with integer
-arithmetic only.  One in-place NumPy butterfly does both passes: the
-forward transform of the 0/1 indicator runs in int64 (every partial sum
-is at most 2^n), the scaled inverse on an object array of Python ints.
-Nothing is cached between calls.  For p = s/d every cell comes out as
-an integer over 4^n·d^n, and :class:`JointYZ` keeps exactly those
-integer numerators; Fractions are built only for the ``rows`` view.
-The CSV dump reduces each cell to lowest terms with ``math.gcd`` on
-those integers.
+arithmetic only.  One in-place NumPy butterfly does both passes, in
+int64 throughout: the forward transform of the 0/1 indicator (every
+partial sum is at most 2^n), then the scaled inverse, once per
+byte-aligned digit of the scale constants, with carries rippling from
+the low digit up.  The digit width shrinks as n grows so that no lane
+can overflow (see ``_lane_bits``); each cell's digits are packed into
+bytes and read back 64 bits at a time into one Python int.  Nothing is
+cached between calls.  For p = s/d every cell comes out as an integer
+over 4^n·d^n, and :class:`JointYZ` keeps exactly those integer
+numerators; Fractions are built only for the ``rows`` view.  The CSV
+dump reduces each cell to lowest terms with ``math.gcd`` on those
+integers.
 The result is exact.  The test suite checks it against a naive oracle
-that sums p(x, y) over the preimage f^{-1}(1) term by term.
+that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
+the same inverse run on Python ints for every lane width up to n = 16.
 """
 
 from __future__ import annotations
@@ -36,9 +41,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, _bits
+from .boolfn import MAX_N, TruthTable, _bits
 
 Rational = Fraction | int
+_READ_ROWS = 1 << 14  # joint_yz turns packed cells into Python ints this many rows at a time
 
 
 def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
@@ -57,9 +63,11 @@ def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:
     evaluated by literal enumeration: Hamming distances of all 2^k
     x-patterns from y are counted and each exact term is added with its
     observed count.  Nothing here assumes the binomial identity.
+    Like a truth table, k is limited to 1..MAX_N; outside it a
+    ValueError is raised before anything is allocated.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_N:
+        raise ValueError(f"k must be in 1..{MAX_N}, got {k}")
     if not 0 <= y_index < 1 << k:
         raise ValueError(f"y_index out of range for k={k}")
     q = Fraction(p)
@@ -149,6 +157,25 @@ def _wht(v: np.ndarray) -> None:
         h *= 2
 
 
+def _lane_bits(n: int) -> int:
+    """Digit width of the int64 lanes in which ``joint_yz`` runs its inverse.
+
+    A lane transforms digit·F(w) with digit < 2^bits and |F(w)| <= 2^n, so
+    every partial sum, the doubled ``b *= -2`` one included, is below
+    2^(2n + bits); the incoming carry adds at most 2^(2n) + 1.  With
+    2n + bits <= 62 nothing reaches 2^63.  Digits are whole bytes so that
+    lanes pack into bytes.
+    """
+    bits = 8 * ((62 - 2 * n) // 8)
+    assert 2 * n + bits <= 62 and bits >= 8, f"no int64 lane width for n={n}"
+    return bits
+
+
+def _le_bytes(v: np.ndarray) -> np.ndarray:
+    # (len(v), 8) little-endian bytes of an int64 vector; a view on little-endian hosts
+    return v.astype("<i8", copy=False).view(np.uint8).reshape(len(v), 8)
+
+
 def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     """Exact joint distribution of (Y, Z = f(X)) under error probability p.
 
@@ -170,14 +197,45 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     # forward transform of the indicator; int64 is exact, every partial sum is at most 2^n
     ones = _bits(f).astype(np.int64)
     _wht(ones)
-    # scale the transform by (1-2p)^|w|, common denominator den^n pulled out;
-    # the inverse runs on Python ints (object array)
-    scale = np.array([t**k * den ** (n - k) for k in range(n + 1)], dtype=object)
-    spectrum = scale[np.bitwise_count(np.arange(size, dtype=np.uint32))]
-    spectrum *= ones
-    del ones
-    _wht(spectrum)
-    nums = spectrum.tolist()
+    # scale the transform by (1-2p)^|w|, common denominator den^n pulled out, and invert it
+    # in int64 lanes: lane j transforms the j-th base-2^bits digit of the scale, low digit
+    # first, keeps its own digit and passes the rest up as a carry; the top lane keeps it all
+    scale = [t**k * den ** (n - k) for k in range(n + 1)]
+    bits = _lane_bits(n)
+    mask = (1 << bits) - 1
+    lanes = -(-max(scale).bit_length() // bits)
+    step = bits // 8
+    # every cell is at most 2^n·den^n < 2^(n + bits·lanes), so its top lane is below 2^(n + bits)
+    top_bytes = -(-(n + bits) // 8)
+    # per y, little-endian: the low digits, the top lane, zeros up to whole 64-bit words
+    width = -(-((lanes - 1) * step + top_bytes) // 8) * 8
+    packed = np.zeros((size, width), dtype=np.uint8)
+    weight = np.bitwise_count(np.arange(size, dtype=np.uint32))
+    carry = np.zeros(size, dtype=np.int64)
+    for j in range(lanes):
+        lane = np.array([(c >> (bits * j)) & mask for c in scale], dtype=np.int64)[weight]
+        lane *= ones
+        _wht(lane)
+        lane += carry
+        if j == lanes - 1:
+            break
+        np.right_shift(lane, bits, out=carry)  # arithmetic: negative lanes borrow
+        lane &= mask
+        packed[:, j * step : (j + 1) * step] = _le_bytes(lane)[:, :step]
+    if lane.min() < 0 or int(lane.max()) >> (8 * top_bytes):  # would not survive the packing
+        raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
+    packed[:, j * step : j * step + top_bytes] = _le_bytes(lane)[:, :top_bytes]
+    del ones, weight, lane, carry
+    # each cell is the sum of its words w_k·2^(64k); blocks bound the Python lists alive at
+    # once, and the list is sized up front because growing it can copy it at large n
+    words = packed.view("<u8")
+    nums = [0] * size
+    for lo in range(0, size, _READ_ROWS):
+        block, *high = words[lo : lo + _READ_ROWS].T.tolist()
+        for k, col in enumerate(high, 1):
+            block = [low | word << (64 * k) for low, word in zip(block, col)]
+        nums[lo : lo + _READ_ROWS] = block
+    del words, packed  # before the tuple copy below
 
     big_den = 4**n * den**n
     py_num = big_den >> n  # 1/2^n over big_den

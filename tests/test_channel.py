@@ -2,7 +2,8 @@
 
 The transform-based ``joint_yz`` is checked for exact equality against
 a naive oracle that sums the pairwise ``joint_xy`` over the preimage of
-1, term by term.
+1, term by term, and, at sizes that oracle cannot reach, against the
+same scaled inverse transform run on Python ints.
 """
 
 import random
@@ -10,10 +11,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
-from bfmi.boolfn import Class1, Class3, Dictator, TruthTable, complement, make_class
-from bfmi.channel import JointYZ, joint_yz, marginal_sum
+from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
+from bfmi.channel import JointYZ, _lane_bits, _wht, joint_yz, marginal_sum
 from test_boolfn import _brute_force_image
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
@@ -44,6 +46,22 @@ def naive_joint_yz(table, p):
         )
         rows.append((py - p1, p1))
     return rows
+
+
+def python_int_joint_nums(table, p):
+    """Oracle: the scaled inverse transform on an object array of Python ints (no overflow).
+
+    Returns the p1 numerators over 4^n·d^n for p = s/d, as ``joint_yz`` does.
+    """
+    q = Fraction(p)
+    n, den = table.n, q.denominator
+    t = den - 2 * q.numerator
+    spectrum = _bits(table).astype(np.int64)
+    _wht(spectrum)
+    scale = np.array([t**k * den ** (n - k) for k in range(n + 1)], dtype=object)
+    spectrum = scale[np.bitwise_count(np.arange(table.size, dtype=np.uint32))] * spectrum
+    _wht(spectrum)
+    return tuple(spectrum.tolist())
 
 
 class TestJointXY:
@@ -93,6 +111,11 @@ class TestMarginalSum:
         with pytest.raises(ValueError):
             marginal_sum(0, 0, Fraction(1, 4))
 
+    @pytest.mark.parametrize("k", [MAX_N + 1, 30])
+    def test_k_above_max_n_is_rejected_before_enumerating(self, k):
+        with pytest.raises(ValueError, match=f"k must be in 1..{MAX_N}, got {k}"):
+            marginal_sum(0, k, Fraction(1, 4))
+
 
 class TestJointYZ:
     def test_single_one_table_by_hamming_shells(self):
@@ -131,6 +154,40 @@ class TestJointYZ:
                 for mask in (0, (1 << (1 << n)) - 1, rng.getrandbits(1 << n)):
                     table = TruthTable(n, mask)
                     assert joint_yz(table, p).rows == tuple(naive_joint_yz(table, p))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 11, 12, 13, 16])
+    def test_int64_lanes_match_python_int_inverse(self, n):
+        # n = 1..3, 4..7, 8..11, 12..15 and 16 run 56-, 48-, 40-, 32- and 24-bit lanes
+        grid = [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3), Fraction(2047, 4096),
+                Fraction(12345, 100003)]
+        tables = [
+            TruthTable(n, (1 << (1 << n)) - 1),  # |F(0)| = 2^n, the largest spectrum entry
+            TruthTable(n, random.Random(n).getrandbits(1 << n)),
+        ]
+        if n <= 12:
+            tables += [make_class(n, Dictator(n)), make_class(n, Class1(n // 2))]
+        else:
+            grid = grid[3::2]  # the Python-int oracle alone takes about 0.1 s per call at n = 16
+        for p in grid:
+            for table in tables:
+                assert joint_yz(table, p).p1_nums == python_int_joint_nums(table, p), (table, p)
+        # from n = 7 on, 12345/100003 carries across at least two lane boundaries
+        lanes = -(-(100003**n).bit_length() // _lane_bits(n))
+        assert n < 7 or lanes >= 3
+
+    def test_lane_width_bound_holds_for_every_n(self):
+        brackets = {1: 56, 3: 56, 4: 48, 7: 48, 8: 40, 11: 40, 12: 32, 15: 32, 16: 24}
+        assert {n: _lane_bits(n) for n in brackets} == brackets
+        for n in range(1, MAX_N + 1):
+            bits = _lane_bits(n)
+            assert bits % 8 == 0 and bits >= 8 and 2 * n + bits <= 62
+            # a lane sums 2^n terms digit·F(w) with digit < 2^bits and |F(w)| <= 2^n (the
+            # butterfly's doubled half-sums obey the same bound), then takes a carry that stays
+            # at most 2^(2n) + 1 from lane to lane
+            lane = (1 << n) * ((1 << bits) - 1) * (1 << n)
+            carry = (1 << 2 * n) + 1
+            assert (lane + carry) >> bits <= carry
+            assert lane + carry < 1 << 63
 
     @pytest.mark.parametrize("p", P_SET)
     def test_numerators_are_python_ints(self, p):
