@@ -21,13 +21,15 @@ int64 throughout: the forward transform of the 0/1 indicator (every
 partial sum is at most 2^n), then the scaled inverse, once per
 byte-aligned digit of the scale constants, with carries rippling from
 the low digit up.  The digit width shrinks as n grows so that no lane
-can overflow (see ``_lane_bits``); each cell's digits are packed into
-bytes and read back 64 bits at a time into one Python int.  Nothing is
-cached between calls.  For p = s/d every cell comes out as an integer
-over 4^n·d^n, and :class:`JointYZ` keeps exactly those integer
-numerators; Fractions are built only for the ``rows`` view.  The CSV
-dump reduces each cell to lowest terms with ``math.gcd`` on those
-integers.
+can overflow (see ``_lane_bits``).  Each cell's digits are packed into
+the bytes of its little-endian 64-bit words, as many words as
+den/2^n needs, and :class:`JointYZ` keeps that ``(2^n, W)`` uint64 array
+as it is: for p = s/d every cell is an integer numerator over 4^n·d^n.
+Validation runs in NumPy on the words (a multiword comparison against
+den/2^n and a column sum in 32-bit halves), and nothing is cached
+between calls.  Python ints appear only in the ``p1_nums`` and ``rows``
+views and in the CSV dump, which folds the words one block of rows at a
+time and reduces each cell to lowest terms with ``math.gcd``.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
 the same inverse run on Python ints for every lane width up to n = 16.
@@ -36,15 +38,21 @@ the same inverse run on Python ints for every lane width up to n = 16.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .boolfn import MAX_N, TruthTable, _bits
 
 Rational = Fraction | int
-_READ_ROWS = 1 << 14  # joint_yz turns packed cells into Python ints this many rows at a time
+_READ_ROWS = 1 << 14  # words are folded into Python ints this many rows at a time
+_WORD = (1 << 64) - 1
+# Sylvester-Hadamard matrix of order 16; its leading 2^k x 2^k block is the one of order 2^k
+_HADAMARD = np.array([[(-1) ** (i & j).bit_count() for j in range(16)] for i in range(16)],
+                     dtype=np.int64)
 
 
 def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
@@ -86,43 +94,65 @@ def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointYZ:
     """Exact table of p_YZ(y, z) for all y in {0,1}^n and z in {0,1}.
 
     The table is stored as integers over one shared denominator:
-    p_YZ(y, 1) = ``p1_nums[y] / den`` and p_YZ(y, 0) =
-    ``(den/2^n - p1_nums[y]) / den``.  ``joint_yz`` uses den = 4^n·d^n
-    for p = s/d.  Invariants (validated on construction, in integers):
-    ``den`` is a positive multiple of 2^n, every numerator lies in
+    p_YZ(y, 1) = num_y / ``den`` and p_YZ(y, 0) = (den/2^n - num_y) / den.
+    ``words`` holds every num_y as little-endian 64-bit words, one row
+    per y: a read-only ``(2^n, W)`` uint64 array with
+    num_y = sum_k words[y, k]·2^(64k), where W is the word count of
+    den/2^n.  ``joint_yz`` uses den = 4^n·d^n for p = s/d.  Invariants
+    (validated on construction, in NumPy on the words): ``den`` is a
+    positive multiple of 2^n, every numerator lies in
     [0, den/2^n] (so entries are nonnegative and every row sums to
     exactly 1/2^n, the uniform Y marginal), and ``pz1`` is the exact sum
-    of the p1 column.  :class:`~fractions.Fraction` cells appear only in
-    the ``rows`` view; the CSV dump reduces integer cells with ``math.gcd``.
+    of the p1 column.  ``p1_nums`` (Python ints) and ``rows`` (Fractions)
+    are views built on each access; nothing in the MI reduction reads
+    them, and the CSV dump folds the words into ints one block at a time.
     """
 
     n: int
     p: Fraction
     den: int
-    p1_nums: tuple[int, ...]
+    words: np.ndarray
     pz1: Fraction
 
     def __post_init__(self):
         size = 1 << self.n
-        if len(self.p1_nums) != size:
-            raise ValueError(f"expected {size} rows, got {len(self.p1_nums)}")
         if self.den <= 0 or self.den % size:
             raise ValueError(f"den must be a positive multiple of 2^n, got {self.den}")
-        py_num = self.den >> self.n
-        if min(self.p1_nums) < 0 or max(self.p1_nums) > py_num:
-            y = next(y for y, num in enumerate(self.p1_nums) if not 0 <= num <= py_num)
-            raise ValueError(f"row {y}: p1 numerator {self.p1_nums[y]} outside [0, den/2^n]")
-        if Fraction(sum(self.p1_nums), self.den) != self.pz1:
+        py_num, words = self.den >> self.n, self.words
+        width = _word_count(py_num)
+        if not isinstance(words, np.ndarray) or words.dtype != np.dtype("<u8") or words.ndim != 2:
+            raise ValueError("words must be a 2-d array of little-endian uint64 words")
+        if len(words) != size:
+            raise ValueError(f"expected {size} rows, got {len(words)}")
+        if words.shape[1] != width:
+            raise ValueError(f"expected {width} words per row (as den/2^n needs), got {words.shape[1]}")
+        words = np.ascontiguousarray(words)
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
+        above = _rows_above(words, py_num)
+        if above.any():
+            y = int(np.argmax(above))
+            (num,) = _fold(words[y : y + 1])
+            raise ValueError(f"row {y}: p1 numerator {num} outside [0, den/2^n]")
+        # column sums of the 32-bit halves stay below 2^24·2^32; Python ints combine them
+        halves = words.view("<u4").sum(axis=0, dtype=np.uint64).tolist()
+        total = sum(h << (32 * k) for k, h in enumerate(halves))
+        if total * self.pz1.denominator != self.pz1.numerator * self.den:
             raise ValueError("pz1 does not match the p1 column sum")
 
     @property
     def pz0(self) -> Fraction:
         return 1 - self.pz1
+
+    @property
+    def p1_nums(self) -> tuple[int, ...]:
+        """The p1 numerators as Python ints; a read-only view built per access."""
+        return tuple(_nums(self.words))
 
     @property
     def rows(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -136,7 +166,7 @@ class JointYZ:
 
         def lines():
             yield "y_index,p0_num,p0_den,p1_num,p1_den\r\n"
-            for y, num in enumerate(self.p1_nums):
+            for y, num in enumerate(_nums(self.words)):
                 g0 = math.gcd(py_num - num, den)
                 g1 = math.gcd(num, den)
                 yield f"{y},{(py_num - num) // g0},{den // g0},{num // g1},{den // g1}\r\n"
@@ -145,9 +175,47 @@ class JointYZ:
             fh.writelines(lines())
 
 
+def _fold(words: np.ndarray) -> list[int]:
+    """Python ints sum_k words[y, k]·2^(64k) of a block of rows."""
+    block, *high = words.T.tolist()
+    for k, col in enumerate(high, 1):
+        block = [low | word << (64 * k) for low, word in zip(block, col)]
+    return block
+
+
+def _nums(words: np.ndarray) -> Iterator[int]:
+    """``_fold`` of every row, one block of ``_READ_ROWS`` rows alive at a time."""
+    return chain.from_iterable(_fold(words[lo : lo + _READ_ROWS]) for lo in range(0, len(words), _READ_ROWS))
+
+
+def _word_count(x: int) -> int:
+    """Number of 64-bit words that hold the nonnegative integer x (at least one)."""
+    return max(1, -(-x.bit_length() // 64))
+
+
+def _rows_above(words: np.ndarray, limit: int) -> np.ndarray:
+    """Boolean mask of the rows whose number exceeds ``limit``, compared from the top word down."""
+    lims = [np.uint64((limit >> (64 * k)) & _WORD) for k in range(words.shape[1])]
+    col, lim = words[:, -1], lims[-1]
+    above, tied = col > lim, col == lim
+    for k in reversed(range(words.shape[1] - 1)):
+        col, lim = words[:, k], lims[k]
+        above |= tied & (col > lim)
+        tied &= col == lim
+    return above
+
+
 def _wht(v: np.ndarray) -> None:
-    # unnormalized Walsh-Hadamard butterfly, in place; applying it twice gives len(v) * identity
-    h = 1
+    # unnormalized Walsh-Hadamard transform, in place; applying it twice gives len(v) * identity.
+    # The four lowest levels are one product with the 16 x 16 Sylvester matrix per block of
+    # rows, the rest are butterflies; every intermediate value is a sum of inputs over a
+    # subcube, with signs, either way
+    k = min(4, len(v).bit_length() - 1)
+    rows = v.reshape(-1, 1 << k)
+    for lo in range(0, len(rows), _READ_ROWS):
+        block = rows[lo : lo + _READ_ROWS]
+        block[...] = block @ _HADAMARD[: 1 << k, : 1 << k]
+    h = 1 << k
     while h < len(v):
         pairs = v.reshape(-1, 2, h)
         a, b = pairs[:, 0], pairs[:, 1]
@@ -205,10 +273,11 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     mask = (1 << bits) - 1
     lanes = -(-max(scale).bit_length() // bits)
     step = bits // 8
-    # every cell is at most 2^n·den^n < 2^(n + bits·lanes), so its top lane is below 2^(n + bits)
-    top_bytes = -(-(n + bits) // 8)
-    # per y, little-endian: the low digits, the top lane, zeros up to whole 64-bit words
-    width = -(-((lanes - 1) * step + top_bytes) // 8) * 8
+    # every cell is at most 2^n·den^n, which fits the whole 64-bit words of width bytes; per
+    # y, little-endian, the low digits come first and the top lane takes the bytes left over
+    # (its value is below 2^(n + bits) <= 2^62, so at most 8 of them)
+    width = 8 * _word_count(den**n << n)
+    top_bytes = min(8, width - (lanes - 1) * step)
     packed = np.zeros((size, width), dtype=np.uint8)
     weight = np.bitwise_count(np.arange(size, dtype=np.uint32))
     carry = np.zeros(size, dtype=np.int64)
@@ -226,19 +295,8 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
         raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
     packed[:, j * step : j * step + top_bytes] = _le_bytes(lane)[:, :top_bytes]
     del ones, weight, lane, carry
-    # each cell is the sum of its words w_k·2^(64k); blocks bound the Python lists alive at
-    # once, and the list is sized up front because growing it can copy it at large n
-    words = packed.view("<u8")
-    nums = [0] * size
-    for lo in range(0, size, _READ_ROWS):
-        block, *high = words[lo : lo + _READ_ROWS].T.tolist()
-        for k, col in enumerate(high, 1):
-            block = [low | word << (64 * k) for low, word in zip(block, col)]
-        nums[lo : lo + _READ_ROWS] = block
-    del words, packed  # before the tuple copy below
-
-    big_den = 4**n * den**n
-    py_num = big_den >> n  # 1/2^n over big_den
-    if min(nums) < 0 or max(nums) > py_num:
-        raise AssertionError("joint mass outside [0, 1/2^n]; transform bug")
-    return JointYZ(n, q, big_den, tuple(nums), Fraction(f.ones_count(), size))
+    # JointYZ validates the cells in NumPy; on joint_yz's own output a failure is a bug here
+    try:
+        return JointYZ(n, q, 4**n * den**n, packed.view("<u8"), Fraction(f.ones_count(), size))
+    except ValueError as exc:
+        raise AssertionError(f"joint table fails its invariants; transform bug: {exc}") from exc

@@ -9,16 +9,33 @@ Each rational quantity is converted to float exactly once per log
 term and terms are accumulated with :func:`math.fsum`, which keeps
 results reproducible bit-for-bit and the rounding error well below
 the 1e-12 tolerances used by the callers (calibrated for n <= 20).
+
+``mutual_information`` reads the joint table's 64-bit words directly.
+It groups equal rows by exact word equality, forms both cell masses per
+distinct row by a multiword borrow subtraction, and rounds every cell's
+two quotients in NumPy double-double arithmetic (Dekker 1971; Shewchuk
+1997): the masses are converted once from exact 32-bit pieces and
+multiplied by the double-double of each exact factor.  A proven error
+bound decides which products round correctly; any cell it cannot
+decide, and every cell of a table whose denominator leaves the kernel's
+exponent range, is divided as Python ints instead.  Every quotient is
+therefore the correctly rounded float of the exact rational, bit for bit
+what ``int / int`` gives.  The kernel uses only IEEE +, -, × and
+comparisons, and the logarithms are ``math.log2`` per cell, so MI
+depends on the platform's libm alone, like every other float here
+outside the exhaustive scan.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
-from .channel import JointYZ, Rational, as_probability
+import numpy as np
+
+from .channel import _WORD, JointYZ, Rational, _fold as _fold_words, as_probability
 
 
 def xlog2x(v: Rational | float) -> float:
@@ -38,7 +55,9 @@ def binary_entropy(p: Rational) -> float:
     H(1/2) = 1 exactly.
     """
     q = as_probability(p)
-    return -(xlog2x(q) + xlog2x(1 - q))
+    s, d = q.numerator, q.denominator
+    # s / d and (d - s) / d are float(q) and float(1 - q): int division rounds correctly
+    return -(xlog2x(s / d) + xlog2x((d - s) / d))
 
 
 @dataclass(frozen=True)
@@ -56,21 +75,199 @@ def mutual_information(j: JointYZ) -> MIResult:
     Terms with p_yz = 0 contribute 0.  ``bound_bits`` is 1 - H(p) for
     the channel error probability carried by the table and
     ``margin_bits = bound_bits - mi_bits``.
+
+    Equal rows are grouped by exact word equality.  Each nonzero cell of a
+    distinct row with multiplicity ``count`` adds (count·c1)·log2(c2), where
+    c1 = p_yz and c2 = p_yz / (p_y * p_z) are the correctly rounded floats of
+    the exact rationals (see ``_cell_quotients``); the terms are summed
+    with :func:`math.fsum`.
     """
-    den, py_num = j.den, j.den >> j.n
-    # p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n
-    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-    down = [den * q.numerator for q in (j.pz0, j.pz1)]
-    terms = []
-    # identical rows are frequent for structured classes; group them
-    for num, count in Counter(j.p1_nums).items():
-        for z, mass in enumerate((py_num - num, num)):
-            if mass > 0:
-                # int true division is correctly rounded, exactly as float(Fraction) is
-                terms.append(count * (mass / den) * math.log2(mass * up[z] / down[z]))
-    mi = math.fsum(terms)
+    counts, (c1, c2), _ = _cell_quotients(j)
+    blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(counts), _KERNEL_ROWS))
+    mi = math.fsum(chain.from_iterable(_terms(counts[b], c1[:, b], c2[:, b]) for b in blocks))
     bound = 1.0 - binary_entropy(j.p)
     return MIResult(mi_bits=mi, bound_bits=bound, margin_bits=bound - mi)
+
+
+def _terms(counts: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> list[float]:
+    """(count·c1)·log2(c2) for every cell of a block of distinct rows whose c1 is positive.
+
+    A cell whose c1 rounds to 0.0 would add ±0.0, which cannot change the fsum.
+    """
+    keep = c1 > 0
+    weights = (counts * c1)[keep]
+    logs = np.fromiter(map(math.log2, c2[keep].tolist()), dtype=np.float64, count=len(weights))
+    return (weights * logs).tolist()
+
+
+# ---------------------------------------------------------------------------
+# Correctly rounded cell quotients in double-double arithmetic
+# ---------------------------------------------------------------------------
+
+_MASS_SCALE = 64  # the kernel reads mass·2^-64: in [2^-64, 2^958) when den < 2^1022
+_KERNEL_DEN_BITS = 1022  # larger den: a quotient could be subnormal, every cell goes exact
+_EXACT_MASS_BITS = 105  # masses below 2^105 convert to double-double without error
+_PUSH = 1.0 + 2.0**-41  # Ziv's rounding-test factor for a 2^-97 error; see _round_products
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for binary64
+_KERNEL_ROWS = 1 << 11  # distinct rows per kernel pass, which bounds its temporaries
+
+
+def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``words`` and their multiplicities, grouped by exact word equality."""
+    keys = np.sort(words.view(f"S{8 * words.shape[1]}")[:, 0])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))
+
+
+def _masses(rows: np.ndarray, py_num: int) -> np.ndarray:
+    """(2, R, W) words of the cell masses: den/2^n - num (z = 0) above num (z = 1).
+
+    The z = 0 masses come from a multiword borrow subtraction.
+    """
+    masses = np.empty((2, *rows.shape), dtype=np.uint64)
+    masses[1] = rows
+    borrow = 0
+    for k in range(rows.shape[1]):
+        lim, col = np.uint64((py_num >> (64 * k)) & _WORD), rows[:, k]
+        diff = lim - col
+        masses[0, :, k] = diff - borrow
+        if k + 1 < rows.shape[1]:
+            borrow = ((col > lim) | ((diff == 0) & (borrow == 1))).astype(np.uint64)
+    return masses
+
+
+def _two_sum(a, b):
+    # Knuth: s + e == a + b exactly
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _split(a):
+    # Veltkamp: hi + lo == a exactly, each half at most 26 significant bits
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _mass_dd(masses: np.ndarray, pieces: int) -> tuple[np.ndarray, np.ndarray]:
+    """Double-double (hi, lo) of every mass·2^-64 from its exact 32-bit pieces.
+
+    Pieces are added from the top one down: each step is an exact two-sum
+    of hi with the next piece, one rounded add into lo and an exact
+    renormalization, so each of the at most ``pieces`` - 2 rounded adds
+    errs by at most 2u²·mass (u = 2^-53).  Below 2^105 nothing is lost:
+    the add into lo is then an integer of at most 53 bits.
+    """
+    quads = masses.view("<u4")
+
+    def piece(k):
+        return quads[..., k] * 2.0 ** (32 * k - _MASS_SCALE)
+
+    if pieces == 1:
+        return piece(0), np.zeros(quads.shape[:-1])
+    hi, lo = _two_sum(piece(pieces - 1), piece(pieces - 2))
+    for k in range(pieces - 3, -1, -1):
+        s, e = _two_sum(hi, piece(k))
+        e += lo
+        hi = s + e
+        lo = e - (hi - s)
+    return hi, lo
+
+
+def _scaled_dd(num: int, den: int, exact_masses: bool) -> tuple[float, ...]:
+    """g = 2^a·num/den in (1/2, 2) as a double-double, its split, 2^(64 - a) and the test factor.
+
+    hi = float(g) and lo = float(g - hi) are correctly rounded integer
+    divisions, so hi + lo is within u²·g of g.  The rounding-test factor
+    is 1 when the products are exact: g is 1 and the masses are exact.
+    A zero ``den`` (p_z = 0, so every mass in that column is 0) gives g = 0.
+    """
+    if num == 0 or den == 0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0, 1.0
+    a = den.bit_length() - num.bit_length()
+    if a >= 0:
+        num <<= a
+    else:
+        den <<= -a
+    hi = num / den
+    hi_num, hi_den = hi.as_integer_ratio()
+    lo = (num * hi_den - hi_num * den) / (den * hi_den)
+    push = 1.0 if num == den and exact_masses else _PUSH
+    return (hi, lo, *_split(hi), math.ldexp(1.0, _MASS_SCALE - a), push)
+
+
+def _round_products(hi, lo, factors):
+    """Round every (hi + lo)·g to float64 and flag the products the error bound cannot round.
+
+    ``factors`` holds ``_scaled_dd`` fields as arrays broadcast against the
+    cells.  Per product, with u = 2^-53 and K <= 32 pieces per mass:
+    hi·g_hi is exact by Dekker's two-product (the Veltkamp halves multiply
+    exactly since hi lies in [2^-64, 2^958) and g in (1/2, 2)); the cross
+    terms hi·g_lo and lo·g_hi are rounded once each and lo·g_lo is dropped.
+    With the mass error 2(K - 2)·u² and the factor error u², the
+    approximation r + t (exact after a fast two-sum, |t| <= ulp(r)/2)
+    differs from the exact scaled quotient Q by at most
+    (2K + 9)·u²·Q < 2^-99·Q <= 2^-98.9·r.
+
+    Rounding test (Ziv's): r is the correctly rounded Q when
+    r + t·(1 + 2^-41) still rounds to r.  If |t| is at most half of the
+    half-gap h next to r (h >= 2^-55·r), then |Q - r| < h whatever the
+    test says.  Otherwise |t| > 2^-56·r, so the push |t|·2^-41, less its
+    own rounding, exceeds 2^-97·r > |Q - (r + t)|: Q lies no further from
+    r than a point that rounds to r, ties to even included.  Every other
+    product is flagged for the exact path.  When g is 1 and every mass is
+    below 2^105, each step is exact, r + t = Q, and the factor is 1, so r
+    is Q rounded to nearest even.  Scaling back by 2^(64 - a) is exact
+    because every nonzero result is normal (den < 2^1022).
+    """
+    g_hi, g_lo, g_hi_hi, g_hi_lo, back, push = factors
+    h_hi, h_lo = _split(hi)
+    p = hi * g_hi
+    e = (((h_hi * g_hi_hi - p) + h_hi * g_hi_lo) + h_lo * g_hi_hi) + h_lo * g_hi_lo
+    e += hi * g_lo + lo * g_hi
+    r = p + e
+    t = e - (r - p)
+    undecided = r + t * push != r
+    return r * back, undecided
+
+
+def _cell_quotients(j: JointYZ) -> tuple[np.ndarray, np.ndarray, int]:
+    """(counts, quotients, fallbacks) over the distinct rows of ``j``.
+
+    ``counts[i]`` is the multiplicity of the i-th distinct row, and
+    ``quotients[0][z, i]`` = mass/den and ``quotients[1][z, i]`` =
+    mass·up[z]/down[z] are the two quotients of its z cell, each the
+    correctly rounded float64 of the exact rational (what ``int / int``
+    gives).  Cells the double-double kernel cannot round, and every cell
+    of a table with den >= 2^1022, are divided as Python ints instead;
+    ``fallbacks`` counts them.
+    """
+    den, py_num = j.den, j.den >> j.n
+    rows, counts = _distinct_rows(j.words)
+    # p_yz / (p_y * p_z) = mass * up / down[z] with p_y = 1/2^n and pz1 = ones/total
+    ones, total = j.pz1.numerator, j.pz1.denominator
+    up, down = total << j.n, (den * (total - ones), den * ones)
+    quotients = np.zeros((2, 2, len(rows)))
+    undecided = np.ones((2, len(rows)), dtype=bool)
+    if den.bit_length() <= _KERNEL_DEN_BITS:
+        exact = py_num.bit_length() <= _EXACT_MASS_BITS
+        per_den = _scaled_dd(1, den, exact)
+        factors = np.array([[per_den, per_den], [_scaled_dd(up, d, exact) for d in down]])
+        factors = factors.transpose(2, 0, 1)[..., None]  # field, quotient, z, broadcast row
+        pieces = -(-py_num.bit_length() // 32)
+        for lo in range(0, len(rows), _KERNEL_ROWS):
+            block = slice(lo, lo + _KERNEL_ROWS)
+            masses = _masses(rows[block], py_num)
+            quotients[:, :, block], flagged = _round_products(*_mass_dd(masses, pieces), factors)
+            undecided[:, block] = flagged.any(axis=0)
+    cells = np.flatnonzero(undecided).tolist()
+    for cell in cells:
+        z, i = divmod(cell, len(rows))
+        (num,) = _fold_words(rows[i : i + 1])
+        mass = num if z else py_num - num
+        quotients[:, z, i] = (mass / den, mass * up / down[z]) if mass else 0.0
+    return counts.astype(np.float64), quotients, len(cells)
 
 
 def mi_class1_closed(n: int, p: Rational) -> float:

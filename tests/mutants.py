@@ -1,0 +1,219 @@
+"""Mutation ledger: deliberate bugs that named tests must catch.
+
+Each mutant names the file it edits, an exact snippet ``old`` that occurs
+there exactly once, its replacement ``new``, and the test ids that must
+all fail while the edit is in place.  ``tests/test_mutants.py`` (tier 1)
+checks that every snippet still occurs exactly once and that every named
+test exists, so a refactor that moves the code updates the ledger with it.
+
+The kill run copies the repository into a temporary directory, applies one
+mutant at a time there and runs its tests::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+It prints one line per mutant and exits 1 if any survives (a listed test
+passes) or cannot be judged (pytest reports a usage or collection error).
+A surviving mutant is a finding for the next change, never a reason to
+delete the entry.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHANNEL = "src/bfmi/channel.py"
+MI = "src/bfmi/mi.py"
+KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
+LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the double-double quotient kernel
+    Mutant(
+        "kernel-no-midpoint-guard",
+        MI,
+        "    undecided = r + t * push != r\n",
+        "    undecided = np.zeros(r.shape, dtype=bool)\n",
+        (KERNEL + "test_exact_rounding_midpoints", KERNEL + "test_near_midpoints_of_a_non_dyadic_den"),
+    ),
+    Mutant(
+        "kernel-bound-2^10-too-tight",
+        MI,
+        "_PUSH = 1.0 + 2.0**-41 ",
+        "_PUSH = 1.0 + 2.0**-51 ",
+        (KERNEL + "test_near_midpoints_of_a_non_dyadic_den",),
+    ),
+    Mutant(
+        "kernel-mass-low-word-dropped",
+        MI,
+        "    e += hi * g_lo + lo * g_hi\n",
+        "    e += hi * g_lo\n",
+        (KERNEL + "test_random_tables_match_the_loop[15]", KERNEL + "test_exact_rounding_midpoints"),
+    ),
+    Mutant(
+        "kernel-groups-by-float-value",
+        MI,
+        '    keys = np.sort(words.view(f"S{8 * words.shape[1]}")[:, 0])\n'
+        "    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))\n"
+        '    return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))\n',
+        "    values = words.astype(np.float64) @ 2.0 ** (64 * np.arange(words.shape[1]))\n"
+        "    _, first, counts = np.unique(values, return_index=True, return_counts=True)\n"
+        "    return words[first], counts\n",
+        (KERNEL + "test_equal_floats_of_distinct_rows_stay_apart",),
+    ),
+    Mutant(
+        "kernel-z0-borrow-dropped",
+        MI,
+        "        masses[0, :, k] = diff - borrow\n",
+        "        masses[0, :, k] = diff\n",
+        (KERNEL + "test_random_tables_match_the_loop[13]",),
+    ),
+    Mutant(
+        "kernel-zero-margin-for-inexact-masses",
+        MI,
+        "    push = 1.0 if num == den and exact_masses else _PUSH\n",
+        "    push = 1.0 if num == den else _PUSH\n",
+        (KERNEL + "test_exact_rounding_midpoints",),
+    ),
+    # JointYZ validation on the words
+    Mutant(
+        "validation-range-check-skipped",
+        CHANNEL,
+        "        if above.any():\n",
+        "        if False:\n",
+        ("tests/test_channel.py::TestJointYZContainer::test_constructor_validates_integer_numerators",),
+    ),
+    Mutant(
+        "validation-lower-words-ignore-ties",
+        CHANNEL,
+        "        above |= tied & (col > lim)\n",
+        "        above |= col > lim\n",
+        ("tests/test_channel.py::TestJointYZContainer::test_constructor_names_the_row_and_checks_the_words",),
+    ),
+    # the int64 lanes of joint_yz's inverse transform
+    Mutant(
+        "wht-butterflies-repeat-a-matrix-level",
+        CHANNEL,
+        "    h = 1 << k\n",
+        "    h = 1 << max(k - 1, 0)\n",
+        ("tests/test_channel.py::TestJointYZ::test_wht_matches_the_hadamard_sum[int64]",),
+    ),
+    Mutant(
+        "lanes-carry-add-dropped",
+        CHANNEL,
+        "        lane += carry\n",
+        "",
+        (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+    ),
+    Mutant(
+        "lanes-logical-carry-shift",
+        CHANNEL,
+        "        np.right_shift(lane, bits, out=carry)  # arithmetic: negative lanes borrow\n",
+        "        carry[:] = (lane.view(np.uint64) >> np.uint64(bits)).view(np.int64)\n",
+        (LANES + "[16]",),
+    ),
+    Mutant(
+        "lanes-width-8-bits-too-wide",
+        CHANNEL,
+        "    bits = _lane_bits(n)\n",
+        "    bits = _lane_bits(n) + 8\n",
+        ("tests/test_channel.py::TestJointYZ::test_digits_near_the_int64_limit[2]",),
+    ),
+    Mutant(
+        "lanes-top-lane-sized-for-bits",
+        CHANNEL,
+        "    top_bytes = min(8, width - (lanes - 1) * step)\n",
+        "    top_bytes = step\n",
+        (LANES + "[13]",),
+    ),
+    Mutant(
+        "lanes-top-lane-sized-for-bits-unguarded",
+        CHANNEL,
+        "    if lane.min() < 0 or int(lane.max()) >> (8 * top_bytes):",
+        "    top_bytes = step\n    if lane.min() < 0:",
+        (LANES + "[13]",),
+    ),
+    Mutant(
+        "fold-63-bit-word-shift",
+        CHANNEL,
+        "word << (64 * k)",
+        "word << (63 * k)",
+        (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+    ),
+)
+
+
+def apply(mutant: Mutant, text: str) -> str:
+    """``text`` with the mutant's edit; its snippet must occur exactly once."""
+    found = text.count(mutant.old)
+    if found != 1:
+        raise ValueError(f"{mutant.name}: snippet occurs {found} times in {mutant.file}")
+    return text.replace(mutant.old, mutant.new)
+
+
+def failed_ids(output: str) -> set[str]:
+    """Test ids that pytest's ``-rfE`` summary reports as failed or erroring."""
+    ids = set()
+    for line in output.splitlines():
+        for tag in ("FAILED ", "ERROR "):
+            if line.startswith(tag):
+                ids.add(line[len(tag) :].split(" - ")[0].strip())
+    return ids
+
+
+def run(mutant: Mutant, copy: Path) -> str:
+    """``killed``, ``SURVIVED`` or ``ERROR``, with the edit applied to ``copy`` and undone."""
+    path = copy / mutant.file
+    original = path.read_text()
+    path.write_text(apply(mutant, original))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=copy,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+            timeout=900,
+        )
+    finally:
+        path.write_text(original)
+    if proc.returncode not in (0, 1):
+        return "ERROR"
+    return "killed" if set(mutant.tests) <= failed_ids(proc.stdout) else "SURVIVED"
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    if names and len(chosen) != len(set(names)):
+        raise SystemExit(f"unknown mutant in {names}")
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+        for mutant in chosen:
+            verdict = run(mutant, copy)
+            bad += verdict != "killed"
+            print(f"{verdict:8} {mutant.name}", flush=True)
+    print(f"{len(chosen) - bad}/{len(chosen)} mutants killed")
+    return int(bad > 0)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -64,6 +64,18 @@ def python_int_joint_nums(table, p):
     return tuple(spectrum.tolist())
 
 
+def joint_from_nums(n, p, den, nums, pz1):
+    """A JointYZ built from Python-int p1 numerators packed into little-endian uint64 words.
+
+    Each row gets the word count of den/2^n (at least one word).  A negative
+    numerator is packed as its two's-complement image modulo 2^(64W), which
+    the constructor then sees as a numerator far above den/2^n.
+    """
+    width = max(1, -(-(max(den, 0) >> n).bit_length() // 64))
+    rows = [[(num >> (64 * k)) & (2**64 - 1) for k in range(width)] for num in nums]
+    return JointYZ(n, p, den, np.array(rows, dtype=np.uint64).reshape(len(nums), width), pz1)
+
+
 class TestJointXY:
     def test_examples(self):
         assert joint_xy(0b00, 0b00, 2, Fraction(1, 4)) == Fraction(9, 64)
@@ -175,6 +187,32 @@ class TestJointYZ:
         lanes = -(-(100003**n).bit_length() // _lane_bits(n))
         assert n < 7 or lanes >= 3
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_wht_matches_the_hadamard_sum(self, dtype):
+        # out[u] = sum_x (-1)^|u & x| v[x]; object arrays are what the Python-int oracle runs
+        rng = np.random.default_rng(7)
+        for n in range(0, 11):
+            v = rng.integers(-(1 << 40), 1 << 40, size=1 << n).astype(dtype)
+            idx = np.arange(1 << n)
+            signs = 1 - 2 * (np.bitwise_count(idx[:, None] & idx[None, :]) & 1).astype(np.int64)
+            expected = (signs.astype(dtype) @ v).tolist()
+            _wht(v)
+            assert v.tolist() == expected, n
+        # past one block of 16-column rows: the transform is its own inverse up to 2^n
+        v = rng.integers(-1000, 1000, size=1 << 19)
+        w = v.copy()
+        _wht(w)
+        _wht(w)
+        assert (w == v << 19).all()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_digits_near_the_int64_limit(self, n):
+        # d = 2^62 + 1 fills every 56- and 48-bit digit; a digit one byte wider would not fit int64
+        for p in (Fraction(1, 2**62 + 1), Fraction(2**61 - 1, 2**62 + 1)):
+            for mask in ((1 << (1 << n)) - 1, random.Random(n).getrandbits(1 << n)):
+                table = TruthTable(n, mask)
+                assert joint_yz(table, p).p1_nums == python_int_joint_nums(table, p), (table, p)
+
     def test_lane_width_bound_holds_for_every_n(self):
         brackets = {1: 56, 3: 56, 4: 48, 7: 48, 8: 40, 11: 40, 12: 32, 15: 32, 16: 24}
         assert {n: _lane_bits(n) for n in brackets} == brackets
@@ -242,19 +280,38 @@ class TestSymmetries:
 class TestJointYZContainer:
     def test_constructor_validates_integer_numerators(self):
         # n = 1, den = 8: each numerator must lie in [0, 4]
-        JointYZ(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 2))
-        with pytest.raises(ValueError, match="outside"):  # negative p1 entry
-            JointYZ(1, Fraction(1, 4), 8, (-1, 3), Fraction(1, 4))
+        joint_from_nums(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 2))
+        with pytest.raises(ValueError, match="outside"):  # negative p1 entry (wrapped in the words)
+            joint_from_nums(1, Fraction(1, 4), 8, (-1, 3), Fraction(1, 4))
         with pytest.raises(ValueError, match="outside"):  # p1 above 1/2^n, so p0 < 0
-            JointYZ(1, Fraction(1, 4), 8, (5, 3), Fraction(1))
+            joint_from_nums(1, Fraction(1, 4), 8, (5, 3), Fraction(1))
         with pytest.raises(ValueError, match="multiple of 2\\^n"):
-            JointYZ(2, Fraction(1, 4), 6, (0, 0, 0, 0), Fraction(0))
+            joint_from_nums(2, Fraction(1, 4), 6, (0, 0, 0, 0), Fraction(0))
         with pytest.raises(ValueError, match="multiple of 2\\^n"):
-            JointYZ(1, Fraction(1, 4), 0, (0, 0), Fraction(0))
+            joint_from_nums(1, Fraction(1, 4), 0, (0, 0), Fraction(0))
         with pytest.raises(ValueError, match="pz1"):
-            JointYZ(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 4))
+            joint_from_nums(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 4))
         with pytest.raises(ValueError, match="rows"):
-            JointYZ(2, Fraction(1, 4), 8, (1, 1), Fraction(1, 4))
+            joint_from_nums(2, Fraction(1, 4), 8, (1, 1), Fraction(1, 4))
+
+    def test_constructor_names_the_row_and_checks_the_words(self):
+        # n = 2, den = 2^70: the bound den/2^n = 2^68 spans two words
+        nums = [2**68, 2**64 + 5, 0, 2**68 + 1]
+        with pytest.raises(ValueError, match=f"row 3: p1 numerator {2**68 + 1} outside"):
+            joint_from_nums(2, Fraction(1, 4), 2**70, nums, Fraction(sum(nums), 2**70))
+        nums[3] = 2**68 - 1  # the low word is all ones, the high word equals the bound's
+        joint = joint_from_nums(2, Fraction(1, 4), 2**70, nums, Fraction(sum(nums), 2**70))
+        assert joint.p1_nums == tuple(nums) and not joint.words.flags.writeable
+        with pytest.raises(ValueError, match="2 words per row"):
+            JointYZ(2, Fraction(1, 4), 2**70, np.zeros((4, 1), dtype=np.uint64), Fraction(0))
+        with pytest.raises(ValueError, match="uint64"):
+            JointYZ(1, Fraction(1, 4), 8, (1, 3), Fraction(1, 2))
+
+    def test_transform_bug_is_an_assertion(self, monkeypatch):
+        # a wrong pz1 is joint_yz's own fault, not bad input: it must not surface as ValueError
+        monkeypatch.setattr(TruthTable, "ones_count", lambda self: 0)
+        with pytest.raises(AssertionError, match="transform bug: pz1"):
+            joint_yz(TruthTable(3, 0b1011_0001), Fraction(1, 4))
 
     def test_distinct_rows_compresses_structured_tables(self):
         j = joint_yz(make_class(3, Class3(1)), Fraction(1, 4))

@@ -7,9 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from bfmi.boolfn import Class1, Dictator, TruthTable, complement, make_class
-from bfmi.channel import joint_yz
-from bfmi.mi import binary_entropy, mi_class1_closed, mutual_information, qlogq_identity_check, xlog2x
+from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, TruthTable, complement, make_class
+from bfmi.channel import _fold, joint_yz
+from bfmi.mi import (
+    _cell_quotients,
+    _distinct_rows,
+    binary_entropy,
+    mi_class1_closed,
+    mutual_information,
+    qlogq_identity_check,
+    xlog2x,
+)
+from test_channel import joint_from_nums
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
 
@@ -45,6 +54,66 @@ def fraction_cell_mi(j):
             if mass > 0:
                 terms.append(count * float(mass) * math.log2(float(mass / (py * pz[z]))))
     return math.fsum(terms)
+
+
+def loop_mi(j):
+    """The per-cell reduction the kernel replaced: one Python int per cell, int / int quotients."""
+    den, py_num = j.den, j.den >> j.n
+    # p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n
+    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+    terms = []
+    for num, count in Counter(j.p1_nums).items():
+        for z, mass in enumerate((py_num - num, num)):
+            if mass > 0:
+                terms.append(count * (mass / den) * math.log2(mass * up[z] / down[z]))
+    return math.fsum(terms)
+
+
+def kernel_fallbacks(j):
+    """Check the kernel's grouping and both quotients of every cell against Python ints.
+
+    Returns how many cells the kernel sent to the exact ``int / int`` path.
+    """
+    counts, (c1, c2), fallbacks = _cell_quotients(j)
+    nums = _fold(_distinct_rows(j.words)[0])
+    assert dict(zip(nums, counts.tolist())) == Counter(j.p1_nums)
+    den, py_num = j.den, j.den >> j.n
+    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+    for i, num in enumerate(nums):
+        for z, mass in enumerate((py_num - num, num)):
+            assert c1[z, i] == mass / den, (z, num)
+            assert not mass or c2[z, i] == mass * up[z] / down[z], (z, num)
+    return fallbacks
+
+
+def cells_near_midpoints(j, rel):
+    """How many cells have a quotient within ``rel``·q of a float64 rounding midpoint.
+
+    The kernel's analysis says every such cell falls back when rel <= 2^-100
+    (its approximation errs by less than 2^-98.9 and its test pushes by at
+    least 2^-97), and none does when rel >= 2^-93 (the push is at most 2^-94).
+    """
+    den, py_num = j.den, j.den >> j.n
+    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+
+    def near(q):
+        r = float(q)
+        side = math.nextafter(r, math.inf if q > r else 0.0)
+        return abs(q - (Fraction(r) + Fraction(side)) / 2) <= rel * q
+
+    return sum(
+        near(Fraction(mass, den)) or near(Fraction(mass * up[z], down[z]))
+        for num in set(j.p1_nums)
+        for z, mass in enumerate((py_num - num, num))
+        if mass
+    )
+
+
+KERNEL_P = (Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3), Fraction(2047, 4096),
+            Fraction(12345, 100003))
 
 
 class TestBinaryEntropy:
@@ -149,6 +218,100 @@ class TestMutualInformation:
             values = [mutual_information(joint_yz(table, p)).mi_bits for p in GRID]
             for lo, hi in zip(values, values[1:]):
                 assert lo >= hi - 1e-12
+
+
+class TestDoubleDoubleKernel:
+    """The NumPy double-double quotients reproduce the per-cell Python-int loop bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_random_tables_match_the_loop(self, n):
+        # every lane width (56/48/40/32/24 bits) and one to four words per row
+        table = TruthTable(n, random.Random(100 + n).getrandbits(1 << n))
+        # one p per n from n = 13 on, where the loop oracle costs about 0.1 s per call
+        grid = KERNEL_P if n <= 12 else [KERNEL_P[{13: 5, 14: 4, 15: 2, 16: 3}[n]]]
+        for p in grid:
+            j = joint_yz(table, p)
+            assert mutual_information(j).mi_bits == loop_mi(j), p
+            assert kernel_fallbacks(j) == 0, p
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_structured_and_constant_tables_match_the_loop(self, n):
+        r = n // 2
+        tables = [make_class(n, cls) for cls in (Class1(3), Class2(5), Class3(r, 1), Class4(r, 2), Dictator(2))]
+        tables += [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1)]
+        for p in KERNEL_P:
+            for table in tables:
+                j = joint_yz(table, p)
+                assert mutual_information(j).mi_bits == loop_mi(j), (table, p)
+                assert kernel_fallbacks(j) == 0, (table, p)
+
+    def test_exact_rounding_midpoints(self):
+        # den = 2^120: c1 = num·2^-120 exactly, and a 54-bit odd num·2^40 lies on a midpoint
+        ties = [((1 << 53) + 2 * i + 1) << 40 for i in range(4)]
+        nums = [m + d for m in ties for d in (0, 1, -1, 1 << 39)]  # and its near neighbours
+        assert len(nums) == 16
+        j = joint_from_nums(4, Fraction(1, 4), 1 << 120, nums, Fraction(sum(nums), 1 << 120))
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        # masses above 2^105: the ties must fall back; their neighbours lie 2^-94 away
+        assert cells_near_midpoints(j, Fraction(1, 2**100)) == cells_near_midpoints(j, Fraction(0)) == 4
+        assert 4 <= kernel_fallbacks(j) <= cells_near_midpoints(j, Fraction(1, 2**93))
+        # below 2^105 a dyadic den makes every step exact, and ties round to even in the kernel
+        small = [m >> 20 for m in nums]
+        j = joint_from_nums(4, Fraction(1, 4), 1 << 100, small, Fraction(sum(small), 1 << 100))
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        assert cells_near_midpoints(j, Fraction(0)) == 4
+        assert kernel_fallbacks(j) == 0
+
+    def test_near_midpoints_of_a_non_dyadic_den(self):
+        # den = 2^4·3^80: masses rounded from the c1 midpoints (2^53 + 2i + 1)·2^-60 lie within
+        # 2^-123 of them, and offsets of 2^(b - 104) and 2^(b - 102) for b-bit masses move c1
+        # about 2^-104 and 2^-102 away: all inside the kernel's margin; 2^(b - 85) is outside
+        den = 3**80 << 4
+        centres = [((((1 << 53) + 2 * i + 1) * den) >> 59) + 1 >> 1 for i in range(4)]
+        b = centres[0].bit_length()
+        nums = [m + d for m in centres for d in (0, 1 << (b - 104), -1 << (b - 102), 1 << (b - 85))]
+        j = joint_from_nums(4, Fraction(1, 4), den, nums, Fraction(sum(nums), den))
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        close = cells_near_midpoints(j, Fraction(1, 2**100))
+        assert close >= 12
+        assert close <= kernel_fallbacks(j) <= cells_near_midpoints(j, Fraction(1, 2**93))
+
+    def test_equal_floats_of_distinct_rows_stay_apart(self):
+        # 2^60 and 2^60 + 1 round to the same float; grouping must still tell them apart
+        nums = [1 << 60, (1 << 60) + 1, 1 << 60, (1 << 60) + 1]
+        j = joint_from_nums(2, Fraction(1, 4), 1 << 72, nums, Fraction(sum(nums), 1 << 72))
+        assert sorted(_distinct_rows(j.words)[1].tolist()) == [2, 2]
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        assert kernel_fallbacks(j) == 0
+
+    def test_den_at_the_top_of_the_exponent_range(self):
+        inside = joint_yz(make_class(8, Class1(0)), Fraction(1, 2**125 + 1))
+        assert inside.den.bit_length() == 1017
+        assert mutual_information(inside).mi_bits == loop_mi(inside)
+        assert kernel_fallbacks(inside) == 0
+        outside = joint_yz(make_class(8, Class1(0)), Fraction(1, 2**126 + 1))
+        assert outside.den.bit_length() == 1025  # every cell goes to int / int
+        assert mutual_information(outside).mi_bits == loop_mi(outside)
+        assert kernel_fallbacks(outside) == 2 * 9  # both cells of the 9 Hamming-shell rows
+
+    def test_quotients_below_the_smallest_subnormal(self):
+        # class 1 at p = 2^-200: the far shells' masses are below 2^-1074 of den, so c1 and c2
+        # round to 0.0; the old loop took log2(0.0) there and raised
+        j = joint_yz(make_class(6, Class1(0)), Fraction(1, 2**200))
+        assert kernel_fallbacks(j) == 2 * 7
+        with pytest.raises(ValueError, match="math domain error"):
+            loop_mi(j)
+        den, py_num = j.den, j.den >> j.n
+        up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+        down = [den * q.numerator for q in (j.pz0, j.pz1)]
+        terms = [
+            count * (mass / den) * math.log2(mass * up[z] / down[z])
+            for num, count in Counter(j.p1_nums).items()
+            for z, mass in enumerate((py_num - num, num))
+            if mass / den > 0
+        ]
+        assert len(terms) < 2 * 7
+        assert mutual_information(j).mi_bits == math.fsum(terms)
 
 
 class TestClosedForm:
