@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from operator import index
 from typing import Iterable, Optional
 
@@ -102,19 +103,6 @@ class DescendingSeq:
 
     def total(self) -> Fraction:
         return Fraction(self.total_num, self.den)
-
-    def prefix_num(self, t: int) -> int:
-        """Numerator over ``den`` of the sum of the first ``t`` elements (0 <= t <= length)."""
-        if not 0 <= t <= self.length:
-            raise ValueError(f"prefix length {t} out of range")
-        acc = 0
-        for num, count in self.runs:
-            if t <= 0:
-                break
-            take = min(t, count)
-            acc += num * take
-            t -= take
-        return acc
 
     def max(self) -> Fraction:
         return Fraction(self.runs[0][0], self.den)
@@ -337,10 +325,10 @@ def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
     required = dict(subs)
     if inst.n == 2:
         filler = (1 << inst.n) * (inst.n - 1)
-        subs["middle_prefix_sums_direct"] = all(
-            inst.y_seq.prefix_num(t) <= inst.x_seq.prefix_num(t)
-            for t in range(inst.K + 1, inst.K + filler + 1)
-        )
+        runs = _merged_runs(inst.x_seq.runs, inst.y_seq.runs)
+        # prefix(y) - prefix(x) after each element; the middle segment is t = K+1 .. K+filler
+        gaps = list(accumulate(yv - xv for xv, yv, step in runs for _ in range(step)))
+        subs["middle_prefix_sums_direct"] = all(gap <= 0 for gap in gaps[inst.K : inst.K + filler])
         required.pop("two_wmax_le_a_plus_c")
         required["middle_prefix_sums_direct"] = subs["middle_prefix_sums_direct"]
     return MajorizationCertificate(

@@ -7,12 +7,16 @@ majorization certificate for the single-one/single-zero classes.
 a vectorized float kernel (the exact engine is its oracle in the test
 suite).  p_YZ(y, 1) depends on f only through the distance profile
 (N_0(y), ..., N_n(y)), N_d(y) counting the ones of f at Hamming
-distance d from y.  One chunk worker scans a slice of the table space:
-it codes every (table, y) profile as one small integer, once for the
-whole p grid, and per p gathers the MI terms from one table over the
-codes.  One merge picks the maximum and the argmax orbits, walking each
-orbit once.  Report emission is deterministic: fixed iteration order,
-fixed summation order, shortest-roundtrip float formatting.
+distance d from y.  Because the channel depends on x and y only
+through |x xor y|, the code of a mask's high half at y is the code of
+the same ones in its low half at y xor (half width), so every code is
+built by XOR doubling from the one-bit table.  One chunk worker scans a
+slice of the table space: it codes every (table, y) profile as one small
+integer, once for the whole p grid, and per p gathers the MI terms from
+one table over the codes.  One merge picks the maximum and the argmax
+orbits, walking each orbit once.  Report emission is deterministic:
+fixed iteration order, fixed summation order, shortest-roundtrip float
+formatting.
 """
 
 from __future__ import annotations
@@ -188,48 +192,27 @@ def _profile_strides(n: int) -> np.ndarray:
     return np.cumprod([1] + [math.comb(n, d) + 1 for d in range(n + 1)])
 
 
-def _byte_tables(n: int) -> np.ndarray:
-    """int16 per-byte code tables, shape (ceil(2^n / 8), 2^n, 256).
-
-    Entry [k, y, b] is the code that byte k of a mask adds at y when
-    that byte equals b: the sum of stride_d over the set bits j of b,
-    d being the Hamming distance from x = 8k + j to y.  The code of a
-    table is the sum of one entry per byte of its mask.
-    """
-    size = 1 << n
-    idx = np.arange(size)
-    contrib = np.zeros((max(size, 8), size), dtype=np.int64)  # [x, y]; x past the table adds nothing
-    contrib[:size] = _profile_strides(n)[np.bitwise_count(idx[:, None] ^ idx[None, :])]
-    byte_bits = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1  # [bit, byte]
-    return (contrib.reshape(-1, 8, size).transpose(0, 2, 1) @ byte_bits).astype(np.int16)
-
-
-def _profile_codes(n: int, masks: np.ndarray) -> np.ndarray:
-    """int16 distance-profile codes, shape (2^n, len(masks)), one column per table.
-
-    The code of y under f is sum_d N_d(y) * stride_d, where N_d(y) counts
-    the ones of f at Hamming distance d from y.  It is gathered byte by
-    byte from :func:`_byte_tables`.  Codes stay below 700 at n = 4 and
-    below 17 424 at n = 5.
-    """
-    codes = np.zeros((1 << n, masks.size), dtype=np.int16)
-    for k, table in enumerate(_byte_tables(n)):
-        codes += table[:, (masks >> (8 * k)) & 0xFF]
-    return codes
-
-
 def _space_codes(n: int) -> np.ndarray:
-    """The :func:`_profile_codes` of every mask 0 .. 2^(2^n) - 1, in mask order.
+    """int16 distance-profile codes of every mask of min(2^n, 16) bits, shape (2^n, masks).
 
-    Mask order makes the code matrix an outer sum of the byte tables,
-    the high byte outermost, so no mask is ever gathered.  n <= 4 only:
-    the matrix has 2^n * 2^(2^n) entries.
+    The code of y under a table is sum_d N_d(y) * stride_d, N_d(y)
+    counting its ones at Hamming distance d from y; column m holds the
+    codes of mask m.  Since p(x, y) depends only on |x xor y|, the ones
+    of the high half of a 2b-bit mask code at y as the same ones in the
+    low half code at y xor b.  So one doubling step from the one-bit
+    table (mask 1 codes stride_|y|) gives every 2b-bit code as a sum of
+    two b-bit ones, the high half outermost.  This is the whole space at
+    n <= 4 and the 2^16 low halves at n = 5.  Codes stay below 700 at
+    n = 4 and below 17 424 at n = 5.
     """
     size = 1 << n
-    tables = _byte_tables(n)[:, :, : 1 << min(size, 8)]
-    codes = tables[-1]
-    for table in tables[-2::-1]:
-        codes = (codes[:, :, None] + table[:, None, :]).reshape(size, -1)
+    y = np.arange(size)
+    codes = np.zeros((size, 2), dtype=np.int16)
+    codes[:, 1] = _profile_strides(n)[np.bitwise_count(y)]
+    b = 1
+    while b < min(size, 16):
+        codes = (codes[y ^ b][:, :, None] + codes[:, None, :]).reshape(size, -1)
+        b *= 2
     return codes
 
 
@@ -293,12 +276,12 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     ones are kept; every orbit has such a member, so the maximum over
     the kept tables is the maximum over all tables.  A chunk start
     k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), so no
-    chunk comes out empty.  The profile codes are built once per chunk:
-    the single n <= 4 chunk slices the whole-space outer sum of the byte
-    tables (:func:`_space_codes`) and gathers no mask; a filtered n = 5
-    chunk gathers one byte-table column per byte of each kept mask
-    (:func:`_profile_codes`).  Each p then costs one term table and one
-    gather per y (:func:`_mi_from_codes`).
+    chunk comes out empty.  The profile codes are built once per chunk
+    from :func:`_space_codes`: the single n <= 4 chunk slices it, and a
+    filtered n = 5 chunk adds the code of each kept mask's low 16 bits at
+    y to that of its high 16 bits at y xor 16, one block of masks per
+    high half, into one C-contiguous (2^n, kept) array.  Each p then
+    costs one term table and one gather per y (:func:`_mi_from_codes`).
     """
     n, grid, start, stop = args
     size = 1 << n
@@ -308,7 +291,13 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     else:
         masks = np.arange(start, stop, 2, dtype=np.int64)  # chunks start even
         masks = masks[np.bitwise_count(masks) <= size // 2]
-        codes = _profile_codes(n, masks)
+        low = _space_codes(n)
+        flip = np.arange(size) ^ 16  # the high 16 bits code at y as low ones at y xor 16
+        codes = np.empty((size, masks.size), dtype=np.int16)
+        firsts = np.flatnonzero(np.diff(masks >> 16, prepend=-1))
+        for i, j in zip(firsts, [*firsts[1:], masks.size]):  # one block per high half
+            high = low[flip, masks[i] >> 16]
+            np.add(np.take(low, masks[i:j] & 0xFFFF, axis=1), high[:, None], out=codes[:, i:j])
     out = []
     for p in grid:
         mi = _mi_from_codes(codes, n, p)

@@ -29,10 +29,19 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BOOLFN = "src/bfmi/boolfn.py"
 CHANNEL = "src/bfmi/channel.py"
+CLI = "src/bfmi/cli.py"
+INIT = "src/bfmi/__init__.py"
+KARAMATA = "src/bfmi/karamata.py"
 MI = "src/bfmi/mi.py"
+VERIFY = "src/bfmi/verify.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
 LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
+GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
+VECTOR = "tests/test_verify.py::TestVectorEngine::"
+EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
+INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,106 @@ MUTANTS = (
         "word << (64 * k)",
         "word << (63 * k)",
         (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+    ),
+    # Karamata reports
+    Mutant(
+        "karamata-dump-header-capital-k",
+        KARAMATA,
+        'yield "k,SL_num,',
+        'yield "K,SL_num,',
+        (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
+    ),
+    Mutant(
+        "karamata-p-string-trailing-space",
+        CLI,
+        '"p": str(inst.p),',
+        '"p": str(inst.p) + " ",',
+        tuple(f"{GOLDEN}[karamata-n{n}]" for n in range(2, 21))
+        + (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
+    ),
+    # the public surface and the report writers
+    Mutant(
+        "sweep-make-class-dropped",
+        CLI,
+        "    make_class(args.n, cls)  # a class that does not exist at n is a usage error, not a skip\n",
+        "",
+        ("tests/test_cli.py::TestUsageErrors::test_sweep_of_a_class_absent_at_n_is_usage_error",),
+    ),
+    Mutant(
+        "all-gains-a-name",
+        INIT,
+        '    "xlog2x",\n]',
+        '    "xlog2x",\n    "marginal_spot_check",\n]',
+        (
+            "tests/test_public_surface.py::test_all_is_the_pinned_list",
+            "tests/test_public_surface.py::test_every_public_name_resolves",
+        ),
+    ),
+    Mutant(
+        "csv-certificate-holds-json-spelling",
+        VERIFY,
+        'None if cert is None else cert["holds"]',
+        'None if cert is None else str(cert["holds"]).lower()',
+        ("tests/test_cli.py::TestCsvIsJson::test_verify", GOLDEN + "[verify-csv]"),
+    ),
+    Mutant(
+        "channel-second-public-write-csv",
+        CHANNEL,
+        "def joint_yz(",
+        "def write_csv(joint, path):\n    joint.write_csv(path)\n\n\ndef joint_yz(",
+        ("tests/test_perfbench_spans.py::test_span_names_are_unique_and_cover_every_counter",),
+    ),
+    # the symmetry group
+    Mutant(
+        "lex-min-little-endian-keys",
+        BOOLFN,
+        '.view(">u8")',
+        '.view("<u8")',
+        (
+            "tests/test_boolfn.py::TestCanonicalForm::test_orbit_walk_counts_orbits_and_finds_lex_min[4-222]",
+            EXHAUSTIVE + "test_argmax_lists_are_pinned",
+        ),
+    ),
+    Mutant(
+        "index-maps-neg-major",
+        BOOLFN,
+        "(moved[:, None, :] ^ flips[None, :, None])",
+        "(moved[None, :, :] ^ flips[:, None, None])",
+        tuple(f"{INDEX_MAPS}[{n}]" for n in (2, 3, 4)),
+    ),
+    # the profile codes of the exhaustive scan
+    Mutant(
+        "doubling-high-half-innermost",
+        VERIFY,
+        "(codes[y ^ b][:, :, None] + codes[:, None, :])",
+        "(codes[y ^ b][:, None, :] + codes[:, :, None])",
+        # row y gets the codes of y xor (every doubling's b): MI sums over y, so only code tests see it
+        tuple(f"{VECTOR}test_space_codes_are_the_codes_of_every_mask[{n}]" for n in (4, 5)),
+    ),
+    Mutant(
+        "doubling-xor-flip-dropped",
+        VERIFY,
+        "codes[y ^ b][:, :, None]",
+        "codes[:, :, None]",
+        (
+            VECTOR + "test_space_codes_are_the_codes_of_every_mask[2]",
+            VECTOR + "test_space_codes_are_the_codes_of_every_mask[5]",
+            GOLDEN + "[exhaustive-n3-json]",
+        ),
+    ),
+    Mutant(
+        "n5-high-half-unflipped",
+        VERIFY,
+        "high = low[flip, masks[i] >> 16]",
+        "high = low[:, masks[i] >> 16]",
+        (EXHAUSTIVE + "test_n5_chunk_across_a_high_half_boundary", EXHAUSTIVE + "test_n5_chunks_are_pinned[chunk37]"),
+    ),
+    Mutant(
+        "n5-filter-bound-off-by-one",
+        VERIFY,
+        "np.bitwise_count(masks) <= size // 2",
+        "np.bitwise_count(masks) < size // 2",
+        (EXHAUSTIVE + "test_n5_chunk_across_a_high_half_boundary", EXHAUSTIVE + "test_n5_chunks_are_pinned[chunk0]"),
     ),
 )
 

@@ -27,7 +27,7 @@ from bfmi.mi import binary_entropy, mi_class1_closed, mutual_information, qlogq_
 from bfmi.verify import (
     DEFAULT_P_GRID,
     _mi_from_codes,
-    _profile_codes,
+    _space_codes,
     class3_reduction_check,
     exhaustive_check,
     verify_class,
@@ -250,7 +250,7 @@ def test_criterion_9_property_suites():
     for n in (1, 2, 3):
         size = 1 << n
         masks = np.arange(1 << size, dtype=np.int64)
-        codes = _profile_codes(n, masks)
+        codes = _space_codes(n)
         previous = None
         for p_grid in DEFAULT_P_GRID:
             mi = _mi_from_codes(codes, n, p_grid)

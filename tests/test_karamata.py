@@ -126,9 +126,6 @@ class TestDescendingSeq:
         seq = DescendingSeq([(9, 1), (6, 2), (3, 1)], 12)
         assert (seq.max(), seq.min(), seq.total()) == (Fraction(3, 4), Fraction(1, 4), Fraction(2))
         assert seq.total_num == 24
-        assert [seq.prefix_num(t) for t in range(5)] == [0, 9, 15, 21, 24]
-        with pytest.raises(ValueError):
-            seq.prefix_num(5)
 
     def test_equality_is_by_value_across_denominators(self):
         small = DescendingSeq([(3, 1), (1, 2)], 4)

@@ -15,10 +15,10 @@ from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import binary_entropy, mutual_information
 from bfmi.verify import (
+    ATTAINMENT_TOLERANCE,
     PASS_MARGIN_TOLERANCE,
     VerifyReport,
     _mi_from_codes,
-    _profile_codes,
     _scan_chunk,
     _space_codes,
     class3_reduction_check,
@@ -32,6 +32,21 @@ from bfmi.verify import (
 )
 
 SMALL_GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
+
+
+def _brute_force_codes(n, masks):
+    """Profile codes, shape (2^n, len(masks)): sum_d N_d(y) * stride_d per y and mask.
+
+    N_d(y) counts the ones of the mask at Hamming distance d from y; the
+    strides are 1, then stride_d * (C(n, d) + 1).
+    """
+    strides = [1]
+    for d in range(n):
+        strides.append(strides[-1] * (math.comb(n, d) + 1))
+    x = np.arange(1 << n)
+    weights = np.array(strides)[np.bitwise_count(x[:, None] ^ x[None, :])]  # [y, x]
+    ones = (np.asarray(masks, dtype=np.int64)[None, :] >> x[:, None]) & 1  # [x, mask]
+    return weights @ ones
 
 
 class TestVerifyClass:
@@ -105,7 +120,7 @@ class TestVectorEngine:
         for n in (1, 2, 3, 4, 5):
             size = 1 << n
             masks = [rng.getrandbits(size) for _ in range(20)] + [0, (1 << size) - 1]
-            codes = _profile_codes(n, np.array(masks, dtype=np.int64))
+            codes = _space_codes(n)[:, masks] if n <= 4 else _brute_force_codes(n, masks)
             for p in grid:
                 got = _mi_from_codes(codes, n, p)
                 for mask, value in zip(masks, got):
@@ -114,17 +129,20 @@ class TestVectorEngine:
 
     def test_largest_code_fits_the_code_dtype(self):
         # the all-ones table has the full profile C(5, d) at every y
-        codes = _profile_codes(5, np.array([0, (1 << 32) - 1], dtype=np.int64))
-        assert int(codes.max()) == 17423
-        assert np.iinfo(codes.dtype).max >= 17423
-        assert codes[:, 0].tolist() == [0] * 32
+        assert _brute_force_codes(5, [(1 << 32) - 1])[:, 0].tolist() == [17423] * 32
+        low = _space_codes(5)
+        assert low.dtype == np.int16 and np.iinfo(low.dtype).max >= 17423
+        # its high half codes at y as its low half does at y xor 16
+        assert (low[:, 0xFFFF] + low[np.arange(32) ^ 16, 0xFFFF]).tolist() == [17423] * 32
+        assert low[:, 0].tolist() == [0] * 32
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_space_codes_are_the_codes_of_every_mask(self, n):
-        size, space = 1 << n, 1 << (1 << n)
+        # every mask at n <= 4; the 2^16 low halves at n = 5
+        size, space = 1 << n, 1 << min(1 << n, 16)
         codes = _space_codes(n)
         assert codes.shape == (size, space) and codes.dtype == np.int16
-        assert np.array_equal(codes, _profile_codes(n, np.arange(space)))
+        assert np.array_equal(codes, _brute_force_codes(n, np.arange(space)))
         # brute force: sum_d N_d(y) * stride_d, N_d(y) counting the ones at distance d from y
         strides = [1]
         for d in range(n):
@@ -220,6 +238,17 @@ class TestExhaustive:
             assert top and all(v <= local_max for _, v in top)
             assert all(m % 2 == 0 and m.bit_count() <= 16 for m, _ in top)
         assert len(results[1][2]) == 8 * verify.ARGMAX_CAP  # p = 1/2: every table ties
+
+    def test_n5_chunk_across_a_high_half_boundary(self):
+        # an unaligned range over masks whose high 16 bits are 2, then 3
+        start, stop = 3 * (1 << 16) - 1024, 3 * (1 << 16) + 1024
+        kept = [m for m in range(start, stop) if m % 2 == 0 and m.bit_count() <= 16]
+        grid = (Fraction(13, 64), Fraction(1, 3))
+        codes = _brute_force_codes(5, kept)
+        for p, result in zip(grid, _scan_chunk((5, grid, start, stop)), strict=True):
+            mi = _mi_from_codes(codes, 5, p)
+            top = [(m, float(v)) for m, v in zip(kept, mi) if v >= mi.max() - ATTAINMENT_TOLERANCE]
+            assert result == (len(kept), float(mi.max()), top[: 8 * verify.ARGMAX_CAP])
 
     @pytest.mark.parametrize(
         "chunk, kept, max_mi, top_mask",
