@@ -194,59 +194,53 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
     raise TypeError(f"unknown function class: {c!r}")
 
 
+# spec name -> (class, {key: default} in field order, None for a required key)
+_SPECS = {
+    "class1": (Class1, {"i": 0}),
+    "class2": (Class2, {"i": 0}),
+    "class3": (Class3, {"r": None, "prefix": 0}),
+    "class4": (Class4, {"r": None, "prefix": 0}),
+    "dictator": (Dictator, {"j": 1}),
+    "lex": (Lex, {"n1": None}),
+}
+
+
 def parse_class_spec(spec: str) -> FunctionClass:
     """Parse a CLI class spec such as ``class1:i=0`` or ``class3:r=2:prefix=1``.
 
     Accepted forms: ``class1[:i=K]``, ``class2[:i=K]``,
     ``class3:r=R[:prefix=P]``, ``class4:r=R[:prefix=P]``,
-    ``dictator[:j=J]``, ``lex:n1=K``.
+    ``dictator[:j=J]``, ``lex:n1=K``.  A key may appear once.
     """
-    parts = spec.strip().lower().split(":")
-    name, args = parts[0], {}
-    for part in parts[1:]:
-        if "=" not in part:
+    name, *parts = spec.strip().lower().split(":")
+    args = {}
+    for part in parts:
+        key, eq, val = part.partition("=")
+        if not eq:
             raise ValueError(f"malformed class spec component {part!r} in {spec!r}")
-        key, _, val = part.partition("=")
+        if key in args:
+            raise ValueError(f"repeated key {key!r} in class spec {spec!r}")
         try:
             args[key] = int(val)
         except ValueError as exc:
             raise ValueError(f"non-integer value in class spec {spec!r}") from exc
-    try:
-        if name == "class1":
-            cls = Class1(args.pop("i", 0))
-        elif name == "class2":
-            cls = Class2(args.pop("i", 0))
-        elif name == "class3":
-            cls = Class3(args.pop("r"), args.pop("prefix", 0))
-        elif name == "class4":
-            cls = Class4(args.pop("r"), args.pop("prefix", 0))
-        elif name == "dictator":
-            cls = Dictator(args.pop("j", 1))
-        elif name == "lex":
-            cls = Lex(args.pop("n1"))
-        else:
-            raise ValueError(f"unknown function class {name!r}")
-    except KeyError as exc:
-        raise ValueError(f"class spec {spec!r} is missing required key {exc}") from exc
+    if name not in _SPECS:
+        raise ValueError(f"unknown function class {name!r}")
+    cls, defaults = _SPECS[name]
+    values = [args.pop(key, default) for key, default in defaults.items()]
+    missing = [key for key, val in zip(defaults, values) if val is None]
+    if missing:
+        raise ValueError(f"class spec {spec!r} is missing required key {missing[0]!r}")
     if args:
         raise ValueError(f"unexpected keys {sorted(args)} in class spec {spec!r}")
-    return cls
+    return cls(*values)
 
 
 def format_class_spec(c: FunctionClass) -> str:
-    """Inverse of :func:`parse_class_spec`."""
-    if isinstance(c, Class1):
-        return f"class1:i={c.witness_index}"
-    if isinstance(c, Class2):
-        return f"class2:i={c.witness_index}"
-    if isinstance(c, Class3):
-        return f"class3:r={c.r}:prefix={c.fixed_prefix}"
-    if isinstance(c, Class4):
-        return f"class4:r={c.r}:prefix={c.fixed_prefix}"
-    if isinstance(c, Dictator):
-        return f"dictator:j={c.j}"
-    if isinstance(c, Lex):
-        return f"lex:n1={c.ones_count}"
+    """Inverse of :func:`parse_class_spec`: every key, defaults included."""
+    for name, (cls, defaults) in _SPECS.items():
+        if type(c) is cls:
+            return ":".join([name, *(f"{key}={val}" for key, val in zip(defaults, vars(c).values()))])
     raise TypeError(f"unknown function class: {c!r}")
 
 

@@ -20,7 +20,6 @@ from .mi import mutual_information
 from .verify import (
     IDENTITY_TOLERANCE,
     _csv_text,
-    certificate_to_dict,
     exhaustive_check,
     class3_reduction_check,
     margin_passes,
@@ -130,8 +129,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", parents=[common], help="MI, bound and margin for one function")
     p_compute.add_argument("--n", type=int)
-    p_compute.add_argument("--function", help="class spec, e.g. class1:i=0 or class3:r=2:prefix=1")
-    p_compute.add_argument("--table", help="truth-table JSON file")
+    source = p_compute.add_mutually_exclusive_group()
+    source.add_argument("--function", help="class spec, e.g. class1:i=0 or class3:r=2:prefix=1")
+    source.add_argument("--table", help="truth-table JSON file")
     p_compute.add_argument("--dump-joint", help="write the exact joint table as CSV")
 
     p_verify = sub.add_parser("verify", parents=[common, grid, fmt], help="bound checks over an (n, p) grid")
@@ -146,8 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
     p_exh.add_argument("--n", type=int, required=True)
     p_exh.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, capped at the number of 2^20-table chunks "
-                            "(n <= 4 is one chunk and runs in-process; n = 5 has 4096)")
+                       help="worker processes, capped at the CPU count and at the number of "
+                            "2^20-table chunks (n <= 4 is one chunk and runs in-process; n = 5 has 4096)")
 
     p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
     p_sweep.add_argument("--n", type=int, required=True)
@@ -169,8 +169,7 @@ def _cmd_compute(args) -> tuple[str, bool]:
     if args.dump_joint:
         joint.write_csv(args.dump_joint)
     result = mutual_information(joint)
-    doc = {"mi_bits": result.mi_bits, "bound_bits": result.bound_bits, "margin_bits": result.margin_bits}
-    return json.dumps(doc, indent=2), margin_passes(result.margin_bits)
+    return json.dumps(vars(result), indent=2), margin_passes(result.margin_bits)
 
 
 def _cmd_verify(args) -> tuple[str, bool]:
@@ -183,7 +182,10 @@ def _cmd_verify(args) -> tuple[str, bool]:
     grid = _grid(args)
     reports = []
     for cls, n_range in _expand_class_specs(args.classes, args.n_min, args.n_max):
-        reports.extend(verify_class(cls, n_range, grid))
+        found = verify_class(cls, n_range, grid)
+        if not found:  # a spec that exists at no n of the range is a usage error, as in sweep
+            make_class(n_range[0], cls)
+        reports.extend(found)
     text = reports_to_json(reports) if args.format == "json" else reports_to_csv(reports)
     return text, all(r.status == "pass" for r in reports)
 
@@ -198,7 +200,7 @@ def _cmd_karamata(args) -> tuple[str, bool]:
         cert = certify_instance(inst)
         if args.dump_sums:
             inst.write_prefix_sums(args.dump_sums)
-        entries.append({"n": args.n, "p": str(inst.p), **certificate_to_dict(cert)})
+        entries.append({"n": args.n, "p": str(inst.p), **vars(cert)})
     doc = entries[0] if args.p is not None else {"version": 1, "certificates": entries}
     return json.dumps(doc, indent=2), all(e["holds"] for e in entries)
 

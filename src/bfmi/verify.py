@@ -14,9 +14,15 @@ built by XOR doubling from the one-bit table.  One chunk worker scans a
 slice of the table space: it codes every (table, y) profile as one small
 integer, once for the whole p grid, and per p gathers the MI terms from
 one table over the codes.  One merge picks the maximum and the argmax
-orbits, walking each orbit once.  Report emission is deterministic:
-fixed iteration order, fixed summation order, shortest-roundtrip float
-formatting.
+orbits, walking each orbit once.
+
+Each output format is declared once, by its record's dataclass.  A JSON
+record is the record's fields in field order; only derived values are
+spelled out: ``p`` as an exact string, the verify ``status`` (appended),
+and the argmax tables as ``{n, bits_hex}`` dicts.  A CSV report has the
+same columns, its one nested value flattened in place.  Emission is
+deterministic: fixed iteration order, fixed summation order,
+shortest-roundtrip float formatting.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import io
 import json
 import logging
 import math
+import os
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from multiprocessing import Pool
 from typing import Iterable, Optional
@@ -122,9 +129,9 @@ class ExhaustiveSummary:
     p: Fraction
     num_functions_scanned: int
     max_mi_bits: float
-    argmax_canonical_tables: tuple[TruthTable, ...]
     bound_bits: float
     max_margin: float
+    argmax_canonical_tables: tuple[TruthTable, ...]
 
 
 def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> list[VerifyReport]:
@@ -313,10 +320,10 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
     The table space is cut into chunks of 2^CHUNK_BITS masks, each
     scanned once for the whole grid by :func:`_scan_chunk`: n <= 4 is a
     single unfiltered chunk run in-process; n = 5 is 4096
-    symmetry-filtered chunks, fanned out over min(``jobs``, 4096)
-    worker processes when ``jobs`` > 1.  ``argmax_canonical_tables``
-    lists up to ``ARGMAX_CAP`` distinct canonical forms attaining the
-    maximum within 1e-12.
+    symmetry-filtered chunks, fanned out over min(``jobs``, CPU count,
+    4096) worker processes when that is more than one.
+    ``argmax_canonical_tables`` lists up to ``ARGMAX_CAP`` distinct
+    canonical forms attaining the maximum within 1e-12.
     """
     grid = tuple(as_probability(p, Fraction(1, 2)) for p in p_grid)
     if n <= 0:
@@ -326,7 +333,7 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
     total = 1 << (1 << n)
     step = 1 << CHUNK_BITS
     args = [(n, grid, start, min(start + step, total)) for start in range(0, total, step)]
-    workers = min(jobs, len(args))
+    workers = min(jobs, os.cpu_count() or 1, len(args))
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         chunks = pool.map(_scan_chunk, args, chunksize=1) if pool else [_scan_chunk(a) for a in args]
     summaries = []
@@ -341,9 +348,9 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
                 p=p,
                 num_functions_scanned=sum(r[0] for r in results),
                 max_mi_bits=max_mi,
-                argmax_canonical_tables=tuple(TruthTable(n, m) for m in canon),
                 bound_bits=bound,
                 max_margin=bound - max_mi,
+                argmax_canonical_tables=tuple(TruthTable(n, m) for m in canon),
             )
         )
     return summaries
@@ -354,28 +361,11 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
 # ---------------------------------------------------------------------------
 
 
-def certificate_to_dict(cert: Optional[MajorizationCertificate]):
-    if cert is None:
-        return None
-    return {
-        "holds": cert.holds,
-        "first_violation": cert.first_violation,
-        "totals_equal": cert.totals_equal,
-        "sub_inequalities": dict(cert.sub_inequalities),
-    }
-
-
 def report_to_dict(report: VerifyReport) -> dict:
-    return {
-        "class_spec": report.class_spec,
-        "n": report.n,
-        "p": str(report.p),
-        "mi_bits": report.mi_bits,
-        "bound_bits": report.bound_bits,
-        "margin_bits": report.margin_bits,
-        "karamata_certificate": certificate_to_dict(report.karamata_certificate),
-        "status": report.status,
-    }
+    row = vars(report) | {"p": str(report.p), "status": report.status}
+    if report.karamata_certificate is not None:
+        row["karamata_certificate"] = vars(report.karamata_certificate).copy()
+    return row
 
 
 def reports_to_json(reports: Iterable[VerifyReport]) -> str:
@@ -391,25 +381,22 @@ def _csv_text(header: list[str], rows: Iterable[dict]) -> str:
     return buf.getvalue()
 
 
+def _columns(record_type, nested: str, column: str, *derived: str) -> list[str]:
+    """A record type's CSV header: its fields in order, ``nested`` renamed ``column``, then ``derived``."""
+    return [column if f.name == nested else f.name for f in fields(record_type)] + list(derived)
+
+
 def reports_to_csv(reports: Iterable[VerifyReport]) -> str:
     rows = [report_to_dict(r) for r in reports]
     for row in rows:
         cert = row["karamata_certificate"]
         row["certificate_holds"] = None if cert is None else cert["holds"]
-    header = ["class_spec", "n", "p", "mi_bits", "bound_bits", "margin_bits", "certificate_holds", "status"]
-    return _csv_text(header, rows)
+    return _csv_text(_columns(VerifyReport, "karamata_certificate", "certificate_holds", "status"), rows)
 
 
 def summary_to_dict(s: ExhaustiveSummary) -> dict:
-    return {
-        "n": s.n,
-        "p": str(s.p),
-        "num_functions_scanned": s.num_functions_scanned,
-        "max_mi_bits": s.max_mi_bits,
-        "bound_bits": s.bound_bits,
-        "max_margin": s.max_margin,
-        "argmax_canonical_tables": [json.loads(t.to_json()) for t in s.argmax_canonical_tables],
-    }
+    tables = [json.loads(t.to_json()) for t in s.argmax_canonical_tables]
+    return vars(s) | {"p": str(s.p), "argmax_canonical_tables": tables}
 
 
 def summaries_to_json(summaries: Iterable[ExhaustiveSummary]) -> str:
@@ -422,5 +409,4 @@ def summaries_to_csv(summaries: Iterable[ExhaustiveSummary]) -> str:
     rows = [summary_to_dict(s) for s in summaries]
     for row in rows:
         row["argmax_bits_hex"] = ";".join(t["bits_hex"] for t in row["argmax_canonical_tables"])
-    header = ["n", "p", "num_functions_scanned", "max_mi_bits", "bound_bits", "max_margin", "argmax_bits_hex"]
-    return _csv_text(header, rows)
+    return _csv_text(_columns(ExhaustiveSummary, "argmax_canonical_tables", "argmax_bits_hex"), rows)

@@ -42,6 +42,9 @@ GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
 VECTOR = "tests/test_verify.py::TestVectorEngine::"
 EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
 INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
+SPECS = "tests/test_boolfn.py::TestClassSpecs::"
+USAGE = "tests/test_cli.py::TestUsageErrors::"
+RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 
 
 @dataclass(frozen=True)
@@ -213,6 +216,65 @@ MUTANTS = (
         "def joint_yz(",
         "def write_csv(joint, path):\n    joint.write_csv(path)\n\n\ndef joint_yz(",
         ("tests/test_perfbench_spans.py::test_span_names_are_unique_and_cover_every_counter",),
+    ),
+    # records built from their fields, and the one spec table
+    Mutant(
+        "spec-default-j-zero",
+        BOOLFN,
+        '{"j": 1}',
+        '{"j": 0}',
+        ("tests/test_boolfn.py::TestClassSpecs::test_parse_round_trip[dictator-expected5]",),
+    ),
+    Mutant(
+        "spec-required-check-dropped",
+        BOOLFN,
+        "    if missing:\n",
+        "    if False:\n",
+        (SPECS + "test_malformed_specs_raise[class3]", SPECS + "test_malformed_specs_raise[lex]"),
+    ),
+    Mutant(
+        "spec-repeated-key-kept",
+        BOOLFN,
+        "        if key in args:\n",
+        "        if False:\n",
+        (SPECS + "test_error_names_the_real_problem[class3:r=2:r=5-repeated key 'r']",),
+    ),
+    Mutant(
+        "summary-argmax-before-bound",
+        VERIFY,
+        "    bound_bits: float\n    max_margin: float\n    argmax_canonical_tables: tuple[TruthTable, ...]\n",
+        "    argmax_canonical_tables: tuple[TruthTable, ...]\n    bound_bits: float\n    max_margin: float\n",
+        # JSON keys follow the fields wherever they are, so only the pinned bytes see the move
+        (GOLDEN + "[exhaustive-n3-json]", GOLDEN + "[exhaustive-n3-csv]"),
+    ),
+    Mutant(
+        "verify-status-dropped",
+        VERIFY,
+        '"p": str(report.p), "status": report.status}',
+        '"p": str(report.p)}',
+        (RECORDS, GOLDEN + "[verify-json]", "tests/test_cli.py::TestVerify::test_small_grid_passes"),
+    ),
+    Mutant(
+        "verify-absent-spec-passes",
+        CLI,
+        "            make_class(n_range[0], cls)\n",
+        "            pass\n",
+        tuple(f"{USAGE}test_verify_of_a_spec_absent_at_every_n_is_usage_error[{i}]"
+              for i in ("class3-r0", "class1-i5000")),
+    ),
+    Mutant(
+        "compute-exclusive-group-removed",
+        CLI,
+        "    source = p_compute.add_mutually_exclusive_group()\n",
+        "    source = p_compute\n",
+        (USAGE + "test_function_and_table_together_exit_2",),
+    ),
+    Mutant(
+        "pool-cpu-cap-removed",
+        VERIFY,
+        "min(jobs, os.cpu_count() or 1, len(args))",
+        "min(jobs, len(args))",
+        (EXHAUSTIVE + "test_n5_pool_is_capped_at_the_cpu_count",),
     ),
     # the symmetry group
     Mutant(

@@ -268,6 +268,13 @@ class TestClassSpecs:
             ("dictator:j=2", Dictator(2)),
             ("dictator", Dictator(1)),
             ("lex:n1=5", Lex(5)),
+            # a value other than the default for every key of every spec name
+            ("class1:i=6", Class1(6)),
+            ("class2:i=1", Class2(1)),
+            ("class3:r=1:prefix=1", Class3(1, 1)),
+            ("class4:r=3:prefix=5", Class4(3, 5)),
+            ("dictator:j=3", Dictator(3)),
+            ("lex:n1=0", Lex(0)),
         ],
     )
     def test_parse_round_trip(self, text, expected):
@@ -288,6 +295,7 @@ class TestClassSpecs:
             ("class3:prefix=1", "missing required key 'r'"),
             ("foo:x=1", "unknown function class 'foo'"),
             ("class1:i=0:z=1", "unexpected keys ['z']"),
+            ("class3:r=2:r=5", "repeated key 'r'"),
         ],
     )
     def test_error_names_the_real_problem(self, text, message):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -204,6 +205,26 @@ class TestCsvIsJson:
         assert rows == [{key: str(rec[key]) for key in columns} for rec in json.loads(out)["reports"]]
 
 
+class TestRecordsAreTheirFields:
+    def test_json_keys_are_the_field_names_in_order(self, capsys):
+        # every record lists its dataclass fields in field order; only the
+        # derived keys (verify's status, karamata's n and p) are added
+        def names(record_type):
+            return [f.name for f in fields(record_type)]
+
+        _, out, _ = run(capsys, "verify", "--classes", "class1", "--n-max", "2", "--p", "1/4")
+        [report] = json.loads(out)["reports"]
+        assert list(report) == names(verify.VerifyReport) + ["status"]
+        assert list(report["karamata_certificate"]) == names(MajorizationCertificate)
+        _, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4")
+        assert list(json.loads(out)["summaries"][0]) == names(verify.ExhaustiveSummary)
+        _, out, _ = run(capsys, "compute", "--n", "2", "--function", "class1", "--p", "1/4")
+        assert list(json.loads(out)) == names(MIResult)
+        _, out, _ = run(capsys, "karamata", "--n", "2", "--p-den", "4")
+        entry = json.loads(out)["certificates"][0]
+        assert list(entry) == ["n", "p"] + names(MajorizationCertificate)
+
+
 class TestSweepAndReduce:
     def test_sweep_rows(self, capsys):
         code, out, _ = run(capsys, "sweep", "--function", "dictator:j=1", "--n", "2", "--p-den", "4")
@@ -346,6 +367,26 @@ class TestUsageErrors:
         assert code == 2
         assert not out
         assert option in err
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [("class3:r=0", "r must be in 1..n-1, got r=0 for n=2"),
+         ("class1:i=5000", "witness_index 5000 out of range for n=2")],
+        ids=["class3-r0", "class1-i5000"],
+    )
+    def test_verify_of_a_spec_absent_at_every_n_is_usage_error(self, capsys, spec, message):
+        code, out, err = run(capsys, "verify", "--classes", spec, "--n-min", "2", "--n-max", "4", "--p", "1/4")
+        assert code == 2
+        assert not out
+        assert message in err
+
+    def test_function_and_table_together_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text(make_class(3, Dictator(2)).to_json())
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--n", "3", "--function", "dictator", "--table", str(path), "--p", "1/4"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
 
     def test_sweep_of_a_class_absent_at_n_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--function", "class3:r=9", "--n", "7", "--p", "1/4")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -226,6 +227,34 @@ class TestExhaustive:
         [s] = exhaustive_check(4, (Fraction(1, 4),), jobs=4)
         assert seen == [(0, 1 << 16)]
         assert s.num_functions_scanned == 1 << 16
+
+    def test_n5_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps in-process, over a
+        # stand-in chunk worker: no process is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(verify, "Pool", FakePool)
+        monkeypatch.setattr(verify, "_scan_chunk", lambda args: [(1, 0.0, [(0, 0.0)]) for _ in args[1]])
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        [s] = exhaustive_check(5, (Fraction(1, 4),), jobs=64)
+        assert sizes == [2]
+        assert s.num_functions_scanned == 4096
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one in-process worker
+        exhaustive_check(5, (Fraction(1, 4),), jobs=64)
+        assert sizes == [2]
 
     def test_n5_chunk_worker(self):
         # tiny index slice; the filter keeps even masks with <= 16 ones
