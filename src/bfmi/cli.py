@@ -54,7 +54,12 @@ def _positive_int(text: str) -> int:
 
 
 def _grid(args) -> tuple[Fraction, ...]:
-    return (args.p,) if args.p is not None else p_grid(args.p_den)
+    # --p-den defaults to None, so an explicit --p-den 64 is seen too
+    if args.p is None:
+        return p_grid(64 if args.p_den is None else args.p_den)
+    if args.p_den is not None:
+        raise ValueError("--p-den is not allowed with --p")
+    return (args.p,)
 
 
 def _emit(text: str, out_path) -> None:
@@ -86,10 +91,10 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
 
     The family names ``all``, ``class3`` and ``class4`` expand to
     concrete specs; each family-expanded ``Class3(r)``/``Class4(r)``
-    gets only the n where it exists, max(n_min, r+1)..n_max.  Any other
-    name is a spec (``class1`` is ``class1:i=0``) and passes through with
-    the whole range, so the ones that do not fit some n are still
-    reported.
+    gets only the n where it exists, max(n_min, r+1)..n_max, and a bare
+    ``class3`` or ``class4`` with no member in the range (n_max < 2) is
+    an error.  Any other name is a spec (``class1`` is ``class1:i=0``)
+    and passes through with the whole range, for ``verify_class`` to judge.
     """
     n_range = range(n_min, n_max + 1)
 
@@ -106,10 +111,10 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
             yield Class1(), n_range
             yield Class2(), n_range
             yield from subcubes(Class3, Class4)
-        elif name == "class3":
-            yield from subcubes(Class3)
-        elif name == "class4":
-            yield from subcubes(Class4)
+        elif name in ("class3", "class4"):
+            if n_max < 2:  # a subcube needs 1 <= r <= n-1
+                raise ValueError(f"{name} has no member at n <= {n_max}: its subcubes need n >= 2")
+            yield from subcubes(Class3 if name == "class3" else Class4)
         else:
             yield parse_class_spec(name), n_range
 
@@ -120,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--p", type=_parse_p, help="exact error probability, e.g. 3/8")
     common.add_argument("--out", help="write output to this path instead of stdout")
     grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--p-den", type=int, default=64, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
+    grid.add_argument("--p-den", type=int, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -182,10 +187,7 @@ def _cmd_verify(args) -> tuple[str, bool]:
     grid = _grid(args)
     reports = []
     for cls, n_range in _expand_class_specs(args.classes, args.n_min, args.n_max):
-        found = verify_class(cls, n_range, grid)
-        if not found:  # a spec that exists at no n of the range is a usage error, as in sweep
-            make_class(n_range[0], cls)
-        reports.extend(found)
+        reports.extend(verify_class(cls, n_range, grid))
     text = reports_to_json(reports) if args.format == "json" else reports_to_csv(reports)
     return text, all(r.status == "pass" for r in reports)
 
@@ -212,9 +214,7 @@ def _cmd_exhaustive(args) -> tuple[str, bool]:
 
 
 def _cmd_sweep(args) -> tuple[str, bool]:
-    cls = parse_class_spec(args.function)
-    make_class(args.n, cls)  # a class that does not exist at n is a usage error, not a skip
-    reports = verify_class(cls, [args.n], _grid(args))
+    reports = verify_class(parse_class_spec(args.function), [args.n], _grid(args))
     text = _csv_text(["p", "mi_bits", "bound_bits", "margin_bits"], map(report_to_dict, reports))
     return text, all(r.status == "pass" for r in reports)
 

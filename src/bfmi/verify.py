@@ -137,19 +137,25 @@ class ExhaustiveSummary:
 def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> list[VerifyReport]:
     """Verify MI <= 1 - H(p) for one :class:`FunctionClass` across an (n, p) grid.
 
-    The n where the class does not exist are skipped, with one logged
-    warning that lists them.  For the single-one and single-zero
-    classes each report carries the full exact majorization certificate.
+    The one judge of where a class exists: the n where it does not are
+    skipped with one logged warning that lists them, unless it exists at
+    no n of the range; then :func:`make_class`'s ValueError is raised and
+    nothing logged.  Class 1 and 2 reports carry the exact certificate.
     """
     spec_str = format_class_spec(class_spec)
-    reports = []
-    skipped = []
+    tables, skipped = {}, []
     for n in n_range:
         try:
-            table = make_class(n, class_spec)
+            tables[n] = make_class(n, class_spec)
         except ValueError as exc:
             skipped.append((n, exc))
-            continue
+    if skipped and not tables:
+        raise skipped[0][1]
+    if skipped:
+        ns = ", ".join(str(n) for n, _ in skipped)
+        logger.warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
+    reports = []
+    for n, table in tables.items():
         attach_certificate = isinstance(class_spec, (Class1, Class2)) and n >= 2
         for p in p_grid:
             result = mutual_information(joint_yz(table, p))
@@ -167,9 +173,6 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
                     karamata_certificate=cert,
                 )
             )
-    if skipped:
-        ns = ", ".join(str(n) for n, _ in skipped)
-        logger.warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
     return reports
 
 
@@ -227,23 +230,34 @@ def _mi_from_codes(codes: np.ndarray, n: int, p: Fraction) -> np.ndarray:
     """MI(Y; Z) per table from its profile codes.
 
     One term table over the codes holds both cells' p log2(p / (p_Y p_Z))
-    terms: p1 = sum_d N_d * h_d with h_d the float of the exact
-    (1-p)^(n-d) p^d / 2^n, and p_Z(1) = sum_d N_d / 2^n, since every
-    profile counts all ones of f.  MI sums one gather per y, in y order.
+    terms: p1 = sum_d N_d * h_d, summed in d order, with h_d the float of
+    the exact (1-p)^(n-d) p^d / 2^n, and p_Z(1) = w / 2^n for the column
+    weight w = sum_d N_d, since every profile counts all ones of f.  The
+    cells of a constant f (w = 0 or 2^n) add exactly 0, their exact value,
+    even where the float p1 of the all-ones profile rounds below p_Y and
+    would leave mass in its empty column.  Every log is ``math.log2``,
+    taken once per code and cell and once per column weight, so the
+    floats depend on libm alone, not on NumPy's SIMD dispatch or BLAS.
+    MI sums one gather per y, in y order.
     """
     size = 1 << n
     py = 1.0 / size
     strides = _profile_strides(n)
     radix = strides[1:] // strides[:-1]
     profiles = np.arange(strides[-1])[:, None] // strides[:-1] % radix  # N_d of every code
-    q = Fraction(p)
-    h = np.array([float((1 - q) ** (n - d) * q**d / size) for d in range(n + 1)])
-    p1 = np.clip(profiles @ h, 0.0, py)
-    pz1 = profiles.sum(axis=1) / size
+    t, den = Fraction(p).as_integer_ratio()
+    p1 = np.zeros(len(profiles))
+    for d in range(n + 1):  # int / int rounds h_d correctly
+        p1 += profiles[:, d] * ((den - t) ** (n - d) * t**d / (den**n * size))
+    p1 = np.clip(p1, 0.0, py)
+    ones = profiles.sum(axis=1)
+    live = (ones > 0) & (ones < size)  # a constant f's cells add exactly 0, their exact value
+    log_yz = np.array([math.log2(py * w / size) if w else 0.0 for w in range(size + 1)])
     terms = np.zeros_like(p1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for pc, pz in ((p1, pz1), (py - p1, 1.0 - pz1)):
-            terms += np.where(pc > 0.0, pc * (np.log2(pc) - np.log2(py * pz)), 0.0)
+    for pc, w in ((p1, ones), (py - p1, size - ones)):
+        # log2(1) = 0 stands in for log2(0): 0 log 0 = 0
+        log_pc = np.fromiter(map(math.log2, np.where(pc > 0.0, pc, 1.0).tolist()), float, len(pc))
+        terms += np.where(live, pc * (log_pc - log_yz[w]), 0.0)
     # every code fits the code dtype, so none wrapped and "clip" never clamps;
     # mode="raise" would buffer out on every gather
     assert strides[-1] <= np.iinfo(codes.dtype).max + 1

@@ -186,12 +186,13 @@ MUTANTS = (
         + (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
     ),
     # the public surface and the report writers
+    # sweep's make_class pre-check is gone; verify_class's raise keeps its behaviour
     Mutant(
         "sweep-make-class-dropped",
-        CLI,
-        "    make_class(args.n, cls)  # a class that does not exist at n is a usage error, not a skip\n",
-        "",
-        ("tests/test_cli.py::TestUsageErrors::test_sweep_of_a_class_absent_at_n_is_usage_error",),
+        VERIFY,
+        "    if skipped and not tables:\n",
+        "    if False:\n",
+        (USAGE + "test_sweep_of_a_class_absent_at_n_is_usage_error",),
     ),
     Mutant(
         "all-gains-a-name",
@@ -254,13 +255,34 @@ MUTANTS = (
         '"p": str(report.p)}',
         (RECORDS, GOLDEN + "[verify-json]", "tests/test_cli.py::TestVerify::test_small_grid_passes"),
     ),
+    # verify's make_class re-call is gone; verify_class's raise keeps its behaviour
     Mutant(
         "verify-absent-spec-passes",
-        CLI,
-        "            make_class(n_range[0], cls)\n",
-        "            pass\n",
+        VERIFY,
+        "        raise skipped[0][1]\n",
+        "        return []\n",
         tuple(f"{USAGE}test_verify_of_a_spec_absent_at_every_n_is_usage_error[{i}]"
-              for i in ("class3-r0", "class1-i5000")),
+              for i in ("class3-r0", "class1-i5000"))
+        + ("tests/test_verify.py::TestVerifyClass::test_a_class_absent_at_every_n_raises_and_logs_nothing",),
+    ),
+    Mutant(
+        "family-check-dropped",
+        CLI,
+        "            if n_max < 2:  # a subcube needs 1 <= r <= n-1\n",
+        "            if False:\n",
+        (
+            USAGE + "test_a_class_with_no_member_in_range_is_one_error_line[class3-family]",
+            USAGE + "test_a_class_with_no_member_in_range_is_one_error_line[class4-family]",
+            USAGE + "test_a_bare_family_needs_a_member_but_all_keeps_class1_and_class2",
+        ),
+    ),
+    Mutant(
+        "p-with-p-den-accepted",
+        CLI,
+        "    if args.p_den is not None:\n",
+        "    if False:\n",
+        tuple(f"{USAGE}test_p_with_p_den_is_usage_error[{cmd}-{den}]"
+              for cmd in ("verify", "karamata", "exhaustive", "sweep") for den in (8, 64)),
     ),
     Mutant(
         "compute-exclusive-group-removed",
@@ -320,6 +342,33 @@ MUTANTS = (
         "high = low[flip, masks[i] >> 16]",
         "high = low[:, masks[i] >> 16]",
         (EXHAUSTIVE + "test_n5_chunk_across_a_high_half_boundary", EXHAUSTIVE + "test_n5_chunks_are_pinned[chunk37]"),
+    ),
+    # the scan kernel's term table
+    Mutant(
+        "scan-empty-column-mask-dropped",
+        VERIFY,
+        "np.where(live, ",
+        "np.where(pc > 0.0, ",
+        (
+            VECTOR + "test_constant_tables_have_mi_zero_at_non_dyadic_p",
+            VECTOR + "test_matches_pure_python_bit_for_bit",
+        ),
+    ),
+    Mutant(
+        "scan-np-log2-back",
+        VERIFY,
+        "np.fromiter(map(math.log2, np.where(pc > 0.0, pc, 1.0).tolist()), float, len(pc))",
+        "np.log2(np.where(pc > 0.0, pc, 1.0))",
+        (VECTOR + "test_matches_pure_python_bit_for_bit",),
+    ),
+    Mutant(
+        "scan-blas-dot-back",
+        VERIFY,
+        "    p1 = np.zeros(len(profiles))\n"
+        "    for d in range(n + 1):  # int / int rounds h_d correctly\n"
+        "        p1 += profiles[:, d] * ((den - t) ** (n - d) * t**d / (den**n * size))\n",
+        "    p1 = profiles @ np.array([(den - t) ** (n - d) * t**d / (den**n * size) for d in range(n + 1)])\n",
+        (VECTOR + "test_matches_pure_python_bit_for_bit",),
     ),
     Mutant(
         "n5-filter-bound-off-by-one",

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from bfmi import cli, verify
-from bfmi.boolfn import Dictator, make_class
+from bfmi.boolfn import Dictator, canonical_form, make_class
 from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import MIResult, binary_entropy, mutual_information
@@ -164,6 +164,16 @@ class TestExhaustive:
         assert code == 0
         doc = json.loads(out)
         assert doc["summaries"][0]["num_functions_scanned"] == 16
+
+    def test_non_dyadic_p_finds_the_dictator(self, capsys):
+        # at this p the float mass of the all-ones profile rounds below p_Y
+        code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "3/10")
+        assert code == 0
+        assert "Infinity" not in out
+        [summary] = json.loads(out)["summaries"]
+        dictator = json.loads(canonical_form(make_class(2, Dictator(1))).to_json())
+        assert summary["argmax_canonical_tables"] == [dictator]
+        assert 0.0 <= summary["max_margin"] <= 1e-12
 
 
 class TestCsvIsJson:
@@ -379,6 +389,41 @@ class TestUsageErrors:
         assert code == 2
         assert not out
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--classes", "class3", "--n-min", "1", "--n-max", "1"],
+         ["verify", "--classes", "class4", "--n-min", "1", "--n-max", "1"],
+         ["verify", "--classes", "class3:r=0", "--n-min", "2", "--n-max", "4"]],
+        ids=["class3-family", "class4-family", "class3-r0"],
+    )
+    def test_a_class_with_no_member_in_range_is_one_error_line(self, argv):
+        # a fresh process, so that a logged skip warning would reach stderr too
+        code, out, err = fresh_process(*argv, "--p", "1/4")
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("mi: error: ")
+
+    def test_a_bare_family_needs_a_member_but_all_keeps_class1_and_class2(self, capsys):
+        for family in ("class3", "class4"):
+            code, out, err = run(capsys, "verify", "--classes", family, "--n-min", "1", "--n-max", "1", "--p", "1/4")
+            assert (code, out) == (2, "")
+            assert f"{family} has no member at n <= 1" in err
+        code, out, _ = run(capsys, "verify", "--classes", "all", "--n-min", "1", "--n-max", "1", "--p", "1/4")
+        assert code == 0
+        reports = json.loads(out)["reports"]
+        assert [(r["class_spec"], r["n"]) for r in reports] == [("class1:i=0", 1), ("class2:i=0", 1)]
+
+    @pytest.mark.parametrize("den", ["8", "64"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["karamata", "--n", "3"], ["exhaustive", "--n", "2"], ["sweep", "--function", "class1", "--n", "3"]],
+        ids=["verify", "karamata", "exhaustive", "sweep"],
+    )
+    def test_p_with_p_den_is_usage_error(self, capsys, argv, den):
+        # 64 is the default grid, so it must be told apart from an absent --p-den
+        code, out, err = run(capsys, *argv, "--p", "1/4", "--p-den", den)
+        assert (code, out) == (2, "")
+        assert "--p-den is not allowed with --p" in err
 
     def test_function_and_table_together_exit_2(self, capsys, tmp_path):
         path = tmp_path / "table.json"

@@ -8,15 +8,13 @@ unintended change.
 
 Float fields depend on the platform, so the float-carrying digests are
 those of the reference machine (Linux x86-64 with AVX-512, Python 3.11,
-NumPy 2.4).  The ``compute``, ``verify``, ``sweep``, ``reduce-check``
-and ``karamata`` floats depend on its libm alone: the MI kernel rounds
-its quotients with IEEE +, -, × and comparisons only and takes every
-logarithm with ``math.log2``.  The ``exhaustive`` floats come from the
-scan kernel's ``np.log2``, whose results also depend on the SIMD code
-NumPy dispatches to on the CPU at hand (AVX-512 on the reference
-machine), so those digests can change with the CPU or the NumPy build
-even where libm is the same.  Running this module as a script prints
-the digests of the current code in the layout of ``GOLDEN``::
+NumPy 2.4).  Every float depends on its libm alone: the MI kernel
+rounds its quotients with IEEE +, -, × and comparisons only, the scan
+kernel sums its cell masses in a fixed order with elementwise IEEE
+operations (no BLAS), and both take every logarithm with ``math.log2``,
+so no digest depends on the SIMD code NumPy dispatches to on the CPU at
+hand.  Running this module as a script prints the digests of the
+current code in the layout of ``GOLDEN``::
 
     PYTHONPATH=src python tests/test_golden.py
 """

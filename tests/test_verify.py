@@ -75,6 +75,14 @@ class TestVerifyClass:
         assert sorted({r.n for r in reports}) == [4, 5]
         assert any("skipping" in rec.message for rec in caplog.records)
 
+    def test_a_class_absent_at_every_n_raises_and_logs_nothing(self, caplog):
+        with caplog.at_level("WARNING"):
+            with pytest.raises(ValueError, match=r"^r must be in 1\.\.n-1, got r=9 for n=7$"):
+                verify_class(Class3(9), [7])
+            with pytest.raises(ValueError, match=r"got r=9 for n=2$"):  # the first n's error
+                verify_class(Class3(9), range(2, 6))
+        assert not caplog.records
+
     def test_status_is_derived_from_margin_and_certificate(self):
         def status(margin, cert=None):
             return VerifyReport("class1:i=0", 2, Fraction(1, 4), 0.5, 0.5, margin, cert).status
@@ -127,6 +135,45 @@ class TestVectorEngine:
                 for mask, value in zip(masks, got):
                     exact = mutual_information(joint_yz(TruthTable(n, mask), p)).mi_bits
                     assert abs(value - exact) <= 1e-12
+
+    def test_constant_tables_have_mi_zero_at_non_dyadic_p(self):
+        # the float p1 of the all-ones profile can round below p_Y and leave
+        # mass in its empty z = 0 column, whose log2 p_Z is -inf
+        for n in (1, 2, 3, 4):
+            codes = _space_codes(n)[:, [0, (1 << (1 << n)) - 1]]
+            for p in (Fraction(3, 10), Fraction(2, 5), Fraction(19, 55), *p_grid(9)):
+                assert _mi_from_codes(codes, n, p).tolist() == [0.0, 0.0], (n, p)
+
+    def test_matches_pure_python_bit_for_bit(self):
+        # every table at n <= 3: the same operations in the same order, logs from
+        # math.log2, so the kernel's floats depend on libm alone, not on SIMD or BLAS
+        for n in (1, 2, 3):
+            size = 1 << n
+            py = 1.0 / size
+            profiles = {}  # (mask, y) -> N_d(y)
+            for mask in range(1 << size):
+                ones = [x for x in range(size) if mask >> x & 1]
+                for y in range(size):
+                    profiles[mask, y] = [sum((x ^ y).bit_count() == d for x in ones) for d in range(n + 1)]
+            codes = _space_codes(n)
+            for p in p_grid(64) + (Fraction(3, 10),):
+                h = [float((1 - p) ** (n - d) * p**d / size) for d in range(n + 1)]
+                expected = []
+                for mask in range(1 << size):
+                    weight = mask.bit_count()
+                    mi = 0.0
+                    for y in range(size):
+                        p1 = 0.0
+                        for count, h_d in zip(profiles[mask, y], h):
+                            p1 += count * h_d
+                        p1 = min(max(p1, 0.0), py)
+                        term = 0.0
+                        if 0 < weight < size:  # a constant table's terms are exactly 0
+                            for pc, w in ((p1, weight), (py - p1, size - weight)):
+                                term += pc * ((math.log2(pc) if pc > 0.0 else 0.0) - math.log2(py * w / size))
+                        mi += term
+                    expected.append(mi)
+                assert _mi_from_codes(codes, n, p).tobytes() == np.array(expected).tobytes(), (n, p)
 
     def test_largest_code_fits_the_code_dtype(self):
         # the all-ones table has the full profile C(5, d) at every y
