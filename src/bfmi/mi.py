@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .channel import _WORD, JointYZ, Rational, _fold as _fold_words, as_probability
+from .channel import JointYZ, Rational, _fold as _fold_words, _masses, as_probability
 
 
 def xlog2x(v: Rational | float) -> float:
@@ -117,23 +117,6 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = np.sort(words.view(f"S{8 * words.shape[1]}")[:, 0])
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))
-
-
-def _masses(rows: np.ndarray, py_num: int) -> np.ndarray:
-    """(2, R, W) words of the cell masses: den/2^n - num (z = 0) above num (z = 1).
-
-    The z = 0 masses come from a multiword borrow subtraction.
-    """
-    masses = np.empty((2, *rows.shape), dtype=np.uint64)
-    masses[1] = rows
-    borrow = 0
-    for k in range(rows.shape[1]):
-        lim, col = np.uint64((py_num >> (64 * k)) & _WORD), rows[:, k]
-        diff = lim - col
-        masses[0, :, k] = diff - borrow
-        if k + 1 < rows.shape[1]:
-            borrow = ((col > lim) | ((diff == 0) & (borrow == 1))).astype(np.uint64)
-    return masses
 
 
 def _two_sum(a, b):

@@ -296,12 +296,15 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
     chunk (n = 5), only tables with f(0...0) = 0 and at most 2^(n-1)
     ones are kept; every orbit has such a member, so the maximum over
     the kept tables is the maximum over all tables.  A chunk start
-    k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), so no
-    chunk comes out empty.  The profile codes are built once per chunk
-    from :func:`_space_codes`: the single n <= 4 chunk slices it, and a
-    filtered n = 5 chunk adds the code of each kept mask's low 16 bits at
-    y to that of its high 16 bits at y xor 16, one block of masks per
-    high half, into one C-contiguous (2^n, kept) array.  Each p then
+    k * 2^CHUNK_BITS is itself kept (k has at most 12 bits), but a
+    range that starts elsewhere, or a tighter filter, can keep no table
+    at all: such a chunk reports (0, -inf, []) for every p, which the
+    merge in :func:`exhaustive_check` skips.  The profile codes are
+    built once per chunk from :func:`_space_codes`: the single n <= 4
+    chunk slices it, and a filtered n = 5 chunk adds the code of each
+    kept mask's low 16 bits at y to that of its high 16 bits at y xor 16,
+    one block of masks per high half, into one C-contiguous (2^n, kept)
+    array.  Each p then
     costs one term table and one gather per y (:func:`_mi_from_codes`).
     """
     n, grid, start, stop = args
@@ -319,6 +322,8 @@ def _scan_chunk(args) -> list[tuple[int, float, list[tuple[int, float]]]]:
         for i, j in zip(firsts, [*firsts[1:], masks.size]):  # one block per high half
             high = low[flip, masks[i] >> 16]
             np.add(np.take(low, masks[i:j] & 0xFFFF, axis=1), high[:, None], out=codes[:, i:j])
+    if not len(masks):
+        return [(0, -math.inf, [])] * len(grid)
     out = []
     for p in grid:
         mi = _mi_from_codes(codes, n, p)
@@ -352,6 +357,7 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
         chunks = pool.map(_scan_chunk, args, chunksize=1) if pool else [_scan_chunk(a) for a in args]
     summaries = []
     for p, results in zip(grid, zip(*chunks), strict=True):
+        results = [r for r in results if r[0]]  # a chunk that kept no table has nothing to merge
         max_mi = max(r[1] for r in results)
         candidates = [m for r in results for m, v in r[2] if v >= max_mi - ATTAINMENT_TOLERANCE]
         canon = _canonical_dedupe(n, candidates)

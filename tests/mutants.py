@@ -39,6 +39,7 @@ VERIFY = "src/bfmi/verify.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
 LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
 GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
+WRITER = "tests/test_channel.py::TestJointYZContainer::"
 VECTOR = "tests/test_verify.py::TestVectorEngine::"
 EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
 INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
@@ -89,13 +90,6 @@ MUTANTS = (
         "    _, first, counts = np.unique(values, return_index=True, return_counts=True)\n"
         "    return words[first], counts\n",
         (KERNEL + "test_equal_floats_of_distinct_rows_stay_apart",),
-    ),
-    Mutant(
-        "kernel-z0-borrow-dropped",
-        MI,
-        "        masses[0, :, k] = diff - borrow\n",
-        "        masses[0, :, k] = diff\n",
-        (KERNEL + "test_random_tables_match_the_loop[13]",),
     ),
     Mutant(
         "kernel-zero-margin-for-inexact-masses",
@@ -163,11 +157,61 @@ MUTANTS = (
         (LANES + "[13]",),
     ),
     Mutant(
-        "fold-63-bit-word-shift",
+        "fold-bytes-read-big-endian",
         CHANNEL,
-        "word << (64 * k)",
-        "word << (63 * k)",
+        'repeat("little")',
+        'repeat("big")',
         (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+    ),
+    # the cell masses, shared by the MI kernel and the CSV writer
+    Mutant(
+        "kernel-z0-borrow-dropped",
+        CHANNEL,
+        "        masses[0, :, k] = diff - borrow\n",
+        "        masses[0, :, k] = diff\n",
+        (KERNEL + "test_random_tables_match_the_loop[13]", WRITER + "test_csv_dump_matches_the_gcd_loop[p2]"),
+    ),
+    # the CSV writer's lowest terms: trailing zeros, multiword shifts, the odd cofactor
+    Mutant(
+        "writer-trailing-zero-cap-dropped",
+        CHANNEL,
+        "    t = np.minimum(_trailing_zeros(masses), a)\n",
+        "    t = _trailing_zeros(masses)\n",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p0]", WRITER + "test_csv_dump_of_hand_built_cells[2^300*3^60*5]"),
+    ),
+    Mutant(
+        "writer-zero-mass-count-uncapped",
+        CHANNEL,
+        "    count[zero] = 1 << 62\n",
+        "",
+        (WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
+         WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
+    ),
+    Mutant(
+        "writer-shift-r0-takes-the-next-word",
+        CHANNEL,
+        "np.where(r > 0, high << spill, 0)",
+        "(high << spill)",
+        # joint_yz's masses are multiples of 2^n, so only hand-built rows shift by r = 0 here
+        (WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
+         WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
+    ),
+    Mutant(
+        "writer-shift-ignores-the-next-word",
+        CHANNEL,
+        "        out[:, k] = (low >> r) | np.where(r > 0, high << spill, 0)\n",
+        "        out[:, k] = low >> r\n",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p6]", GOLDEN + "[compute-small-dump-2^-70]",
+         WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
+    ),
+    Mutant(
+        "writer-odd-cofactor-gcd-skipped",
+        CHANNEL,
+        "    if odd == 1:\n",
+        "    if True:\n",
+        # no cell of the golden n = 10 dumps shares an odd factor with den: at 1/3 every cell is
+        # ±(even-weight minus odd-weight ones) = ±1 mod 3, and none is a multiple of 100003
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p5]"),
     ),
     # Karamata reports
     Mutant(

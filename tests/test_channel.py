@@ -6,6 +6,7 @@ a naive oracle that sums the pairwise ``joint_xy`` over the preimage of
 same scaled inverse transform run on Python ints.
 """
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
-from bfmi.channel import JointYZ, _lane_bits, _wht, joint_yz, marginal_sum
+from bfmi.channel import JointYZ, _lane_bits, _shift_right, _trailing_zeros, _wht, joint_yz, marginal_sum
 from test_boolfn import _brute_force_image
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
@@ -62,6 +63,17 @@ def python_int_joint_nums(table, p):
     spectrum = scale[np.bitwise_count(np.arange(table.size, dtype=np.uint32))] * spectrum
     _wht(spectrum)
     return tuple(spectrum.tolist())
+
+
+def gcd_loop_csv(joint):
+    """Oracle: the CSV text of the per-cell writer, every cell reduced by a ``math.gcd`` with den."""
+    den, py_num = joint.den, joint.den >> joint.n
+    lines = ["y_index,p0_num,p0_den,p1_num,p1_den\r\n"]
+    for y, num in enumerate(joint.p1_nums):
+        g0 = math.gcd(py_num - num, den)
+        g1 = math.gcd(num, den)
+        lines.append(f"{y},{(py_num - num) // g0},{den // g0},{num // g1},{den // g1}\r\n")
+    return "".join(lines)
 
 
 def joint_from_nums(n, p, den, nums, pz1):
@@ -342,3 +354,56 @@ class TestJointYZContainer:
             for line in lines[1:]:
                 cells = line.split(",")[1:]
                 assert ["0", "1"] in (cells[:2], cells[2:])
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3),
+                                   Fraction(2047, 4096), Fraction(12345, 100003), Fraction(1, 2**70)])
+    def test_csv_dump_matches_the_gcd_loop(self, tmp_path, p):
+        # the odd part of den is 1 for the dyadic p, 3^n or 100003^n (several words) for the
+        # others; at 2^-70 every cell spans several words
+        rng = random.Random(p.denominator)
+        path = tmp_path / "joint.csv"
+        for n in range(1, 13):
+            tables = [TruthTable(n, rng.getrandbits(1 << n))]
+            if n in (1, 4, 11):
+                tables += [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1)]  # zero cells dump as 0,1
+            for table in tables:
+                joint = joint_yz(table, p)
+                joint.write_csv(path)
+                assert path.read_bytes() == gcd_loop_csv(joint).encode(), (table, p)
+
+    @pytest.mark.parametrize("den", [2**130, 2**300 * 3**60 * 5], ids=["2^130", "2^300*3^60*5"])
+    def test_csv_dump_of_hand_built_cells(self, tmp_path, den):
+        # n = 3.  den = 2^130: den/2^n fills two words exactly, so a zero mass has 128 trailing
+        # zeros, fewer than a = 130, and an odd mass takes no bit from its high word.
+        # den = 2^300·m with m = 3^60·5 past one word: masses whose count reaches a, passes it
+        # (m > 2^n·6, so the cell still fits), crosses a word boundary or exceeds 255, and
+        # masses that share 3, 5 or both with m
+        py_num = den >> 3
+        a = (den & -den).bit_length() - 1
+        nums = [0, py_num, 5 << 64, 7 << 63]
+        nums += [1, 15 << 100, (3 << 64) + 1, 3 << 64] if a == 130 else [1 << a, 3 << (a + 1), 1 << 260, 5**30 << 70]
+        assert all(0 <= num <= py_num for num in nums)
+        joint = joint_from_nums(3, Fraction(1, 4), den, nums, Fraction(sum(nums), den))
+        path = tmp_path / "joint.csv"
+        joint.write_csv(path)
+        assert path.read_bytes() == gcd_loop_csv(joint).encode()
+
+    def test_trailing_zeros_and_shifts_of_multiword_rows(self):
+        # rows of 1..5 words with runs of zero words at the bottom, shifted by every count up to
+        # the row's trailing zeros, its width in bits and beyond
+        rng = random.Random(61)
+        for width in range(1, 6):
+            nums = [0, 1, 1 << (64 * width - 1), (1 << (64 * width)) - 1]
+            nums += [rng.getrandbits(64 * width - 64 * k) << (64 * k + rng.randrange(64))
+                     for k in range(width) for _ in range(20)]
+            nums = [num & ((1 << (64 * width)) - 1) for num in nums]
+            words = np.array([[(num >> (64 * k)) & (2**64 - 1) for k in range(width)] for num in nums],
+                             dtype=np.uint64).reshape(len(nums), width)
+            zeros = _trailing_zeros(words).tolist()
+            assert zeros == [(num & -num).bit_length() - 1 if num else 1 << 62 for num in nums]
+            for t in [0, 1, 63, 64, 65, 64 * width - 1, 64 * width, 64 * width + 70]:
+                counts = np.full(len(nums), t, dtype=np.int64)
+                counts[1::3] = np.minimum(zeros[1::3], t)
+                shifted = _shift_right(words, counts)
+                expected = [num >> int(c) for num, c in zip(nums, counts)]
+                assert [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in shifted] == expected

@@ -33,6 +33,7 @@ from bfmi.cli import main
 
 RANDOM_TABLE_N = 13
 RANDOM_TABLE_SEED = 13
+SMALL_TABLE_N = 10  # the odd-cofactor dumps: den = 2^a·m with m > 1, or a spanning many words
 
 
 def _cases():
@@ -60,6 +61,12 @@ def _cases():
         ["compute", "--table", "{tmp}/table.json", "--p", "13/64", "--dump-joint", "{tmp}/joint.csv"],
         ("joint.csv",),
     ))
+    for name, p in (("third", "1/3"), ("12345-100003", "12345/100003"), ("2^-70", "1/1180591620717411303424")):
+        cases.append((
+            f"compute-small-dump-{name}",
+            ["compute", "--table", "{tmp}/small.json", "--p", p, "--dump-joint", "{tmp}/joint.csv"],
+            ("joint.csv",),
+        ))
     cases.append(("sweep-class3", ["sweep", "--function", "class3:r=3", "--n", "7", "--p-den", "128"], ()))
     cases.append(("reduce-check", ["reduce-check", "--n", "9", "--r", "4", "--p", "13/64"], ()))
     return cases
@@ -229,6 +236,21 @@ GOLDEN = {
         "eb46cbde0a07f69ede4560fba48523aa51c2ef28b0e88476226ee07ebe3d2606",
         {'joint.csv': '2242f968f0db861305b569c760a45d698937dd55df6479c7e8131e4dbc43d05b'},
     ),
+    "compute-small-dump-third": (
+        0,
+        "f36d7f734323e6dc811224f94291c603a7424ab5d61258e88b463209b76c3b33",
+        {'joint.csv': '4ff2829159759d57346fb0055a16f748350098104677eecf8a6ed1973638da8c'},
+    ),
+    "compute-small-dump-12345-100003": (
+        0,
+        "3ce5a95bb5cf2b98da43c6d173c2596c873ebbc286db7afa569b9b4c97f8c7ca",
+        {'joint.csv': '18d477e872e31addff705436c82651902807f982c1391de5aaf82818922aa15d'},
+    ),
+    "compute-small-dump-2^-70": (
+        0,
+        "003e8522e9adc7958d20058a3f1df008da93ef520fdc77339e77875b9da222c7",
+        {'joint.csv': '7585d875db086b46702922eff6332e5db0c793cd1e935f53a4747e4c95a20164'},
+    ),
     "sweep-class3": (
         0,
         "ff2e33aa9014da7e749313e20969247b26d0eb164918282620f3cebc854e61dc",
@@ -251,6 +273,8 @@ def run_case(argv, written, tmp: Path):
     rng = random.Random(RANDOM_TABLE_SEED)
     table = TruthTable(RANDOM_TABLE_N, rng.getrandbits(1 << RANDOM_TABLE_N))
     (tmp / "table.json").write_text(table.to_json())
+    small = TruthTable(SMALL_TABLE_N, rng.getrandbits(1 << SMALL_TABLE_N))
+    (tmp / "small.json").write_text(small.to_json())
     out = io.StringIO()  # newline="\n": the report's "\r\n" line ends pass through
     with contextlib.redirect_stdout(out):
         code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])

@@ -326,6 +326,25 @@ class TestExhaustive:
             top = [(m, float(v)) for m, v in zip(kept, mi) if v >= mi.max() - ATTAINMENT_TOLERANCE]
             assert result == (len(kept), float(mi.max()), top[: 8 * verify.ARGMAX_CAP])
 
+    def test_a_chunk_that_keeps_nothing_is_empty_and_skipped_by_the_merge(self, monkeypatch):
+        # masks 2^32 - 2 and 2^32 - 1 have more than 16 ones, so the filter keeps neither
+        grid = (Fraction(1, 4), Fraction(1, 3))
+        assert _scan_chunk((5, grid, 2**32 - 2, 2**32)) == [(0, -math.inf, [])] * len(grid)
+        top = 1 / 8
+
+        def stub(args):
+            start = args[2]
+            if start >> 20 in (0, 9, 4095):
+                return [(0, -math.inf, [])]
+            value = top if start >> 20 == 7 else 1 / 16
+            return [(3, value, [(start, value)])]
+
+        monkeypatch.setattr(verify, "_scan_chunk", stub)
+        [s] = exhaustive_check(5, (Fraction(1, 4),))
+        assert s.num_functions_scanned == 3 * 4093
+        assert s.max_mi_bits == top
+        assert [t.mask for t in s.argmax_canonical_tables] == [canonical_form(TruthTable(5, 7 << 20)).mask]
+
     @pytest.mark.parametrize(
         "chunk, kept, max_mi, top_mask",
         [
