@@ -11,7 +11,8 @@ results reproducible bit-for-bit and the rounding error well below
 the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 
 ``mutual_information`` reads the joint table's 64-bit words directly.
-It groups equal rows by exact word equality, forms both cell masses per
+It groups equal rows by exact word equality (uint64 sorts of each row's
+top 64 bits, then a check of the lower words), forms both cell masses per
 distinct row by a multiword borrow subtraction, and rounds every cell's
 two quotients in NumPy double-double arithmetic (Dekker 1971; Shewchuk
 1997): the masses are converted once from exact 32-bit pieces and
@@ -113,10 +114,51 @@ _KERNEL_ROWS = 1 << 11  # distinct rows per kernel pass, which bounds its tempor
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of ``words`` and their multiplicities, grouped by exact word equality."""
-    keys = np.sort(words.view(f"S{8 * words.shape[1]}")[:, 0])
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))
+    """Distinct rows of ``words`` and their multiplicities, grouped by exact word equality.
+
+    Each row's key is its 64 most significant bits: the highest word that
+    is nonzero in some row, shifted left by the leading zeros every row
+    shares there, with the freed bits taken from the word below.  If the
+    sorted keys are all distinct, so are the rows, and ``words`` itself
+    comes back with counts of 1.  Otherwise rows are grouped by the dense
+    rank of their key, and each lower word is checked by one scatter and
+    one gather to agree inside every group; a group it splits is
+    re-ranked by the pair (group, rank of the word), packed into one
+    int64.  Only uint64 sorts and exact comparisons run, so no two
+    distinct rows share a group.  Rows come back in no promised order.
+    """
+    top = words.shape[1] - 1
+    while not (high := int(np.bitwise_or.reduce(words[:, top]))):
+        if not top:  # every row is zero
+            return words[:1], np.array([len(words)])
+        top -= 1
+    shift = 64 - high.bit_length()
+    key = words[:, top] << shift
+    if shift and top:
+        key |= words[:, top - 1] >> (64 - shift)
+    ordered = np.sort(key)
+    new = ordered[1:] != ordered[:-1]
+    if new.all():
+        return words, np.ones(len(words), dtype=np.int64)
+    keys = ordered[np.flatnonzero(np.concatenate(([True], new)))]
+    del ordered, new
+    group, groups = np.searchsorted(keys, key), len(keys)
+    del key, keys
+    bits = len(words).bit_length()  # ranks are below len(words), so a pair stays below 2^(2·bits)
+    for k in reversed(range(top)):
+        col = words[:, k]
+        seen = np.empty(groups, dtype=np.uint64)
+        seen[group] = col
+        if (seen[group] == col).all():
+            continue
+        pair = group << bits | np.searchsorted(np.unique(col), col)
+        distinct = np.unique(pair)
+        group = np.searchsorted(distinct, pair)
+        groups = len(distinct)
+        del pair
+    first = np.empty(groups, dtype=np.intp)
+    first[group] = np.arange(len(words))
+    return words[first], np.bincount(group, minlength=groups)
 
 
 def _two_sum(a, b):

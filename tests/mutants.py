@@ -37,6 +37,8 @@ KARAMATA = "src/bfmi/karamata.py"
 MI = "src/bfmi/mi.py"
 VERIFY = "src/bfmi/verify.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
+DISTINCT = "tests/test_mi.py::TestDistinctRows::"
+HAND_BUILT = DISTINCT + "test_hand_built_words_match_the_oracles"
 LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
 GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
 WRITER = "tests/test_channel.py::TestJointYZContainer::"
@@ -83,13 +85,44 @@ MUTANTS = (
     Mutant(
         "kernel-groups-by-float-value",
         MI,
-        '    keys = np.sort(words.view(f"S{8 * words.shape[1]}")[:, 0])\n'
-        "    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))\n"
-        '    return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))\n',
+        "    top = words.shape[1] - 1\n",
         "    values = words.astype(np.float64) @ 2.0 ** (64 * np.arange(words.shape[1]))\n"
         "    _, first, counts = np.unique(values, return_index=True, return_counts=True)\n"
         "    return words[first], counts\n",
-        (KERNEL + "test_equal_floats_of_distinct_rows_stay_apart",),
+        (KERNEL + "test_equal_floats_of_distinct_rows_stay_apart", HAND_BUILT + "[below-the-aligned-key]"),
+    ),
+    # the row grouping on top-aligned uint64 keys
+    Mutant(
+        "grouping-lower-word-split-skipped",
+        MI,
+        "        if (seen[group] == col).all():\n",
+        "        if True:\n",
+        (HAND_BUILT + "[equal-keys-interleaved]", HAND_BUILT + "[below-the-aligned-key]",
+         HAND_BUILT + "[four-words]"),
+    ),
+    Mutant(
+        "grouping-shift-off-by-one",
+        MI,
+        "    shift = 64 - high.bit_length()\n",
+        "    shift = 65 - high.bit_length()\n",
+        # the top word's highest set bit leaves the key, and nothing checks the top word again
+        (HAND_BUILT + "[top-bit-only]", HAND_BUILT + "[top-word-zero]"),
+    ),
+    Mutant(
+        "grouping-fast-exit-on-equal-keys",
+        MI,
+        "    if new.all():\n",
+        "    if new.any():\n",
+        (HAND_BUILT + "[one-word]", KERNEL + "test_equal_floats_of_distinct_rows_stay_apart",
+         "tests/test_channel.py::TestJointYZContainer::test_distinct_rows_compresses_structured_tables",
+         DISTINCT + "test_structured_and_constant_tables_match_the_oracles[7]"),
+    ),
+    Mutant(
+        "grouping-pair-unpacked",
+        MI,
+        "        pair = group << bits | ",
+        "        pair = group | ",
+        (HAND_BUILT + "[equal-keys-interleaved]",),
     ),
     Mutant(
         "kernel-zero-margin-for-inexact-masses",
@@ -209,9 +242,9 @@ MUTANTS = (
         CHANNEL,
         "    if odd == 1:\n",
         "    if True:\n",
-        # no cell of the golden n = 10 dumps shares an odd factor with den: at 1/3 every cell is
-        # ±(even-weight minus odd-weight ones) = ±1 mod 3, and none is a multiple of 100003
-        (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p5]"),
+        # of the golden dumps, only the cofactor table's cells share a factor (3) with den's odd part
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p5]",
+         GOLDEN + "[compute-cofactor-dump-third]"),
     ),
     # Karamata reports
     Mutant(

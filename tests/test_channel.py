@@ -17,6 +17,7 @@ import pytest
 
 from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
 from bfmi.channel import JointYZ, _lane_bits, _shift_right, _trailing_zeros, _wht, joint_yz, marginal_sum
+from bfmi.mi import _distinct_rows
 from test_boolfn import _brute_force_image
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))
@@ -327,7 +328,12 @@ class TestJointYZContainer:
 
     def test_distinct_rows_compresses_structured_tables(self):
         j = joint_yz(make_class(3, Class3(1)), Fraction(1, 4))
-        assert sorted(Counter(j.p1_nums).values()) == [4, 4]
+        assert sorted(_distinct_rows(j.words)[1].tolist()) == [4, 4]
+        # a subcube's rows depend only on the distance k of y's first r bits from the prefix
+        j = joint_yz(make_class(16, Class3(8)), Fraction(3, 8))
+        rows, counts = _distinct_rows(j.words)
+        assert j.words.shape[1] == 2 and len(rows) == 9
+        assert sorted(counts.tolist()) == sorted(math.comb(8, k) << 8 for k in range(9))
 
     def test_csv_dump(self, tmp_path):
         j = joint_yz(make_class(2, Class1(0)), Fraction(1, 4))

@@ -34,6 +34,9 @@ from bfmi.cli import main
 RANDOM_TABLE_N = 13
 RANDOM_TABLE_SEED = 13
 SMALL_TABLE_N = 10  # the odd-cofactor dumps: den = 2^a·m with m > 1, or a spanning many words
+# At p = 1/3 every cell of a table is ±(ones at even distance - ones at odd distance) mod 3, the
+# same for every y.  The small table's difference is 1 mod 3, so no cell shares the factor 3 with
+# den; the next seeded table's is -24, so every cell does, and only its dump sees that gcd.
 
 
 def _cases():
@@ -67,6 +70,11 @@ def _cases():
             ["compute", "--table", "{tmp}/small.json", "--p", p, "--dump-joint", "{tmp}/joint.csv"],
             ("joint.csv",),
         ))
+    cases.append((
+        "compute-cofactor-dump-third",
+        ["compute", "--table", "{tmp}/cofactor.json", "--p", "1/3", "--dump-joint", "{tmp}/joint.csv"],
+        ("joint.csv",),
+    ))
     cases.append(("sweep-class3", ["sweep", "--function", "class3:r=3", "--n", "7", "--p-den", "128"], ()))
     cases.append(("reduce-check", ["reduce-check", "--n", "9", "--r", "4", "--p", "13/64"], ()))
     return cases
@@ -251,6 +259,11 @@ GOLDEN = {
         "003e8522e9adc7958d20058a3f1df008da93ef520fdc77339e77875b9da222c7",
         {'joint.csv': '7585d875db086b46702922eff6332e5db0c793cd1e935f53a4747e4c95a20164'},
     ),
+    "compute-cofactor-dump-third": (
+        0,
+        "7ed38f8b4d902d4365d638b2ae02e316d7653237ef122ba31900ce65706919c8",
+        {'joint.csv': 'f90b5997abdfd09420ef92addafa73d494b39f85ce235ef2fdf91cc244e561e7'},
+    ),
     "sweep-class3": (
         0,
         "ff2e33aa9014da7e749313e20969247b26d0eb164918282620f3cebc854e61dc",
@@ -275,6 +288,8 @@ def run_case(argv, written, tmp: Path):
     (tmp / "table.json").write_text(table.to_json())
     small = TruthTable(SMALL_TABLE_N, rng.getrandbits(1 << SMALL_TABLE_N))
     (tmp / "small.json").write_text(small.to_json())
+    cofactor = TruthTable(SMALL_TABLE_N, rng.getrandbits(1 << SMALL_TABLE_N))
+    (tmp / "cofactor.json").write_text(cofactor.to_json())
     out = io.StringIO()  # newline="\n": the report's "\r\n" line ends pass through
     with contextlib.redirect_stdout(out):
         code = main([arg.replace("{tmp}", str(tmp)) for arg in argv])

@@ -5,9 +5,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, TruthTable, complement, make_class
+import bfmi.mi
+from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, Lex, TruthTable, complement, make_class
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
     _cell_quotients,
@@ -110,6 +112,65 @@ def cells_near_midpoints(j, rel):
         for z, mass in enumerate((py_num - num, num))
         if mass
     )
+
+
+def byte_sort_rows(words):
+    """The grouping the uint64 keys replaced: one sort of every row's bytes as a string."""
+    keys = np.sort(np.ascontiguousarray(words).view(f"S{8 * words.shape[1]}")[:, 0])
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[starts].view("<u8").reshape(len(starts), -1), np.diff(starts, append=len(keys))
+
+
+def assert_groups_match_the_oracles(words):
+    """``_distinct_rows`` lists every distinct row once, with its count, as both oracles do."""
+    rows, counts = _distinct_rows(words)
+    assert rows.dtype == words.dtype and rows.shape == (len(counts), words.shape[1])
+    groups = sorted(zip(_fold(rows), counts.tolist()))
+    assert groups == sorted(Counter(_fold(words)).items())
+    old_rows, old_counts = byte_sort_rows(words)
+    assert groups == sorted(zip(_fold(old_rows), old_counts.tolist()))
+
+
+def mi_under_the_byte_sort(j, monkeypatch):
+    """MI of ``j`` with the old grouping in place of ``_distinct_rows``."""
+    with monkeypatch.context() as m:
+        m.setattr(bfmi.mi, "_distinct_rows", byte_sort_rows)
+        return mutual_information(j).mi_bits
+
+
+def words_of(nums, width):
+    """Hand-built ``(len(nums), width)`` little-endian words of Python ints."""
+    return np.array([[(x >> (64 * k)) & (2**64 - 1) for k in range(width)] for x in nums], dtype=np.uint64)
+
+
+def _interleaved():
+    # equal keys (the top word has bit 63 set, so the key is that word alone) whose two
+    # lower words differ, in an order that keeps no group's rows together
+    tops, mids, lows = (2**63 + 5, 2**63 + 9), (0, 7), (1, 2)
+    return [t << 128 | m << 64 | lo for _ in range(2) for lo in lows for m in mids for t in tops]
+
+
+def _four_words():
+    rng = random.Random(71)
+    values = [rng.getrandbits(250) for _ in range(4)]
+    values += [v ^ 1 for v in values]  # the same 64 top bits, a different last word
+    return [rng.choice(values) for _ in range(40)], 4
+
+
+HAND_BUILT = {
+    # every key distinct: the fast exit returns the words themselves
+    "distinct-keys": ([random.Random(67 + i).getrandbits(100) for i in range(50)], 2),
+    "equal-keys-interleaved": (_interleaved(), 3),
+    # the top word holds 8 bits, so the key keeps word 0's top 56; rows differ in its low 8
+    "below-the-aligned-key": ([0xFF << 64 | 0xABCDEF << 40 | d for d in (0, 1, 2, 1, 0, 255, 2)], 2),
+    # rows differ only in the highest set bit of the top word
+    "top-bit-only": ([1 << 104 | 12345, 12345, 1 << 104 | 12345, 12345, 6789], 2),
+    "top-word-zero": ([5, 5 | 1 << 64, 5, 7 | 1 << 64, 5 | 1 << 64, 4], 3),
+    "one-word": ([3, 1, 3, 3, 0, 1, 2**64 - 1, 2**63], 1),
+    "four-words": _four_words(),
+    "all-zero": ([0] * 6, 2),
+    "one-row": ([2**70 + 1], 2),
+}
 
 
 KERNEL_P = (Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3), Fraction(2047, 4096),
@@ -312,6 +373,38 @@ class TestDoubleDoubleKernel:
         ]
         assert len(terms) < 2 * 7
         assert mutual_information(j).mi_bits == math.fsum(terms)
+
+
+class TestDistinctRows:
+    """The uint64-key grouping against a Counter of the folded ints and the old byte sort."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_random_tables_match_the_oracles(self, n, monkeypatch):
+        table = TruthTable(n, random.Random(200 + n).getrandbits(1 << n))
+        for p in KERNEL_P:  # one to four words per row
+            j = joint_yz(table, p)
+            assert_groups_match_the_oracles(j.words)
+            assert mutual_information(j).mi_bits == mi_under_the_byte_sort(j, monkeypatch), p
+
+    @pytest.mark.parametrize("n", [2, 7, 12])
+    def test_structured_and_constant_tables_match_the_oracles(self, n, monkeypatch):
+        r = n // 2
+        classes = (Class1(1), Class2(2), Class3(r, 1), Class4(r, 0), Dictator(2), Lex(3 << (n - 2)))
+        tables = [make_class(n, c) for c in classes] + [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1)]
+        for p in KERNEL_P:
+            for table in tables:
+                j = joint_yz(table, p)
+                assert_groups_match_the_oracles(j.words)
+                assert mutual_information(j).mi_bits == mi_under_the_byte_sort(j, monkeypatch), (table, p)
+
+    @pytest.mark.parametrize("case", HAND_BUILT)
+    def test_hand_built_words_match_the_oracles(self, case):
+        assert_groups_match_the_oracles(words_of(*HAND_BUILT[case]))
+
+    def test_distinct_keys_return_the_words_themselves(self):
+        words = words_of(*HAND_BUILT["distinct-keys"])
+        rows, counts = _distinct_rows(words)
+        assert rows is words and counts.tolist() == [1] * len(words)
 
 
 class TestClosedForm:
