@@ -36,7 +36,7 @@ denominator from a table of den >> t; only the shifted numerators become
 Python ints, and only an m > 1 (a non-dyadic p) costs a gcd with m.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
-the same inverse run on Python ints for every lane width up to n = 16.
+the same inverse run on Python ints for every lane width up to n = 20.
 """
 
 from __future__ import annotations
@@ -324,14 +324,19 @@ def _wht(v: np.ndarray) -> None:
 def _lane_bits(n: int) -> int:
     """Digit width of the int64 lanes in which ``joint_yz`` runs its inverse.
 
-    A lane transforms digit·F(w) with digit < 2^bits and |F(w)| <= 2^n, so
-    every partial sum, the doubled ``b *= -2`` one included, is below
-    2^(2n + bits); the incoming carry adds at most 2^(2n) + 1.  With
-    2n + bits <= 62 nothing reaches 2^63.  Digits are whole bytes so that
-    lanes pack into bytes.
+    A lane transforms digit·F(w) with digit < 2^bits, where F is the
+    transform of a 0/1 table.  Every partial sum, of the butterflies and of
+    the 16 x 16 matrix products alike, is a signed sum of some of those
+    2^n terms, so it is at most 2^bits·S with S = sum_w |F(w)|.  Parseval
+    gives sum_w F(w)^2 = 2^n·|f| <= 2^(2n), and Cauchy-Schwarz over the
+    2^n terms then S <= 2^(3n/2) <= 2^m with m = ceil(3n/2).  With
+    bits + m <= 61 every partial sum is below 2^61, the doubled
+    ``b *= -2`` one below 2^62, and the carry a lane passes up stays at
+    most 2^(m + 1), so nothing reaches 2^63.  Digits are whole bytes so
+    that lanes pack into bytes.
     """
-    bits = 8 * ((62 - 2 * n) // 8)
-    assert 2 * n + bits <= 62 and bits >= 8, f"no int64 lane width for n={n}"
+    bits = 8 * ((61 - (3 * n + 1) // 2) // 8)
+    assert bits >= 8, f"no int64 lane width for n={n}"
     return bits
 
 
@@ -371,7 +376,7 @@ def joint_yz(f: TruthTable, p: Rational) -> JointYZ:
     step = bits // 8
     # every cell is at most 2^n·den^n, which fits the whole 64-bit words of width bytes; per
     # y, little-endian, the low digits come first and the top lane takes the bytes left over
-    # (its value is below 2^(n + bits) <= 2^62, so at most 8 of them)
+    # (its value is below 2^(n + bits) < 2^61, so at most 8 of them)
     width = 8 * _word_count(den**n << n)
     top_bytes = min(8, width - (lanes - 1) * step)
     packed = np.zeros((size, width), dtype=np.uint8)

@@ -12,19 +12,26 @@ the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 
 ``mutual_information`` reads the joint table's 64-bit words directly.
 It groups equal rows by exact word equality (uint64 sorts of each row's
-top 64 bits, then a check of the lower words), forms both cell masses per
-distinct row by a multiword borrow subtraction, and rounds every cell's
-two quotients in NumPy double-double arithmetic (Dekker 1971; Shewchuk
-1997): the masses are converted once from exact 32-bit pieces and
-multiplied by the double-double of each exact factor.  A proven error
-bound decides which products round correctly; any cell it cannot
-decide, and every cell of a table whose denominator leaves the kernel's
-exponent range, is divided as Python ints instead.  Every quotient is
-therefore the correctly rounded float of the exact rational, bit for bit
-what ``int / int`` gives.  The kernel uses only IEEE +, -, × and
-comparisons, and the logarithms are ``math.log2`` per cell, so MI
-depends on the platform's libm alone, like every other float here
-outside the exhaustive scan.
+top 64 bits, then a check of the lower words) and hands the distinct
+rows and their counts to one core, ``_mi_bits``.  The core picks how to
+round each cell's two quotients from the number of distinct rows alone.
+A table with fewer than 40 (``_KERNEL_MIN_ROWS``), such as a single-one,
+single-zero or subcube table with its n + 1 Hamming shells, has every
+cell divided as Python ints, each row folded into an int once.  From 40
+rows on, the core forms both cell masses per distinct row by a multiword
+borrow subtraction and rounds the quotients in NumPy double-double
+arithmetic (Dekker 1971; Shewchuk 1997): the masses are converted once
+from exact 32-bit pieces and multiplied by the double-double of each
+exact factor.  A proven error bound decides which products round
+correctly; any cell it cannot decide, and every cell of a table whose
+denominator leaves the kernel's exponent range, is divided as Python
+ints instead.  The cutoff is the lowest row count at which the kernel's
+fixed cost was measured to pay (see ``_cell_quotients``).  Either way
+every quotient is the correctly rounded float of the exact rational, bit
+for bit what ``int / int`` gives, so the path never moves an MI value.
+The kernel uses only IEEE +, -, × and comparisons, and the logarithms
+are ``math.log2`` per cell, so MI depends on the platform's libm alone,
+like every other float here outside the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -75,19 +82,29 @@ def mutual_information(j: JointYZ) -> MIResult:
 
     Terms with p_yz = 0 contribute 0.  ``bound_bits`` is 1 - H(p) for
     the channel error probability carried by the table and
-    ``margin_bits = bound_bits - mi_bits``.
-
-    Equal rows are grouped by exact word equality.  Each nonzero cell of a
-    distinct row with multiplicity ``count`` adds (count·c1)·log2(c2), where
-    c1 = p_yz and c2 = p_yz / (p_y * p_z) are the correctly rounded floats of
-    the exact rationals (see ``_cell_quotients``); the terms are summed
-    with :func:`math.fsum`.
+    ``margin_bits = bound_bits - mi_bits``.  Equal rows are grouped by
+    exact word equality, and ``_mi_bits`` reduces the distinct rows.
     """
-    counts, (c1, c2), _ = _cell_quotients(j)
-    blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(counts), _KERNEL_ROWS))
-    mi = math.fsum(chain.from_iterable(_terms(counts[b], c1[:, b], c2[:, b]) for b in blocks))
+    rows, counts = _distinct_rows(j.words)
+    mi = _mi_bits(rows, counts, j.n, j.den, j.pz1)
     bound = 1.0 - binary_entropy(j.p)
     return MIResult(mi_bits=mi, bound_bits=bound, margin_bits=bound - mi)
+
+
+def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fraction) -> float:
+    """MI in bits of the n-variable table whose distinct rows ``rows`` occur ``counts`` times.
+
+    ``rows`` holds the p1 numerators over ``den`` as little-endian words,
+    one row per distinct numerator, and ``pz1`` is the exact P(Z = 1).
+    Each nonzero cell of a row with multiplicity ``count`` adds
+    (count·c1)·log2(c2), where c1 = p_yz and c2 = p_yz / (p_y * p_z) are
+    the correctly rounded floats of the exact rationals (see
+    ``_cell_quotients``); the terms are summed with :func:`math.fsum`.
+    """
+    (c1, c2), _ = _cell_quotients(rows, n, den, pz1)
+    counts = counts.astype(np.float64)
+    blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(counts), _KERNEL_ROWS))
+    return math.fsum(chain.from_iterable(_terms(counts[b], c1[:, b], c2[:, b]) for b in blocks))
 
 
 def _terms(counts: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> list[float]:
@@ -111,6 +128,7 @@ _EXACT_MASS_BITS = 105  # masses below 2^105 convert to double-double without er
 _PUSH = 1.0 + 2.0**-41  # Ziv's rounding-test factor for a 2^-97 error; see _round_products
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for binary64
 _KERNEL_ROWS = 1 << 11  # distinct rows per kernel pass, which bounds its temporaries
+_KERNEL_MIN_ROWS = 40  # fewer distinct rows are divided as Python ints; the crossover is measured
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,22 +275,38 @@ def _round_products(hi, lo, factors):
     return r * back, undecided
 
 
-def _cell_quotients(j: JointYZ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(counts, quotients, fallbacks) over the distinct rows of ``j``.
+def _cell_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[np.ndarray, int]:
+    """(quotients, exact) over distinct rows, each quotient the correctly rounded float64.
 
-    ``counts[i]`` is the multiplicity of the i-th distinct row, and
     ``quotients[0][z, i]`` = mass/den and ``quotients[1][z, i]`` =
-    mass·up[z]/down[z] are the two quotients of its z cell, each the
-    correctly rounded float64 of the exact rational (what ``int / int``
-    gives).  Cells the double-double kernel cannot round, and every cell
-    of a table with den >= 2^1022, are divided as Python ints instead;
-    ``fallbacks`` counts them.
+    mass·up/down[z] are the two quotients of the z cell of ``rows[i]``,
+    what ``int / int`` gives.  Below ``_KERNEL_MIN_ROWS`` distinct rows
+    every cell is divided as Python ints; from there on the double-double
+    kernel runs (``_kernel_quotients``).  ``exact`` counts the cells
+    divided as Python ints.
+
+    The cutoff is the crossover of the two paths' costs, timed per table
+    in one warm process (medians of 21 back-to-back pairs, shared 2-vCPU
+    VM): the kernel's fixed 45-120 µs met int / int at 1.3-2.5 µs per row
+    near 40 distinct rows with one word per row (n = 8, p = 13/64), 46
+    with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
+    with five (n = 16).  Class tables have at most n + 1 distinct rows
+    and always take the exact path; a random table from n = 6 on has
+    close to 2^n and takes the kernel.
     """
-    den, py_num = j.den, j.den >> j.n
-    rows, counts = _distinct_rows(j.words)
-    # p_yz / (p_y * p_z) = mass * up / down[z] with p_y = 1/2^n and pz1 = ones/total
-    ones, total = j.pz1.numerator, j.pz1.denominator
-    up, down = total << j.n, (den * (total - ones), den * ones)
+    if len(rows) >= _KERNEL_MIN_ROWS:
+        return _kernel_quotients(rows, n, den, pz1)
+    return _exact_quotients(rows, den, *_ratio_scales(n, den, pz1)), 2 * len(rows)
+
+
+def _kernel_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[np.ndarray, int]:
+    """``_cell_quotients`` by the double-double kernel, with its exact fallback.
+
+    Cells the kernel cannot round, and every cell of a table with
+    den >= 2^1022, are divided as Python ints instead; the count of
+    those cells comes back beside the quotients.
+    """
+    py_num, up, down = scales = _ratio_scales(n, den, pz1)
     quotients = np.zeros((2, 2, len(rows)))
     undecided = np.ones((2, len(rows)), dtype=bool)
     if den.bit_length() <= _KERNEL_DEN_BITS:
@@ -286,13 +320,29 @@ def _cell_quotients(j: JointYZ) -> tuple[np.ndarray, np.ndarray, int]:
             masses = _masses(rows[block], py_num)
             quotients[:, :, block], flagged = _round_products(*_mass_dd(masses, pieces), factors)
             undecided[:, block] = flagged.any(axis=0)
-    cells = np.flatnonzero(undecided).tolist()
-    for cell in cells:
-        z, i = divmod(cell, len(rows))
-        (num,) = _fold_words(rows[i : i + 1])
-        mass = num if z else py_num - num
-        quotients[:, z, i] = (mass / den, mass * up / down[z]) if mass else 0.0
-    return counts.astype(np.float64), quotients, len(cells)
+    need = np.flatnonzero(undecided.any(axis=0))
+    if len(need):
+        redo = _exact_quotients(rows[need], den, *scales)
+        quotients[:, :, need] = np.where(undecided[:, need], redo, quotients[:, :, need])
+    return quotients, int(np.count_nonzero(undecided))
+
+
+def _exact_quotients(rows: np.ndarray, den: int, py_num: int, up: int, down: tuple[int, int]) -> np.ndarray:
+    """The (2, 2, len(rows)) quotients of every cell of ``rows``, divided as Python ints.
+
+    Each row is folded into a Python int once.
+    """
+    values = []
+    for num in _fold_words(rows):
+        for z, mass in enumerate((py_num - num, num)):
+            values += (mass / den, mass * up / down[z]) if mass else (0.0, 0.0)
+    return np.array(values).reshape(-1, 2, 2).transpose(2, 1, 0)  # row, z, quotient -> quotient, z, row
+
+
+def _ratio_scales(n: int, den: int, pz1: Fraction) -> tuple[int, int, tuple[int, int]]:
+    """(den/2^n, up, down): p_yz / (p_y * p_z) = mass·up/down[z] with p_y = 1/2^n."""
+    ones, total = pz1.numerator, pz1.denominator
+    return den >> n, total << n, (den * (total - ones), den * ones)
 
 
 def mi_class1_closed(n: int, p: Rational) -> float:

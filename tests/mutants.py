@@ -38,6 +38,7 @@ MI = "src/bfmi/mi.py"
 VERIFY = "src/bfmi/verify.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
 DISTINCT = "tests/test_mi.py::TestDistinctRows::"
+CUTOFF = "tests/test_mi.py::TestKernelCutoff::"
 HAND_BUILT = DISTINCT + "test_hand_built_words_match_the_oracles"
 LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
 GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
@@ -124,6 +125,25 @@ MUTANTS = (
         "        pair = group | ",
         (HAND_BUILT + "[equal-keys-interleaved]",),
     ),
+    # the cutoff between the exact path and the kernel
+    Mutant(
+        "mi-cutoff-inverted",
+        MI,
+        "    if len(rows) >= _KERNEL_MIN_ROWS:\n",
+        "    if len(rows) < _KERNEL_MIN_ROWS:\n",
+        (CUTOFF + "test_class_tables_take_the_exact_path_and_random_tables_the_kernel",
+         CUTOFF + "test_both_paths_agree_bit_for_bit_at_the_cutoff[1w-13/64]"),
+    ),
+    Mutant(
+        "mi-exact-path-masses-swapped",
+        MI,
+        "        for z, mass in enumerate((py_num - num, num)):\n",
+        "        for z, mass in enumerate((num, py_num - num)):\n",
+        # class tables have at most n + 1 distinct rows, so only the exact path reduces them
+        ("tests/test_mi.py::TestMutualInformation::test_bit_identical_to_fraction_cell_reduction[p1]",
+         KERNEL + "test_structured_and_constant_tables_match_the_loop[5]",
+         GOLDEN + "[verify-json]"),
+    ),
     Mutant(
         "kernel-zero-margin-for-inexact-masses",
         MI,
@@ -173,21 +193,25 @@ MUTANTS = (
         CHANNEL,
         "    bits = _lane_bits(n)\n",
         "    bits = _lane_bits(n) + 8\n",
-        ("tests/test_channel.py::TestJointYZ::test_digits_near_the_int64_limit[2]",),
+        ("tests/test_channel.py::TestJointYZ::test_digits_near_the_int64_limit[2]",
+         "tests/test_channel.py::TestJointYZ::test_lanes_near_the_int64_limit[8]",
+         "tests/test_channel.py::TestJointYZ::test_lanes_near_the_int64_limit[14]"),
     ),
     Mutant(
         "lanes-top-lane-sized-for-bits",
         CHANNEL,
         "    top_bytes = min(8, width - (lanes - 1) * step)\n",
         "    top_bytes = step\n",
-        (LANES + "[13]",),
+        # the all-ones table's top lane needs more than a digit's bytes at 13/64 and
+        # 12345/100003 from n = 12 and at 1/3 from n = 16
+        (LANES + "[12]", LANES + "[16]"),
     ),
     Mutant(
         "lanes-top-lane-sized-for-bits-unguarded",
         CHANNEL,
         "    if lane.min() < 0 or int(lane.max()) >> (8 * top_bytes):",
         "    top_bytes = step\n    if lane.min() < 0:",
-        (LANES + "[13]",),
+        (LANES + "[12]", LANES + "[16]"),
     ),
     Mutant(
         "fold-bytes-read-big-endian",

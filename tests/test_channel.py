@@ -66,6 +66,36 @@ def python_int_joint_nums(table, p):
     return tuple(spectrum.tolist())
 
 
+def inner_product_bent(n):
+    """The bent function x1·x2 + x3·x4 + ... (mod 2) on an even number n of inputs."""
+    pairs = int("01" * (n // 2), 2)
+    return TruthTable(n, sum(1 << x for x in range(1 << n) if (x & (x >> 1) & pairs).bit_count() & 1))
+
+
+def python_int_lane_peak(table, p, bits):
+    """Largest |value| that any lane of ``joint_yz``'s inverse ends its transform with.
+
+    Each lane's digit·F(w) is transformed on Python ints, and the carry it
+    takes from the lane below is added, as ``joint_yz`` does in int64.
+    """
+    q = Fraction(p)
+    n, den = table.n, q.denominator
+    t = den - 2 * q.numerator
+    spectrum = _bits(table).astype(np.int64)
+    _wht(spectrum)
+    scale = [t**k * den ** (n - k) for k in range(n + 1)]
+    weight = np.bitwise_count(np.arange(table.size, dtype=np.uint32))
+    peak, carry = 0, 0
+    for j in range(-(-max(scale).bit_length() // bits)):
+        digits = np.array([(c >> (bits * j)) & ((1 << bits) - 1) for c in scale], dtype=object)
+        lane = digits[weight] * spectrum.astype(object)
+        _wht(lane)
+        lane = lane + carry
+        peak = max(peak, *map(abs, lane.tolist()))
+        carry = lane >> bits
+    return peak
+
+
 def gcd_loop_csv(joint):
     """Oracle: the CSV text of the per-cell writer, every cell reduced by a ``math.gcd`` with den."""
     den, py_num = joint.den, joint.den >> joint.n
@@ -182,7 +212,7 @@ class TestJointYZ:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 11, 12, 13, 16])
     def test_int64_lanes_match_python_int_inverse(self, n):
-        # n = 1..3, 4..7, 8..11, 12..15 and 16 run 56-, 48-, 40-, 32- and 24-bit lanes
+        # n = 1..3, 4..8, 9..14 and 15..19 run 56-, 48-, 40- and 32-bit lanes (24 bits: see below)
         grid = [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3), Fraction(2047, 4096),
                 Fraction(12345, 100003)]
         tables = [
@@ -226,19 +256,50 @@ class TestJointYZ:
                 table = TruthTable(n, mask)
                 assert joint_yz(table, p).p1_nums == python_int_joint_nums(table, p), (table, p)
 
+    @pytest.mark.parametrize("n", [8, 14])
+    def test_lanes_near_the_int64_limit(self, n):
+        # the inner-product bent function has |F(w)| = 2^(n/2 - 1) at every w != 0, so its
+        # sum of |F(w)| is within a factor 2 of the 2^(3n/2) that _lane_bits allows for, and
+        # d = 2^62 + 1 fills the digits: a lane reaches 2^56, so one byte more would pass 2^63
+        table = inner_product_bent(n)
+        spectrum = _bits(table).astype(np.int64)
+        _wht(spectrum)
+        assert 2 ** (3 * n / 2 - 1) < np.abs(spectrum).sum() <= 2 ** (3 * n / 2)
+        p = Fraction(1, 2**62 + 1)
+        assert python_int_lane_peak(table, p, _lane_bits(n)) >= 2**56
+        assert joint_yz(table, p).p1_nums == python_int_joint_nums(table, p)
+
+    def test_24_bit_lanes_match_the_shell_closed_form(self):
+        # 24-bit lanes start at n = 20, where the Python-int inverse takes seconds; a single-one
+        # table's p1 numerator over 4^n·d^n is 2^n·(d - s)^(n - k)·s^k at distance k from its
+        # one, and its complement (|F(0)| = 2^n - 1) has 2^n·d^n minus that
+        n, witness, p = 20, 0x5A5A5, Fraction(1, 3)
+        assert _lane_bits(n) == 24
+        s, d = p.numerator, p.denominator
+        shell = [(d - s) ** (n - k) * s**k << n for k in range(n + 1)]
+        distance = np.bitwise_count(np.arange(1 << n, dtype=np.uint32) ^ witness).tolist()
+        nums = [shell[k] for k in distance]
+        one = make_class(n, Class1(witness))
+        assert joint_yz(one, p).p1_nums == tuple(nums)
+        top = d**n << n
+        assert joint_yz(complement(one), p).p1_nums == tuple(top - x for x in nums)
+
     def test_lane_width_bound_holds_for_every_n(self):
-        brackets = {1: 56, 3: 56, 4: 48, 7: 48, 8: 40, 11: 40, 12: 32, 15: 32, 16: 24}
+        brackets = {1: 56, 3: 56, 4: 48, 8: 48, 9: 40, 14: 40, 15: 32, 19: 32, 20: 24, 24: 24}
         assert {n: _lane_bits(n) for n in brackets} == brackets
         for n in range(1, MAX_N + 1):
             bits = _lane_bits(n)
-            assert bits % 8 == 0 and bits >= 8 and 2 * n + bits <= 62
-            # a lane sums 2^n terms digit·F(w) with digit < 2^bits and |F(w)| <= 2^n (the
-            # butterfly's doubled half-sums obey the same bound), then takes a carry that stays
-            # at most 2^(2n) + 1 from lane to lane
-            lane = (1 << n) * ((1 << bits) - 1) * (1 << n)
-            carry = (1 << 2 * n) + 1
-            assert (lane + carry) >> bits <= carry
-            assert lane + carry < 1 << 63
+            # a lane sums 2^n terms digit·F(w) with digit < 2^bits, and sum_w |F(w)| <= 2^m with
+            # m = ceil(3n/2): Cauchy-Schwarz with Parseval's sum_w F(w)^2 = 2^n·|f| <= 2^(2n).
+            # Every partial sum is at most the lane bound, the butterfly doubles one, and the
+            # carry stays at most 2^(m + 1) from lane to lane (an arithmetic shift floors)
+            m = math.ceil(3 * n / 2)
+            lane = ((1 << bits) - 1) << m
+            carry = 1 << (m + 1)
+            assert ((lane + carry) >> bits) + 1 <= carry
+            assert 2 * lane < 1 << 63 and lane + carry < 1 << 63
+            # the widest whole-byte digit the bound allows
+            assert bits % 8 == 0 and bits >= 8 and bits + m <= 61 < bits + 8 + m
 
     @pytest.mark.parametrize("p", P_SET)
     def test_numerators_are_python_ints(self, p):

@@ -12,8 +12,12 @@ import bfmi.mi
 from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, Lex, TruthTable, complement, make_class
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
+    _KERNEL_MIN_ROWS,
     _cell_quotients,
     _distinct_rows,
+    _exact_quotients,
+    _kernel_quotients,
+    _ratio_scales,
     binary_entropy,
     mi_class1_closed,
     mutual_information,
@@ -73,12 +77,15 @@ def loop_mi(j):
 
 
 def kernel_fallbacks(j):
-    """Check the kernel's grouping and both quotients of every cell against Python ints.
+    """Run the kernel on the distinct rows of ``j`` and check both quotients of every cell.
 
-    Returns how many cells the kernel sent to the exact ``int / int`` path.
+    The grouping and every quotient are checked against Python ints, whatever
+    path ``_cell_quotients`` would pick for this many rows.  Returns how many
+    cells the kernel sent to the exact ``int / int`` path.
     """
-    counts, (c1, c2), fallbacks = _cell_quotients(j)
-    nums = _fold(_distinct_rows(j.words)[0])
+    rows, counts = _distinct_rows(j.words)
+    (c1, c2), fallbacks = _kernel_quotients(rows, j.n, j.den, j.pz1)
+    nums = _fold(rows)
     assert dict(zip(nums, counts.tolist())) == Counter(j.p1_nums)
     den, py_num = j.den, j.den >> j.n
     up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
@@ -373,6 +380,61 @@ class TestDoubleDoubleKernel:
         ]
         assert len(terms) < 2 * 7
         assert mutual_information(j).mi_bits == math.fsum(terms)
+
+
+# (n, p) for random tables whose rows take one to four words, at dyadic and non-dyadic den
+CUTOFF_CASES = {
+    "1w-13/64": (8, Fraction(13, 64)),
+    "1w-1/3": (8, Fraction(1, 3)),
+    "2w-13/64": (10, Fraction(13, 64)),
+    "2w-12345/100003": (6, Fraction(12345, 100003)),
+    "3w-2047/4096": (10, Fraction(2047, 4096)),
+    "3w-12345/100003": (10, Fraction(12345, 100003)),
+    "4w-2^-35": (6, Fraction(1, 2**35)),
+    "4w-12345/100003": (12, Fraction(12345, 100003)),
+}
+
+
+class TestKernelCutoff:
+    """Tables on either side of ``_KERNEL_MIN_ROWS`` distinct rows: the path taken and its quotients."""
+
+    @pytest.mark.parametrize("case", CUTOFF_CASES)
+    def test_both_paths_agree_bit_for_bit_at_the_cutoff(self, case):
+        n, p = CUTOFF_CASES[case]
+        j = joint_yz(TruthTable(n, random.Random(n).getrandbits(1 << n)), p)
+        rows = _distinct_rows(j.words)[0]
+        assert rows.shape[1] == int(case[0]) and len(rows) > _KERNEL_MIN_ROWS
+        py_num, up, down = _ratio_scales(n, j.den, j.pz1)
+        for size in (_KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1):
+            part = rows[:size]
+            quotients, exact = _cell_quotients(part, n, j.den, j.pz1)
+            by_kernel, fallbacks = _kernel_quotients(part, n, j.den, j.pz1)
+            by_ints = _exact_quotients(part, j.den, py_num, up, down)
+            assert quotients.tobytes() == by_kernel.tobytes() == by_ints.tobytes(), size
+            assert exact == (2 * size if size < _KERNEL_MIN_ROWS else fallbacks), size
+            for i, num in enumerate(_fold(part)):
+                for z, mass in enumerate((py_num - num, num)):
+                    assert quotients[0, z, i] == mass / j.den
+                    assert not mass or quotients[1, z, i] == mass * up / down[z]
+
+    def test_class_tables_take_the_exact_path_and_random_tables_the_kernel(self, monkeypatch):
+        runs = []
+        kernel = bfmi.mi._kernel_quotients
+        monkeypatch.setattr(bfmi.mi, "_kernel_quotients", lambda *args: runs.append(args) or kernel(*args))
+        p = Fraction(13, 64)
+        for cls in (Class1(3), Class2(5), Class3(4, 1), Class4(4, 2), Dictator(2)):
+            j = joint_yz(make_class(10, cls), p)
+            rows = _distinct_rows(j.words)[0]
+            assert len(rows) <= 11
+            assert _cell_quotients(rows, 10, j.den, j.pz1)[1] == 2 * len(rows), cls
+            assert mutual_information(j).mi_bits == loop_mi(j), cls
+        assert runs == []
+        j = joint_yz(TruthTable(10, random.Random(10).getrandbits(1 << 10)), p)
+        rows = _distinct_rows(j.words)[0]
+        assert len(rows) >= _KERNEL_MIN_ROWS
+        assert _cell_quotients(rows, 10, j.den, j.pz1)[1] == 0
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        assert len(runs) == 2
 
 
 class TestDistinctRows:
