@@ -154,8 +154,11 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
     Raises
     ------
     ValueError
-        If the class parameters are out of range for ``n``.
+        If n is outside 1..MAX_N, checked before any mask is built, or the
+        class parameters are out of range for ``n``.
     """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
     size = 1 << n
     if isinstance(c, (Class1, Class2)):
         i = c.witness_index

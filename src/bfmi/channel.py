@@ -30,10 +30,10 @@ den/2^n and a column sum in 32-bit halves), and nothing is cached
 between calls.  Python ints appear only in the ``p1_nums`` and ``rows``
 views and in the CSV dump.  The dump takes no ``math.gcd`` per cell: with
 den = 2^a·m and m odd, it forms both masses of a block of rows by a
-multiword subtraction, counts each mass's trailing zeros across its
-words, shifts it right by that count (capped at a) and reads the reduced
-denominator from a table of den >> t; only the shifted numerators become
-Python ints, and only an m > 1 (a non-dyadic p) costs a gcd with m.
+multiword subtraction, counts each mass's trailing zeros t across its
+words (capped at a), folds the masses into Python ints, shifts each
+right by its t and reads the reduced denominator from a table of
+den >> t; only an m > 1 (a non-dyadic p) costs a gcd with m.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
 the same inverse run on Python ints for every lane width up to n = 20.
@@ -117,11 +117,8 @@ class JointYZ:
     exactly 1/2^n, the uniform Y marginal), and ``pz1`` is the exact sum
     of the p1 column.  ``p1_nums`` (Python ints) and ``rows`` (Fractions)
     are views built on each access; nothing in the MI reduction reads
-    them.  The CSV dump reduces the cells' powers of two on the words and
-    folds only the reduced numerators into ints, one block at a time.  On
-    a random n = 15 table at p = 13/64 it takes 0.048 s best and 0.065 s
-    median, against 0.092 s and 0.143 s with one ``math.gcd`` per cell
-    (15 alternating runs in one process, shared 2-vCPU VM).
+    them.  The CSV dump counts the cells' powers of two on the words and
+    reduces the folded ints by them, one block of rows at a time.
     """
 
     n: int
@@ -174,10 +171,10 @@ class JointYZ:
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms.
 
-        Each block of rows is reduced in NumPy on the words by the power of
-        two its cells share with den, and only for a den with an odd factor
-        do the cells take a ``math.gcd`` (see ``_lowest_terms``).  A block's
-        lines are written before the next block is read.
+        Each block of rows is reduced by the power of two its cells share
+        with den, counted in NumPy on the words, and only for a den with an
+        odd factor do the cells take a ``math.gcd`` (see ``_lowest_terms``).
+        A block's lines are written before the next block is read.
         """
         den, py_num = self.den, self.den >> self.n
         a = (den & -den).bit_length() - 1
@@ -190,6 +187,7 @@ class JointYZ:
                 nums, cells = _lowest_terms(masses.reshape(2 * size, -1), den, dens)
                 lines = map("%d,%d,%s,%d,%s\r\n".__mod__, zip(
                     range(lo, lo + size), nums[:size], cells[:size], nums[size:], cells[size:]))
+                # 1024 lines per write: one string per block ran random-tables about 7 % slower
                 while text := "".join(islice(lines, 1024)):
                     fh.write(text)
                 del masses, nums, cells, lines  # so that no two blocks are alive at once
@@ -218,14 +216,13 @@ def _lowest_terms(masses: np.ndarray, den: int, dens: list[str]) -> tuple[list[i
     ``masses`` holds one multiword number per row, and ``dens[t]`` is
     str(den >> t) for t = 0..a, where den = 2^a·m with m odd.  A mass
     shares 2^t with den, t its trailing-zero count capped at a (a zero
-    mass has t = a), and gcd(mass >> t, m) beyond that.  The masses are
-    shifted right by t in NumPy and folded into Python ints; only when
-    m > 1 does each int take a ``math.gcd`` with m.
+    mass has t = a), and gcd(mass >> t, m) beyond that.  t is counted on
+    the words in NumPy, the masses are folded into Python ints and shifted
+    right by t; only when m > 1 does each int take a ``math.gcd`` with m.
     """
     a = len(dens) - 1
-    t = np.minimum(_trailing_zeros(masses), a)
-    nums = _fold(_shift_right(masses, t))
-    t = t.tolist()
+    t = np.minimum(_trailing_zeros(masses), a).tolist()
+    nums = list(map(operator.rshift, _fold(masses), t))
     odd = den >> a
     if odd == 1:
         return nums, list(map(dens.__getitem__, t))
@@ -246,27 +243,6 @@ def _trailing_zeros(words: np.ndarray) -> np.ndarray:
         zero &= col == 0
     count[zero] = 1 << 62
     return count
-
-
-def _shift_right(words: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Every row's multiword number shifted right by its own count ``t``, as words."""
-    width = words.shape[1]
-    # shifted by t = 64q + r, word k of a row is made of its words k + q and k + q + 1, with a
-    # zero word past the top; every step runs on one word of all rows at once
-    padded = np.zeros((len(words), width + 1), dtype=np.uint64)
-    padded[:, :width] = words
-    flat = padded.ravel()
-    starts = np.arange(len(words)) * (width + 1)
-    q = np.minimum(t >> 6, width)
-    r = (t & 63).astype(np.uint64)
-    spill = (64 - r) & 63
-    out = np.empty_like(words)
-    low = flat[starts + q]
-    for k in range(width):
-        high = flat[starts + np.minimum(q + k + 1, width)]
-        out[:, k] = (low >> r) | np.where(r > 0, high << spill, 0)
-        low = high
-    return out
 
 
 def _fold(words: np.ndarray) -> list[int]:

@@ -13,22 +13,23 @@ the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 ``mutual_information`` reads the joint table's 64-bit words directly.
 It groups equal rows by exact word equality (uint64 sorts of each row's
 top 64 bits, then a check of the lower words) and hands the distinct
-rows and their counts to one core, ``_mi_bits``.  The core picks how to
-round each cell's two quotients from the number of distinct rows alone.
-A table with fewer than 40 (``_KERNEL_MIN_ROWS``), such as a single-one,
-single-zero or subcube table with its n + 1 Hamming shells, has every
-cell divided as Python ints, each row folded into an int once.  From 40
-rows on, the core forms both cell masses per distinct row by a multiword
-borrow subtraction and rounds the quotients in NumPy double-double
-arithmetic (Dekker 1971; Shewchuk 1997): the masses are converted once
-from exact 32-bit pieces and multiplied by the double-double of each
-exact factor.  A proven error bound decides which products round
-correctly; any cell it cannot decide, and every cell of a table whose
-denominator leaves the kernel's exponent range, is divided as Python
-ints instead.  The cutoff is the lowest row count at which the kernel's
-fixed cost was measured to pay (see ``_cell_quotients``).  Either way
-every quotient is the correctly rounded float of the exact rational, bit
-for bit what ``int / int`` gives, so the path never moves an MI value.
+rows and their counts to one core, ``_mi_bits``.  The core takes the
+distinct rows in blocks of ``_KERNEL_ROWS`` and picks how to round each
+block's quotients from its row count.  A block with fewer than 40
+rows (``_KERNEL_MIN_ROWS``), such as the n + 1 Hamming shells of a
+single-one, single-zero or subcube table, has every cell divided as
+Python ints, each row folded into an int once.  A block of 40 rows or
+more has both cell masses of each row formed by a multiword borrow
+subtraction and the quotients rounded in NumPy double-double arithmetic
+(Dekker 1971; Shewchuk 1997): the masses are converted once from exact
+32-bit pieces and multiplied by the double-double of each exact factor.
+A proven error bound decides which products round correctly; any cell
+it cannot decide, and every cell of a table whose denominator leaves the
+kernel's exponent range, is divided as Python ints instead.  The cutoff
+is the lowest row count at which the kernel's fixed cost was measured to
+pay (see ``_cell_quotients``).  Either way every quotient is the
+correctly rounded float of the exact rational, bit for bit what
+``int / int`` gives, so the path never moves an MI value.
 The kernel uses only IEEE +, -, × and comparisons, and the logarithms
 are ``math.log2`` per cell, so MI depends on the platform's libm alone,
 like every other float here outside the exhaustive scan.
@@ -98,13 +99,15 @@ def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fracti
     one row per distinct numerator, and ``pz1`` is the exact P(Z = 1).
     Each nonzero cell of a row with multiplicity ``count`` adds
     (count·c1)·log2(c2), where c1 = p_yz and c2 = p_yz / (p_y * p_z) are
-    the correctly rounded floats of the exact rationals (see
-    ``_cell_quotients``); the terms are summed with :func:`math.fsum`.
+    the correctly rounded floats of the exact rationals.  Rows are taken
+    ``_KERNEL_ROWS`` at a time, and each block picks its own rounding path
+    (see ``_cell_quotients``); every block's terms stream into one
+    :func:`math.fsum`.
     """
-    (c1, c2), _ = _cell_quotients(rows, n, den, pz1)
     counts = counts.astype(np.float64)
-    blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(counts), _KERNEL_ROWS))
-    return math.fsum(chain.from_iterable(_terms(counts[b], c1[:, b], c2[:, b]) for b in blocks))
+    blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(rows), _KERNEL_ROWS))
+    return math.fsum(chain.from_iterable(
+        _terms(counts[b], *_cell_quotients(rows[b], n, den, pz1)[0]) for b in blocks))
 
 
 def _terms(counts: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> list[float]:
@@ -127,8 +130,8 @@ _KERNEL_DEN_BITS = 1022  # larger den: a quotient could be subnormal, every cell
 _EXACT_MASS_BITS = 105  # masses below 2^105 convert to double-double without error
 _PUSH = 1.0 + 2.0**-41  # Ziv's rounding-test factor for a 2^-97 error; see _round_products
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for binary64
-_KERNEL_ROWS = 1 << 11  # distinct rows per kernel pass, which bounds its temporaries
-_KERNEL_MIN_ROWS = 40  # fewer distinct rows are divided as Python ints; the crossover is measured
+_KERNEL_ROWS = 1 << 11  # distinct rows per block, which bounds the kernel's temporaries
+_KERNEL_MIN_ROWS = 40  # a block of fewer rows is divided as Python ints; the crossover is measured
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -276,14 +279,15 @@ def _round_products(hi, lo, factors):
 
 
 def _cell_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[np.ndarray, int]:
-    """(quotients, exact) over distinct rows, each quotient the correctly rounded float64.
+    """(quotients, exact) over a block of distinct rows, each quotient the correctly rounded float64.
 
     ``quotients[0][z, i]`` = mass/den and ``quotients[1][z, i]`` =
     mass·up/down[z] are the two quotients of the z cell of ``rows[i]``,
-    what ``int / int`` gives.  Below ``_KERNEL_MIN_ROWS`` distinct rows
-    every cell is divided as Python ints; from there on the double-double
-    kernel runs (``_kernel_quotients``).  ``exact`` counts the cells
-    divided as Python ints.
+    what ``int / int`` gives.  A block of fewer than ``_KERNEL_MIN_ROWS``
+    rows, or of a table with den >= 2^1022, has every cell divided as
+    Python ints; otherwise the double-double kernel runs and only the
+    cells it cannot round are divided as Python ints.  ``exact`` counts
+    the cells divided as Python ints.
 
     The cutoff is the crossover of the two paths' costs, timed per table
     in one warm process (medians of 21 back-to-back pairs, shared 2-vCPU
@@ -292,34 +296,18 @@ def _cell_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[
     with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
     with five (n = 16).  Class tables have at most n + 1 distinct rows
     and always take the exact path; a random table from n = 6 on has
-    close to 2^n and takes the kernel.
-    """
-    if len(rows) >= _KERNEL_MIN_ROWS:
-        return _kernel_quotients(rows, n, den, pz1)
-    return _exact_quotients(rows, den, *_ratio_scales(n, den, pz1)), 2 * len(rows)
-
-
-def _kernel_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[np.ndarray, int]:
-    """``_cell_quotients`` by the double-double kernel, with its exact fallback.
-
-    Cells the kernel cannot round, and every cell of a table with
-    den >= 2^1022, are divided as Python ints instead; the count of
-    those cells comes back beside the quotients.
+    close to 2^n and takes the kernel, but for a short last block.
     """
     py_num, up, down = scales = _ratio_scales(n, den, pz1)
-    quotients = np.zeros((2, 2, len(rows)))
-    undecided = np.ones((2, len(rows)), dtype=bool)
-    if den.bit_length() <= _KERNEL_DEN_BITS:
-        exact = py_num.bit_length() <= _EXACT_MASS_BITS
-        per_den = _scaled_dd(1, den, exact)
-        factors = np.array([[per_den, per_den], [_scaled_dd(up, d, exact) for d in down]])
-        factors = factors.transpose(2, 0, 1)[..., None]  # field, quotient, z, broadcast row
-        pieces = -(-py_num.bit_length() // 32)
-        for lo in range(0, len(rows), _KERNEL_ROWS):
-            block = slice(lo, lo + _KERNEL_ROWS)
-            masses = _masses(rows[block], py_num)
-            quotients[:, :, block], flagged = _round_products(*_mass_dd(masses, pieces), factors)
-            undecided[:, block] = flagged.any(axis=0)
+    if len(rows) < _KERNEL_MIN_ROWS or den.bit_length() > _KERNEL_DEN_BITS:
+        return _exact_quotients(rows, den, *scales), 2 * len(rows)
+    exact = py_num.bit_length() <= _EXACT_MASS_BITS
+    per_den = _scaled_dd(1, den, exact)
+    factors = np.array([[per_den, per_den], [_scaled_dd(up, d, exact) for d in down]])
+    factors = factors.transpose(2, 0, 1)[..., None]  # field, quotient, z, broadcast row
+    pieces = -(-py_num.bit_length() // 32)
+    quotients, flagged = _round_products(*_mass_dd(_masses(rows, py_num), pieces), factors)
+    undecided = flagged.any(axis=0)
     need = np.flatnonzero(undecided.any(axis=0))
     if len(need):
         redo = _exact_quotients(rows[need], den, *scales)

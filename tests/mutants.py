@@ -125,14 +125,22 @@ MUTANTS = (
         "        pair = group | ",
         (HAND_BUILT + "[equal-keys-interleaved]",),
     ),
-    # the cutoff between the exact path and the kernel
+    # the escape from the kernel to the exact path, taken per block of distinct rows
     Mutant(
         "mi-cutoff-inverted",
         MI,
-        "    if len(rows) >= _KERNEL_MIN_ROWS:\n",
-        "    if len(rows) < _KERNEL_MIN_ROWS:\n",
+        "if len(rows) < _KERNEL_MIN_ROWS or ",
+        "if len(rows) >= _KERNEL_MIN_ROWS or ",
         (CUTOFF + "test_class_tables_take_the_exact_path_and_random_tables_the_kernel",
-         CUTOFF + "test_both_paths_agree_bit_for_bit_at_the_cutoff[1w-13/64]"),
+         CUTOFF + "test_both_paths_agree_bit_for_bit_at_the_cutoff[1w-13/64]",
+         CUTOFF + "test_a_short_last_block_takes_the_exact_path"),
+    ),
+    Mutant(
+        "mi-den-escape-dropped",
+        MI,
+        " or den.bit_length() > _KERNEL_DEN_BITS:",
+        ":",
+        (KERNEL + "test_den_at_the_top_of_the_exponent_range",),
     ),
     Mutant(
         "mi-exact-path-masses-swapped",
@@ -228,12 +236,12 @@ MUTANTS = (
         "        masses[0, :, k] = diff\n",
         (KERNEL + "test_random_tables_match_the_loop[13]", WRITER + "test_csv_dump_matches_the_gcd_loop[p2]"),
     ),
-    # the CSV writer's lowest terms: trailing zeros, multiword shifts, the odd cofactor
+    # the CSV writer's lowest terms: trailing zeros, shifts of the folded ints, the odd cofactor
     Mutant(
         "writer-trailing-zero-cap-dropped",
         CHANNEL,
-        "    t = np.minimum(_trailing_zeros(masses), a)\n",
-        "    t = _trailing_zeros(masses)\n",
+        "np.minimum(_trailing_zeros(masses), a)",
+        "_trailing_zeros(masses)",
         (WRITER + "test_csv_dump_matches_the_gcd_loop[p0]", WRITER + "test_csv_dump_of_hand_built_cells[2^300*3^60*5]"),
     ),
     Mutant(
@@ -245,20 +253,19 @@ MUTANTS = (
          WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
     ),
     Mutant(
-        "writer-shift-r0-takes-the-next-word",
+        "writer-shift-dropped",
         CHANNEL,
-        "np.where(r > 0, high << spill, 0)",
-        "(high << spill)",
-        # joint_yz's masses are multiples of 2^n, so only hand-built rows shift by r = 0 here
-        (WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
+        "list(map(operator.rshift, _fold(masses), t))",
+        "_fold(masses)",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", GOLDEN + "[compute-small-dump-2^-70]",
          WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
     ),
     Mutant(
-        "writer-shift-ignores-the-next-word",
+        "writer-shift-one-too-far",
         CHANNEL,
-        "        out[:, k] = (low >> r) | np.where(r > 0, high << spill, 0)\n",
-        "        out[:, k] = low >> r\n",
-        (WRITER + "test_csv_dump_matches_the_gcd_loop[p6]", GOLDEN + "[compute-small-dump-2^-70]",
+        "_fold(masses), t))",
+        "_fold(masses), [c + 1 for c in t]))",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
          WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
     ),
     Mutant(
@@ -318,6 +325,15 @@ MUTANTS = (
         "def joint_yz(",
         "def write_csv(joint, path):\n    joint.write_csv(path)\n\n\ndef joint_yz(",
         ("tests/test_perfbench_spans.py::test_span_names_are_unique_and_cover_every_counter",),
+    ),
+    # make_class judges n before it builds a mask
+    Mutant(
+        "make-class-n-unchecked",
+        BOOLFN,
+        "    if not 1 <= n <= MAX_N:\n",
+        "    if False:\n",
+        ("tests/test_boolfn.py::TestConstructors::test_n_is_checked_before_the_mask_is_built[class2-25]",
+         "tests/test_boolfn.py::TestConstructors::test_n_is_checked_before_the_mask_is_built[dictator-25]"),
     ),
     # records built from their fields, and the one spec table
     Mutant(

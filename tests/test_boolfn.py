@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
@@ -111,6 +112,20 @@ class TestConstructors:
     def test_out_of_range_parameters_raise(self, n, cls):
         with pytest.raises(ValueError):
             make_class(n, cls)
+
+    @pytest.mark.parametrize("n", [25, 64])
+    @pytest.mark.parametrize("cls", [Class1(0), Class2(0), Class3(1), Class4(1), Dictator(1), Lex(0)],
+                             ids=["class1", "class2", "class3", "class4", "dictator", "lex"])
+    def test_n_is_checked_before_the_mask_is_built(self, n, cls):
+        # at n = 25 a whole mask is 4 MiB, at n = 64 it cannot be built at all
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^n must be in 1..24, got {n}$"):
+                make_class(n, cls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestTruthTable:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
-from bfmi.channel import JointYZ, _lane_bits, _shift_right, _trailing_zeros, _wht, joint_yz, marginal_sum
+from bfmi.channel import JointYZ, _lane_bits, _lowest_terms, _trailing_zeros, _wht, joint_yz, marginal_sum
 from bfmi.mi import _distinct_rows
 from test_boolfn import _brute_force_image
 
@@ -456,8 +456,8 @@ class TestJointYZContainer:
         assert path.read_bytes() == gcd_loop_csv(joint).encode()
 
     def test_trailing_zeros_and_shifts_of_multiword_rows(self):
-        # rows of 1..5 words with runs of zero words at the bottom, shifted by every count up to
-        # the row's trailing zeros, its width in bits and beyond
+        # rows of 1..5 words with runs of zero words at the bottom; den = 2^a caps every shift
+        # at a, from 0 through the row's width in bits and beyond
         rng = random.Random(61)
         for width in range(1, 6):
             nums = [0, 1, 1 << (64 * width - 1), (1 << (64 * width)) - 1]
@@ -468,9 +468,9 @@ class TestJointYZContainer:
                              dtype=np.uint64).reshape(len(nums), width)
             zeros = _trailing_zeros(words).tolist()
             assert zeros == [(num & -num).bit_length() - 1 if num else 1 << 62 for num in nums]
-            for t in [0, 1, 63, 64, 65, 64 * width - 1, 64 * width, 64 * width + 70]:
-                counts = np.full(len(nums), t, dtype=np.int64)
-                counts[1::3] = np.minimum(zeros[1::3], t)
-                shifted = _shift_right(words, counts)
-                expected = [num >> int(c) for num, c in zip(nums, counts)]
-                assert [sum(int(w) << (64 * k) for k, w in enumerate(row)) for row in shifted] == expected
+            for a in [0, 1, 63, 64, 65, 64 * width - 1, 64 * width, 64 * width + 70]:
+                dens = [str(1 << (a - k)) for k in range(a + 1)]
+                shifted, cells = _lowest_terms(words, 1 << a, dens)
+                shifts = [min(z, a) for z in zeros]
+                assert shifted == [num >> t for num, t in zip(nums, shifts)], a
+                assert cells == [dens[t] for t in shifts], a

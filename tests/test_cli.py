@@ -379,6 +379,18 @@ class TestUsageErrors:
         assert option in err
 
     @pytest.mark.parametrize(
+        "argv",
+        [["compute", "--n", "64", "--function", "class2"],
+         ["sweep", "--n", "64", "--function", "dictator"],
+         ["reduce-check", "--n", "64", "--r", "1"]],
+        ids=["compute", "sweep", "reduce-check"],
+    )
+    def test_n_beyond_max_n_is_one_error_line(self, capsys, argv):
+        # make_class checks n before it builds a 2^64-bit mask
+        code, out, err = run(capsys, *argv, "--p", "1/4")
+        assert (code, out, err) == (2, "", "mi: error: n must be in 1..24, got 64\n")
+
+    @pytest.mark.parametrize(
         "spec, message",
         [("class3:r=0", "r must be in 1..n-1, got r=0 for n=2"),
          ("class1:i=5000", "witness_index 5000 out of range for n=2")],

@@ -13,10 +13,10 @@ from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, Lex, TruthTabl
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
     _KERNEL_MIN_ROWS,
+    _KERNEL_ROWS,
     _cell_quotients,
     _distinct_rows,
     _exact_quotients,
-    _kernel_quotients,
     _ratio_scales,
     binary_entropy,
     mi_class1_closed,
@@ -62,18 +62,29 @@ def fraction_cell_mi(j):
     return math.fsum(terms)
 
 
+def reference_scales(j):
+    """(den/2^n, up, down) of ``j``: p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n."""
+    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
+    down = [j.den * q.numerator for q in (j.pz0, j.pz1)]
+    return j.den >> j.n, up, down
+
+
 def loop_mi(j):
     """The per-cell reduction the kernel replaced: one Python int per cell, int / int quotients."""
-    den, py_num = j.den, j.den >> j.n
-    # p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n
-    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+    den, (py_num, up, down) = j.den, reference_scales(j)
     terms = []
     for num, count in Counter(j.p1_nums).items():
         for z, mass in enumerate((py_num - num, num)):
             if mass > 0:
                 terms.append(count * (mass / den) * math.log2(mass * up[z] / down[z]))
     return math.fsum(terms)
+
+
+def kernel_quotients(rows, n, den, pz1):
+    """``_cell_quotients`` with ``_KERNEL_MIN_ROWS`` patched to 0, so the kernel takes any block."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
+        return _cell_quotients(rows, n, den, pz1)
 
 
 def kernel_fallbacks(j):
@@ -84,12 +95,10 @@ def kernel_fallbacks(j):
     cells the kernel sent to the exact ``int / int`` path.
     """
     rows, counts = _distinct_rows(j.words)
-    (c1, c2), fallbacks = _kernel_quotients(rows, j.n, j.den, j.pz1)
+    (c1, c2), fallbacks = kernel_quotients(rows, j.n, j.den, j.pz1)
     nums = _fold(rows)
     assert dict(zip(nums, counts.tolist())) == Counter(j.p1_nums)
-    den, py_num = j.den, j.den >> j.n
-    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+    den, (py_num, up, down) = j.den, reference_scales(j)
     for i, num in enumerate(nums):
         for z, mass in enumerate((py_num - num, num)):
             assert c1[z, i] == mass / den, (z, num)
@@ -104,9 +113,7 @@ def cells_near_midpoints(j, rel):
     (its approximation errs by less than 2^-98.9 and its test pushes by at
     least 2^-97), and none does when rel >= 2^-93 (the push is at most 2^-94).
     """
-    den, py_num = j.den, j.den >> j.n
-    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-    down = [den * q.numerator for q in (j.pz0, j.pz1)]
+    den, (py_num, up, down) = j.den, reference_scales(j)
 
     def near(q):
         r = float(q)
@@ -369,9 +376,7 @@ class TestDoubleDoubleKernel:
         assert kernel_fallbacks(j) == 2 * 7
         with pytest.raises(ValueError, match="math domain error"):
             loop_mi(j)
-        den, py_num = j.den, j.den >> j.n
-        up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-        down = [den * q.numerator for q in (j.pz0, j.pz1)]
+        den, (py_num, up, down) = j.den, reference_scales(j)
         terms = [
             count * (mass / den) * math.log2(mass * up[z] / down[z])
             for num, count in Counter(j.p1_nums).items()
@@ -404,23 +409,23 @@ class TestKernelCutoff:
         j = joint_yz(TruthTable(n, random.Random(n).getrandbits(1 << n)), p)
         rows = _distinct_rows(j.words)[0]
         assert rows.shape[1] == int(case[0]) and len(rows) > _KERNEL_MIN_ROWS
-        py_num, up, down = _ratio_scales(n, j.den, j.pz1)
+        py_num, up, down = reference_scales(j)
         for size in (_KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1):
             part = rows[:size]
             quotients, exact = _cell_quotients(part, n, j.den, j.pz1)
-            by_kernel, fallbacks = _kernel_quotients(part, n, j.den, j.pz1)
-            by_ints = _exact_quotients(part, j.den, py_num, up, down)
+            by_kernel, fallbacks = kernel_quotients(part, n, j.den, j.pz1)
+            by_ints = _exact_quotients(part, j.den, *_ratio_scales(n, j.den, j.pz1))
             assert quotients.tobytes() == by_kernel.tobytes() == by_ints.tobytes(), size
             assert exact == (2 * size if size < _KERNEL_MIN_ROWS else fallbacks), size
             for i, num in enumerate(_fold(part)):
                 for z, mass in enumerate((py_num - num, num)):
                     assert quotients[0, z, i] == mass / j.den
-                    assert not mass or quotients[1, z, i] == mass * up / down[z]
+                    assert not mass or quotients[1, z, i] == mass * up[z] / down[z]
 
     def test_class_tables_take_the_exact_path_and_random_tables_the_kernel(self, monkeypatch):
         runs = []
-        kernel = bfmi.mi._kernel_quotients
-        monkeypatch.setattr(bfmi.mi, "_kernel_quotients", lambda *args: runs.append(args) or kernel(*args))
+        kernel = bfmi.mi._round_products
+        monkeypatch.setattr(bfmi.mi, "_round_products", lambda *args: runs.append(args) or kernel(*args))
         p = Fraction(13, 64)
         for cls in (Class1(3), Class2(5), Class3(4, 1), Class4(4, 2), Dictator(2)):
             j = joint_yz(make_class(10, cls), p)
@@ -435,6 +440,24 @@ class TestKernelCutoff:
         assert _cell_quotients(rows, 10, j.den, j.pz1)[1] == 0
         assert mutual_information(j).mi_bits == loop_mi(j)
         assert len(runs) == 2
+
+    def test_a_short_last_block_takes_the_exact_path(self, monkeypatch):
+        # the first _KERNEL_ROWS + 17 distinct rows of a random n = 12 table, repeated to fill
+        # its 2^12 rows: the kernel takes the full block and int / int the 17-row tail
+        p = Fraction(13, 64)
+        j = joint_yz(TruthTable(12, random.Random(12).getrandbits(1 << 12)), p)
+        distinct = list(dict.fromkeys(j.p1_nums))[: _KERNEL_ROWS + 17]
+        assert len(distinct) == _KERNEL_ROWS + 17
+        nums = [distinct[y % len(distinct)] for y in range(1 << 12)]
+        j = joint_from_nums(12, p, j.den, nums, Fraction(sum(nums), j.den))
+        kernel_rows, exact_rows = [], []
+        kernel, exact = bfmi.mi._round_products, bfmi.mi._exact_quotients
+        monkeypatch.setattr(bfmi.mi, "_round_products",
+                            lambda hi, *args: kernel_rows.append(hi.shape[-1]) or kernel(hi, *args))
+        monkeypatch.setattr(bfmi.mi, "_exact_quotients",
+                            lambda rows, *args: exact_rows.append(len(rows)) or exact(rows, *args))
+        assert mutual_information(j).mi_bits == loop_mi(j)
+        assert kernel_rows == [_KERNEL_ROWS] and exact_rows == [17]
 
 
 class TestDistinctRows:
