@@ -28,12 +28,15 @@ as it is: for p = s/d every cell is an integer numerator over 4^n·d^n.
 Validation runs in NumPy on the words (a multiword comparison against
 den/2^n and a column sum in 32-bit halves), and nothing is cached
 between calls.  Python ints appear only in the ``p1_nums`` and ``rows``
-views and in the CSV dump.  The dump takes no ``math.gcd`` per cell: with
+views and in the CSV dump of a den that is not a power of two or has
+den/2^n >= 2^106.  The dump takes no ``math.gcd`` per cell: with
 den = 2^a·m and m odd, it forms both masses of a block of rows by a
 multiword subtraction, counts each mass's trailing zeros t across its
-words (capped at a), folds the masses into Python ints, shifts each
-right by its t and reads the reduced denominator from a table of
-den >> t; only an m > 1 (a non-dyadic p) costs a gcd with m.
+words (capped at a) and reads the reduced denominator from a table of
+den >> t.  For m = 1 and masses below 2^106 it shifts the masses on
+their words and writes their exact decimal digits in NumPy; otherwise
+it folds them into Python ints, shifts each right by its t and, for
+m > 1 (a non-dyadic p), takes a gcd with m.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
 the same inverse run on Python ints for every lane width up to n = 20.
@@ -46,16 +49,29 @@ import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from functools import partial, reduce
+from itertools import chain, repeat
 
 import numpy as np
 
 from .boolfn import MAX_N, TruthTable, _bits
 
 Rational = Fraction | int
-# words are folded into Python ints this many rows at a time; with 2^14 rows the CSV dump's
-# per-block NumPy temporaries raised the peak RSS of repeated n = 15 dumps by about 1.3 MB
+# rows per block of the passes that would otherwise hold a whole-table temporary: the
+# ``p1_nums`` view folds this many rows into Python ints at a time, and ``_wht`` multiplies
+# this many 16-entry blocks by the Hadamard matrix at once
 _READ_ROWS = 1 << 12
+# rows per rendered and written block of the CSV dump; with 4096 the random-tables benchmark
+# (n = 13 and 15 dumps) read 42.4 MB of peak RSS against 41.2 MB, and 9 % fewer checks/s
+_DUMP_ROWS = 1 << 10
+# the dump renders masses below 2^106 in NumPy: their quotients by 10^16 stay below 2^53
+_DECIMAL_BITS = 106
+_TEN16 = 10**16
+# the ASCII digits of 0..9999, four bytes to an entry, most significant first: every choice
+# of four digits in index order, built in uint8 so that importing bfmi does not raise the
+# peak RSS
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_DIGITS4 = _DIGITS4.reshape(10_000, 4).view("<u4")[:, 0]
 _WORD = (1 << 64) - 1
 # Sylvester-Hadamard matrix of order 16; its leading 2^k x 2^k block is the one of order 2^k
 _HADAMARD = np.array([[(-1) ** (i & j).bit_count() for j in range(16)] for i in range(16)],
@@ -118,7 +134,8 @@ class JointYZ:
     of the p1 column.  ``p1_nums`` (Python ints) and ``rows`` (Fractions)
     are views built on each access; nothing in the MI reduction reads
     them.  The CSV dump counts the cells' powers of two on the words and
-    reduces the folded ints by them, one block of rows at a time.
+    reduces the cells by them one block of rows at a time, in NumPy for
+    a dyadic den below 2^(n + 106) and on folded Python ints otherwise.
     """
 
     n: int
@@ -171,26 +188,112 @@ class JointYZ:
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms.
 
-        Each block of rows is reduced by the power of two its cells share
-        with den, counted in NumPy on the words, and only for a den with an
-        odd factor do the cells take a ``math.gcd`` (see ``_lowest_terms``).
-        A block's lines are written before the next block is read.
+        Each block of ``_DUMP_ROWS`` rows is reduced by the power of two its
+        cells share with den, counted in NumPy on the words, and written
+        before the next block is read.  den alone picks the renderer: for
+        den = 2^a with den/2^n < 2^106, ``_dyadic_lines`` shifts the masses
+        and writes their decimal digits in NumPy, with no Python int per
+        cell; any other den takes ``_formatted_lines``, which folds the
+        masses into Python ints and, for a den with an odd factor, gives
+        each a ``math.gcd`` (see ``_lowest_terms``).
         """
         den, py_num = self.den, self.den >> self.n
         a = (den & -den).bit_length() - 1
-        dens = [str(den >> t) for t in range(a + 1)]
-        with open(path, "w", newline="") as fh:
-            fh.write("y_index,p0_num,p0_den,p1_num,p1_den\r\n")
-            for lo in range(0, len(self.words), _READ_ROWS):
-                masses = _masses(self.words[lo : lo + _READ_ROWS], py_num)
-                size = masses.shape[1]
-                nums, cells = _lowest_terms(masses.reshape(2 * size, -1), den, dens)
-                lines = map("%d,%d,%s,%d,%s\r\n".__mod__, zip(
-                    range(lo, lo + size), nums[:size], cells[:size], nums[size:], cells[size:]))
-                # 1024 lines per write: one string per block ran random-tables about 7 % slower
-                while text := "".join(islice(lines, 1024)):
-                    fh.write(text)
-                del masses, nums, cells, lines  # so that no two blocks are alive at once
+        if den == 1 << a and py_num.bit_length() <= _DECIMAL_BITS:
+            dens = [den >> t for t in range(a + 1)]
+            render = partial(_dyadic_lines, a=a, mids=np.array([b",%d," % d for d in dens]),
+                             ends=np.array([b",%d\r\n" % d for d in dens]))
+        else:
+            render = partial(_formatted_lines, den=den, dens=[str(den >> t) for t in range(a + 1)])
+        with open(path, "wb") as fh:
+            fh.write(b"y_index,p0_num,p0_den,p1_num,p1_den\r\n")
+            for lo in range(0, len(self.words), _DUMP_ROWS):
+                masses = _masses(self.words[lo : lo + _DUMP_ROWS], py_num)
+                fh.write(render(lo, masses.reshape(2 * masses.shape[1], -1)))
+
+
+def _dyadic_lines(first: int, masses: np.ndarray, a: int, mids: np.ndarray, ends: np.ndarray) -> bytes:
+    """CSV lines of rows first, first + 1, ... for den = 2^a, rendered in NumPy.
+
+    ``masses`` holds the z = 0 masses of the block's rows above their
+    z = 1 masses, one or two words each and below 2^106.  Each mass is
+    shifted right by t, its trailing-zero count capped at a, and written
+    by ``_decimal``; ``mids[t]`` is ``,den >> t,`` and ``ends[t]`` is
+    ``,den >> t\r\n``, so five string additions make every line.
+    """
+    size = len(masses) // 2
+    t = np.minimum(_trailing_zeros(masses), a)
+    digits = _decimal(*_shift_right(masses, t))
+    ys = np.strings.add(_digits(np.arange(first, first + size), 8), b",")
+    fields = (ys, digits[:size], mids[t[:size]], digits[size:], ends[t[size:]])
+    return b"".join(reduce(np.strings.add, fields).tolist())
+
+
+def _formatted_lines(first: int, masses: np.ndarray, den: int, dens: list[str]) -> bytes:
+    """CSV lines of rows first, first + 1, ..., one Python int and one ``%`` format per cell."""
+    size = len(masses) // 2
+    nums, cells = _lowest_terms(masses, den, dens)
+    lines = zip(range(first, first + size), nums[:size], cells[:size], nums[size:], cells[size:])
+    return "".join(map("%d,%d,%s,%d,%s\r\n".__mod__, lines)).encode()
+
+
+def _shift_right(masses: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of every one- or two-word mass shifted right by its t.
+
+    NumPy defines an unsigned shift by 64 or more bits as 0, and the
+    uint64 counts 64 - t and t - 64 wrap to such counts where they would
+    be negative, so each of the three shifts below vanishes where it does
+    not apply: the low word takes lo >> t and hi << (64 - t) for t <= 64,
+    and hi >> (t - 64) for t >= 64.  A nonzero mass has t < 128.
+    """
+    t = t.astype(np.uint64)
+    lo = masses[:, 0]
+    if masses.shape[1] == 1:
+        return np.zeros_like(lo), lo >> t
+    hi = masses[:, 1]
+    return hi >> t, (lo >> t) | (hi << (64 - t)) | (hi >> (t - 64))
+
+
+def _decimal(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Decimal digits of every v = hi·2^64 + lo < 2^53·10^16, as bytes without leading zeros.
+
+    Let v = Q·10^16 + R with 0 <= R < 10^16, so Q < 2^53.  The float64
+    estimate q = floor(fl(fl(fl(hi)·2^64 + fl(lo)) / 10^16)) is within
+    ±2 of Q.  fl(hi)·2^64 is exact (hi < 2^43), fl(lo) is off by at most
+    2^10, and the sum, below 2^107, by at most 2^53 more: less than
+    0.91·10^16 in all.  10^16 is exact, and the division's rounding adds
+    at most 1 (half an ulp at 2^53), so the quotient is within 1.91 of
+    v/10^16 and its floor within 2 of Q.  Hence v - q·10^16 lies in
+    [-2·10^16, 3·10^16), inside int64, and equals lo - q·10^16 modulo
+    2^64: that uint64 difference read as int64 is exact, and one floor
+    division by 10^16 corrects q and R.  ``_digits`` writes both.
+    """
+    q = np.floor((hi.astype(np.float64) * 2.0**64 + lo.astype(np.float64)) / 1e16).astype(np.int64)
+    r = (lo - q.view(np.uint64) * np.uint64(_TEN16)).view(np.int64)
+    fix = r // _TEN16
+    q += fix
+    r -= fix * _TEN16
+    return _digits(np.stack((q, r), axis=1), 16)
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Decimal text of every row of ``values``, each entry below 10^width, without leading zeros.
+
+    A row's entries are its digits ``width`` at a time (4, 8 or 16), the
+    most significant first.  Scalar divisions halve every entry down to
+    groups of four digits, each group's ASCII bytes are read from
+    ``_DIGITS4``, ``np.strings.lstrip`` drops the leading zeros, and a row
+    of zeros prints as ``0``.
+    """
+    groups = values
+    for _ in range(width.bit_length() - 3):  # halve the digits per entry down to 4
+        width //= 2
+        high = groups // 10**width
+        groups = np.stack((high, groups - high * 10**width), axis=-1)
+    text = _DIGITS4[groups.reshape(len(values), -1)].view(f"S{4 * groups[0].size}")[:, 0]
+    text = np.strings.lstrip(text, b"0")
+    text[text == b""] = b"0"
+    return text
 
 
 def _masses(rows: np.ndarray, py_num: int) -> np.ndarray:

@@ -9,8 +9,9 @@ test exists, so a refactor that moves the code updates the ledger with it.
 The kill run copies the repository into a temporary directory, applies one
 mutant at a time there and runs its tests::
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py              # every mutant
+    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py 'writer-*'   # every mutant whose name starts with writer-
 
 It prints one line per mutant and exits 1 if any survives (a listed test
 passes) or cannot be judged (pytest reports a usage or collection error).
@@ -187,7 +188,8 @@ MUTANTS = (
         CHANNEL,
         "        lane += carry\n",
         "",
-        (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+        # the random golden dump takes the NumPy writer; the 2^-70 one folds its multiword masses
+        (LANES + "[16]", GOLDEN + "[compute-small-dump-2^-70]"),
     ),
     Mutant(
         "lanes-logical-carry-shift",
@@ -226,7 +228,8 @@ MUTANTS = (
         CHANNEL,
         'repeat("little")',
         'repeat("big")',
-        (LANES + "[16]", "tests/test_golden.py::test_report_bytes_are_pinned[compute-random-dump]"),
+        # the random golden dump takes the NumPy writer; the 2^-70 one folds its multiword masses
+        (LANES + "[16]", GOLDEN + "[compute-small-dump-2^-70]"),
     ),
     # the cell masses, shared by the MI kernel and the CSV writer
     Mutant(
@@ -236,13 +239,15 @@ MUTANTS = (
         "        masses[0, :, k] = diff\n",
         (KERNEL + "test_random_tables_match_the_loop[13]", WRITER + "test_csv_dump_matches_the_gcd_loop[p2]"),
     ),
-    # the CSV writer's lowest terms: trailing zeros, shifts of the folded ints, the odd cofactor
+    # the CSV writer's Python path, for a den with an odd factor or den/2^n >= 2^106: trailing
+    # zeros, shifts of the folded ints, the odd cofactor
     Mutant(
         "writer-trailing-zero-cap-dropped",
         CHANNEL,
-        "np.minimum(_trailing_zeros(masses), a)",
-        "_trailing_zeros(masses)",
-        (WRITER + "test_csv_dump_matches_the_gcd_loop[p0]", WRITER + "test_csv_dump_of_hand_built_cells[2^300*3^60*5]"),
+        "np.minimum(_trailing_zeros(masses), a).tolist()",
+        "_trailing_zeros(masses).tolist()",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p6]",
+         WRITER + "test_csv_dump_of_hand_built_cells[2^300*3^60*5]"),
     ),
     Mutant(
         "writer-zero-mass-count-uncapped",
@@ -257,15 +262,15 @@ MUTANTS = (
         CHANNEL,
         "list(map(operator.rshift, _fold(masses), t))",
         "_fold(masses)",
-        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", GOLDEN + "[compute-small-dump-2^-70]",
-         WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p6]",
+         GOLDEN + "[compute-small-dump-2^-70]", WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
     ),
     Mutant(
         "writer-shift-one-too-far",
         CHANNEL,
         "_fold(masses), t))",
         "_fold(masses), [c + 1 for c in t]))",
-        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p5]", WRITER + "test_csv_dump_of_hand_built_cells[2^130]",
          WRITER + "test_trailing_zeros_and_shifts_of_multiword_rows"),
     ),
     Mutant(
@@ -276,6 +281,54 @@ MUTANTS = (
         # of the golden dumps, only the cofactor table's cells share a factor (3) with den's odd part
         (WRITER + "test_csv_dump_matches_the_gcd_loop[p3]", WRITER + "test_csv_dump_matches_the_gcd_loop[p5]",
          GOLDEN + "[compute-cofactor-dump-third]"),
+    ),
+    # the CSV writer's NumPy path, for den = 2^a with den/2^n < 2^106: shifts on the words, the
+    # decimal digits, the denominator strings
+    Mutant(
+        "writer-numpy-cap-dropped",
+        CHANNEL,
+        "    t = np.minimum(_trailing_zeros(masses), a)\n",
+        "    t = _trailing_zeros(masses)\n",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p0]",
+         WRITER + "test_one_word_and_constant_tables_take_the_numpy_writer[n13-zero]"),
+    ),
+    Mutant(
+        "writer-numpy-shift-dropped",
+        CHANNEL,
+        "_decimal(*_shift_right(masses, t))",
+        "_decimal(*_shift_right(masses, 0 * t))",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", WRITER + "test_csv_dump_matches_the_gcd_loop[n15-31_64]",
+         GOLDEN + "[compute-random-dump]"),
+    ),
+    Mutant(
+        "writer-high-word-shift-dropped",
+        CHANNEL,
+        " | (hi >> (t - 64))",
+        "",
+        (WRITER + "test_shift_right_of_one_and_two_word_masses",),
+    ),
+    Mutant(
+        "writer-remainder-correction-dropped",
+        CHANNEL,
+        "    q += fix\n    r -= fix * _TEN16\n",
+        "",
+        (WRITER + "test_decimal_digits_match_str",),
+    ),
+    Mutant(
+        "writer-zero-printed-empty",
+        CHANNEL,
+        '    text[text == b""] = b"0"\n',
+        "",
+        (WRITER + "test_decimal_digits_match_str", WRITER + "test_csv_dump_matches_the_gcd_loop[p0]",
+         WRITER + "test_one_word_and_constant_tables_take_the_numpy_writer[n9-zero]"),
+    ),
+    Mutant(
+        "writer-den-string-indexed-by-t-plus-1",
+        CHANNEL,
+        "mids[t[:size]]",
+        "mids[t[:size] + 1]",
+        (WRITER + "test_csv_dump_matches_the_gcd_loop[p2]", WRITER + "test_csv_dump_matches_the_gcd_loop[n15-31_64]",
+         GOLDEN + "[compute-random-dump]"),
     ),
     # Karamata reports
     Mutant(
@@ -536,10 +589,24 @@ def run(mutant: Mutant, copy: Path) -> str:
     return "killed" if set(mutant.tests) <= failed_ids(proc.stdout) else "SURVIVED"
 
 
-def main(names: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not names or m.name in names]
-    if names and len(chosen) != len(set(names)):
-        raise SystemExit(f"unknown mutant in {names}")
+def select(patterns: list[str]) -> list[Mutant]:
+    """The mutants named by ``patterns`` (every one if there are none), in ledger order.
+
+    A pattern is a mutant's exact name, or a prefix followed by ``*``
+    (``writer-*`` selects every mutant whose name starts with ``writer-``).
+    A pattern that matches no mutant is an error.
+    """
+
+    def matches(pattern: str, name: str) -> bool:
+        return name.startswith(pattern[:-1]) if pattern.endswith("*") else name == pattern
+
+    if not all(any(matches(p, m.name) for m in MUTANTS) for p in patterns):
+        raise SystemExit(f"unknown mutant in {patterns}")
+    return [m for m in MUTANTS if not patterns or any(matches(p, m.name) for p in patterns)]
+
+
+def main(patterns: list[str]) -> int:
+    chosen = select(patterns)
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"

@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
-from bfmi.channel import JointYZ, _lane_bits, _lowest_terms, _trailing_zeros, _wht, joint_yz, marginal_sum
+import bfmi.channel
+from bfmi.channel import (_DUMP_ROWS, JointYZ, _decimal, _lane_bits, _lowest_terms, _shift_right, _trailing_zeros,
+                          _wht, joint_yz, marginal_sum)
 from bfmi.mi import _distinct_rows
 from test_boolfn import _brute_force_image
 
@@ -105,6 +107,18 @@ def gcd_loop_csv(joint):
         g1 = math.gcd(num, den)
         lines.append(f"{y},{(py_num - num) // g0},{den // g0},{num // g1},{den // g1}\r\n")
     return "".join(lines)
+
+
+def spy(monkeypatch, name):
+    """Record the arguments of every call of ``bfmi.channel.<name>`` and let each call through."""
+    calls, real = [], getattr(bfmi.channel, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bfmi.channel, name, wrapper)
+    return calls
 
 
 def joint_from_nums(n, p, den, nums, pz1):
@@ -422,21 +436,74 @@ class TestJointYZContainer:
                 cells = line.split(",")[1:]
                 assert ["0", "1"] in (cells[:2], cells[2:])
 
-    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3),
-                                   Fraction(2047, 4096), Fraction(12345, 100003), Fraction(1, 2**70)])
-    def test_csv_dump_matches_the_gcd_loop(self, tmp_path, p):
+    @pytest.mark.parametrize(
+        ("p", "ns", "numpy_ns"),
+        [(p, range(1, 13), numpy_ns) for p, numpy_ns in (
+            (Fraction(0), range(1, 13)), (Fraction(1, 2), range(1, 13)), (Fraction(13, 64), range(1, 13)),
+            (Fraction(1, 3), ()), (Fraction(2047, 4096), range(1, 9)), (Fraction(12345, 100003), ()),
+            (Fraction(1, 2**70), (1,)))]
+        # each side of the NumPy writer's gate, den/2^n < 2^106: at n = 15, p = 31/64 a mass can be
+        # 2^105; at n = 16, p = 1/64 den/2^n is 2^112, and den = 12^15 has an odd factor
+        + [(Fraction(31, 64), (15,), (15,)), (Fraction(1, 64), (16,), ()), (Fraction(1, 3), (15,), ())],
+        ids=[f"p{i}" for i in range(7)] + ["n15-31_64", "n16-1_64", "n15-1_3"],
+    )
+    def test_csv_dump_matches_the_gcd_loop(self, tmp_path, monkeypatch, p, ns, numpy_ns):
         # the odd part of den is 1 for the dyadic p, 3^n or 100003^n (several words) for the
-        # others; at 2^-70 every cell spans several words
+        # others.  den/2^n = 2^(13n) at p = 2047/4096 reaches 2^106 at n = 9; at 2^-70 every cell
+        # spans several words, and den/2^n = 2^71 only at n = 1
+        blocks = spy(monkeypatch, "_dyadic_lines")
         rng = random.Random(p.denominator)
         path = tmp_path / "joint.csv"
-        for n in range(1, 13):
+        for n in ns:
             tables = [TruthTable(n, rng.getrandbits(1 << n))]
             if n in (1, 4, 11):
                 tables += [TruthTable(n, 0), TruthTable(n, (1 << (1 << n)) - 1)]  # zero cells dump as 0,1
             for table in tables:
                 joint = joint_yz(table, p)
+                blocks.clear()
                 joint.write_csv(path)
                 assert path.read_bytes() == gcd_loop_csv(joint).encode(), (table, p)
+                assert len(blocks) == (-(-table.size // _DUMP_ROWS) if n in numpy_ns else 0), (table, p)
+
+    @pytest.mark.parametrize("table", [TruthTable(9, random.Random(9).getrandbits(512)), TruthTable(9, 0),
+                                       TruthTable(13, 0), TruthTable(13, (1 << (1 << 13)) - 1)],
+                             ids=["n9-random", "n9-zero", "n13-zero", "n13-one"])
+    def test_one_word_and_constant_tables_take_the_numpy_writer(self, tmp_path, monkeypatch, table):
+        # n = 9, p = 13/64: den/2^n = 2^63, one word per mass; a constant table has a zero
+        # column, which prints as 0 over 1
+        blocks = spy(monkeypatch, "_dyadic_lines")
+        joint = joint_yz(table, Fraction(13, 64))
+        path = tmp_path / "joint.csv"
+        joint.write_csv(path)
+        assert path.read_bytes() == gcd_loop_csv(joint).encode()
+        assert len(blocks) == -(-table.size // _DUMP_ROWS)
+        assert (joint.words.shape[1] == 1) == (table.n == 9)
+        if table.mask in (0, (1 << table.size) - 1):
+            assert all(line.count(b",0,1") == 1 for line in path.read_bytes().splitlines()[1:])
+
+    def test_decimal_digits_match_str(self):
+        # the float64 estimate of v // 10^16 is corrected exactly: values at and next to
+        # multiples of 10^16 at the largest quotients, across the word boundary and at 2^106
+        rng = random.Random(106)
+        ten16 = 10**16
+        values = [0, 1, ten16 - 1, ten16, 2**64 - 1, 2**64, 2**64 + 1, 2**105, 2**106 - 1]
+        values += [q * ten16 + d for q in (2**52, 2**53 - 1) for d in range(-3, 4)]
+        values += [rng.getrandbits(rng.randrange(1, 107)) for _ in range(10**5)]
+        hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+        lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+        assert _decimal(hi, lo).tolist() == [str(v).encode() for v in values]
+
+    def test_shift_right_of_one_and_two_word_masses(self):
+        # every count from 0 to 127 on two-word masses, the word boundary at 64 included, and
+        # counts past the word on one-word masses
+        rng = random.Random(64)
+        for width, counts in ((1, range(0, 80)), (2, range(0, 128))):
+            nums = [0, 1, (1 << (64 * width)) - 1] + [rng.getrandbits(64 * width) for _ in range(40)]
+            cases = [(num, t) for num in nums for t in counts]
+            words = np.array([[(num >> (64 * k)) & (2**64 - 1) for k in range(width)] for num, _ in cases],
+                             dtype=np.uint64)
+            hi, lo = _shift_right(words, np.array([t for _, t in cases]))
+            assert [(h << 64) | low for h, low in zip(hi.tolist(), lo.tolist())] == [num >> t for num, t in cases]
 
     @pytest.mark.parametrize("den", [2**130, 2**300 * 3**60 * 5], ids=["2^130", "2^300*3^60*5"])
     def test_csv_dump_of_hand_built_cells(self, tmp_path, den):
