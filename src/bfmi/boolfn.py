@@ -6,6 +6,11 @@ i.e. x_1 is the most significant bit.  A function is stored as an
 integer bitmask in which bit i (value 2^i) holds f applied to the
 binary expansion of i.
 
+One table, ``_SPECS``, declares each class family: its spec name and
+keys, and the closed-form histogram of its distance profiles
+(:func:`profile_histogram`), from which the class checks take MI
+without building a joint table.  ``lex`` has no such form.
+
 The symmetry group acting on truth tables is generated by output
 complement, input-coordinate permutations and input-coordinate
 negations.  All of these preserve the mutual information between
@@ -19,8 +24,10 @@ and nothing is cached between calls.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,15 +204,71 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
     raise TypeError(f"unknown function class: {c!r}")
 
 
-# spec name -> (class, {key: default} in field order, None for a required key)
+class ProfileHistogram(NamedTuple):
+    """The multiset of distance profiles of an n-variable table, over every y.
+
+    The profile of y is (N_0(y), ..., N_n(y)), N_d(y) counting the ones
+    of f at Hamming distance d from y; p_YZ(y, 1) depends on f and y only
+    through it.  ``profiles[i]`` occurs at ``counts[i]`` values of y, and
+    ``ones`` is |f|.  The counts sum to 2^n, every N_d lies in
+    [0, C(n, d)], and sum_y N_d(y) = |f|*C(n, d) for every d, since each
+    one of f lies at distance d from C(n, d) values of y; the test suite
+    checks these for every closed form below.  A named tuple, not a
+    frozen dataclass, because building the class at import takes about
+    0.08 ms against 0.68 ms.
+    """
+
+    n: int
+    ones: int
+    profiles: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
+
+
+def _subcube_histogram(n: int, r: int) -> ProfileHistogram:
+    """The indicator of a subcube with r fixed coordinates, 0 <= r <= n.
+
+    From a y at distance k from the fixed prefix, C(n - r, j) of the
+    subcube's 2^(n - r) ones lie at distance k + j, and C(r, k)*2^(n - r)
+    values of y share that k.  r = n is a single one (class 1) and r = 1
+    a dictator; the channel's invariance under y -> y xor a and under
+    coordinate permutations makes the prefix and its position irrelevant.
+    """
+    shell = [math.comb(n - r, j) for j in range(n - r + 1)]
+    profiles = tuple(tuple([0] * k + shell + [0] * (r - k)) for k in range(r + 1))
+    counts = tuple(math.comb(r, k) << (n - r) for k in range(r + 1))
+    return ProfileHistogram(n, 1 << (n - r), profiles, counts)
+
+
+def _complement_histogram(h: ProfileHistogram) -> ProfileHistogram:
+    """The histogram of the output complement: N_d -> C(n, d) - N_d and |f| -> 2^n - |f|."""
+    shells = [math.comb(h.n, d) for d in range(h.n + 1)]
+    profiles = tuple(tuple(c - v for v, c in zip(prof, shells)) for prof in h.profiles)
+    return ProfileHistogram(h.n, (1 << h.n) - h.ones, profiles, h.counts)
+
+
+# spec name -> (class, {key: default} in field order with None for a required key,
+#               closed-form profile histogram at n, or None where there is none)
 _SPECS = {
-    "class1": (Class1, {"i": 0}),
-    "class2": (Class2, {"i": 0}),
-    "class3": (Class3, {"r": None, "prefix": 0}),
-    "class4": (Class4, {"r": None, "prefix": 0}),
-    "dictator": (Dictator, {"j": 1}),
-    "lex": (Lex, {"n1": None}),
+    "class1": (Class1, {"i": 0}, lambda n, c: _subcube_histogram(n, n)),
+    "class2": (Class2, {"i": 0}, lambda n, c: _complement_histogram(_subcube_histogram(n, n))),
+    "class3": (Class3, {"r": None, "prefix": 0}, lambda n, c: _subcube_histogram(n, c.r)),
+    "class4": (Class4, {"r": None, "prefix": 0}, lambda n, c: _complement_histogram(_subcube_histogram(n, c.r))),
+    "dictator": (Dictator, {"j": 1}, lambda n, c: _subcube_histogram(n, 1)),
+    "lex": (Lex, {"n1": None}, None),
 }
+
+
+def profile_histogram(n: int, c: FunctionClass) -> ProfileHistogram | None:
+    """The closed-form :class:`ProfileHistogram` of class ``c`` at n, or None (``lex``).
+
+    It does not depend on p, on a witness index or prefix, or on a
+    dictator's coordinate.  It is only meaningful where :func:`make_class`
+    accepts (n, c); that judgement is left to make_class.
+    """
+    for cls, _, histogram in _SPECS.values():
+        if type(c) is cls:
+            return None if histogram is None else histogram(n, c)
+    raise TypeError(f"unknown function class: {c!r}")
 
 
 def parse_class_spec(spec: str) -> FunctionClass:
@@ -229,7 +292,7 @@ def parse_class_spec(spec: str) -> FunctionClass:
             raise ValueError(f"non-integer value in class spec {spec!r}") from exc
     if name not in _SPECS:
         raise ValueError(f"unknown function class {name!r}")
-    cls, defaults = _SPECS[name]
+    cls, defaults, _ = _SPECS[name]
     values = [args.pop(key, default) for key, default in defaults.items()]
     missing = [key for key, val in zip(defaults, values) if val is None]
     if missing:
@@ -241,7 +304,7 @@ def parse_class_spec(spec: str) -> FunctionClass:
 
 def format_class_spec(c: FunctionClass) -> str:
     """Inverse of :func:`parse_class_spec`: every key, defaults included."""
-    for name, (cls, defaults) in _SPECS.items():
+    for name, (cls, defaults, _) in _SPECS.items():
         if type(c) is cls:
             return ":".join([name, *(f"{key}={val}" for key, val in zip(defaults, vars(c).values()))])
     raise TypeError(f"unknown function class: {c!r}")

@@ -9,14 +9,26 @@ checks pass, 1 = some check failed, 2 = usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
 
-from .boolfn import MAX_N, Class1, Class2, Class3, Class4, TruthTable, make_class, parse_class_spec
+from .boolfn import (
+    MAX_N,
+    Class1,
+    Class2,
+    Class3,
+    Class4,
+    FunctionClass,
+    TruthTable,
+    make_class,
+    parse_class_spec,
+    profile_histogram,
+)
 from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify_instance
-from .mi import mutual_information
+from .mi import histogram_mutual_information, mutual_information
 from .verify import (
     IDENTITY_TOLERANCE,
     _csv_text,
@@ -72,18 +84,20 @@ def _emit(text: str, out_path) -> None:
             sys.stdout.write("\n")
 
 
-def _load_table(args) -> TruthTable:
+def _load_table(args) -> tuple[TruthTable, FunctionClass | None]:
+    """The table of ``--table`` or ``--function``, and the class of ``--function`` (else None)."""
     if args.table:
         with open(args.table) as fh:
             table = TruthTable.from_json(fh.read())
         if args.n is not None and args.n != table.n:
             raise ValueError(f"--n {args.n} disagrees with table file (n={table.n})")
-        return table
+        return table, None
     if args.function is None:
         raise ValueError("provide --function or --table")
     if args.n is None:
         raise ValueError("--n is required with --function")
-    return make_class(args.n, parse_class_spec(args.function))
+    cls = parse_class_spec(args.function)
+    return make_class(args.n, cls), cls
 
 
 def _expand_class_specs(text: str, n_min: int, n_max: int):
@@ -119,8 +133,9 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
             yield parse_class_spec(name), n_range
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # each subcommand takes only the options it reads
+    # each subcommand takes only the options it reads; built on first use, once per process
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=_parse_p, help="exact error probability, e.g. 3/8")
     common.add_argument("--out", help="write output to this path instead of stdout")
@@ -167,13 +182,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> tuple[str, bool]:
+    # a class with a closed-form profile histogram needs no joint table, unless it is dumped
     if args.p is None:
         raise ValueError("compute needs --p")
-    table = _load_table(args)
-    joint = joint_yz(table, args.p)
-    if args.dump_joint:
-        joint.write_csv(args.dump_joint)
-    result = mutual_information(joint)
+    table, cls = _load_table(args)
+    hist = None if cls is None or args.dump_joint else profile_histogram(table.n, cls)
+    if hist is not None:
+        result = histogram_mutual_information(hist, args.p)
+    else:
+        joint = joint_yz(table, args.p)
+        if args.dump_joint:
+            joint.write_csv(args.dump_joint)
+        result = mutual_information(joint)
     return json.dumps(vars(result), indent=2), margin_passes(result.margin_bits)
 
 

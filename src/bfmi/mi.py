@@ -10,41 +10,48 @@ term and terms are accumulated with :func:`math.fsum`, which keeps
 results reproducible bit-for-bit and the rounding error well below
 the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 
-``mutual_information`` reads the joint table's 64-bit words directly.
-It groups equal rows by exact word equality (uint64 sorts of each row's
-top 64 bits, then a check of the lower words) and hands the distinct
-rows and their counts to one core, ``_mi_bits``.  The core takes the
-distinct rows in blocks of ``_KERNEL_ROWS`` and picks how to round each
-block's quotients from its row count.  A block with fewer than 40
-rows (``_KERNEL_MIN_ROWS``), such as the n + 1 Hamming shells of a
-single-one, single-zero or subcube table, has every cell divided as
-Python ints, each row folded into an int once.  A block of 40 rows or
-more has both cell masses of each row formed by a multiword borrow
-subtraction and the quotients rounded in NumPy double-double arithmetic
-(Dekker 1971; Shewchuk 1997): the masses are converted once from exact
-32-bit pieces and multiplied by the double-double of each exact factor.
-A proven error bound decides which products round correctly; any cell
-it cannot decide, and every cell of a table whose denominator leaves the
-kernel's exponent range, is divided as Python ints instead.  The cutoff
-is the lowest row count at which the kernel's fixed cost was measured to
-pay (see ``_cell_quotients``).  Either way every quotient is the
-correctly rounded float of the exact rational, bit for bit what
-``int / int`` gives, so the path never moves an MI value.
-The kernel uses only IEEE +, -, × and comparisons, and the logarithms
-are ``math.log2`` per cell, so MI depends on the platform's libm alone,
-like every other float here outside the exhaustive scan.
+Two producers feed one core, ``_mi_bits``, with the distinct rows of a
+table and their counts.  ``mutual_information`` reads a joint table's
+64-bit words directly and groups equal rows by exact word equality
+(uint64 sorts of each row's top 64 bits, then a check of the lower
+words).  ``histogram_mutual_information`` builds no table: a class with
+a closed-form histogram of distance profiles (every class but ``lex``)
+has at most n + 1 distinct rows, and ``_profile_rows`` forms each one's
+numerator from its profile, merges equal numerators exactly and packs
+them into the same words, so both producers give the core the same rows
+and counts and MI the same bits.  The core takes the distinct rows in
+blocks of ``_KERNEL_ROWS`` and picks how to round each block's
+quotients from its row count.  A block with fewer than 40 rows
+(``_KERNEL_MIN_ROWS``), such as every class table's, has every cell
+divided as Python ints, each row folded into an int once.  A block of
+40 rows or more has both cell masses of each row formed by a multiword
+borrow subtraction and the quotients rounded in NumPy double-double
+arithmetic (Dekker 1971; Shewchuk 1997): the masses are converted once
+from exact 32-bit pieces and multiplied by the double-double of each
+exact factor.  A proven error bound decides which products round
+correctly; any cell it cannot decide, and every cell of a table whose
+denominator leaves the kernel's exponent range, is divided as Python
+ints instead.  The cutoff is the lowest row count at which the kernel's
+fixed cost was measured to pay (see ``_cell_quotients``).  Either way
+every quotient is the correctly rounded float of the exact rational,
+bit for bit what ``int / int`` gives, so the path never moves an MI
+value.  The kernel uses only IEEE +, -, × and comparisons, and the
+logarithms are ``math.log2`` per cell, so MI depends on the platform's
+libm alone, like every other float here outside the exhaustive scan.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 import numpy as np
 
-from .channel import JointYZ, Rational, _fold as _fold_words, _masses, as_probability
+from .boolfn import ProfileHistogram
+from .channel import JointYZ, Rational, _fold as _fold_words, _masses, _word_count, as_probability
 
 
 def xlog2x(v: Rational | float) -> float:
@@ -87,9 +94,53 @@ def mutual_information(j: JointYZ) -> MIResult:
     exact word equality, and ``_mi_bits`` reduces the distinct rows.
     """
     rows, counts = _distinct_rows(j.words)
-    mi = _mi_bits(rows, counts, j.n, j.den, j.pz1)
-    bound = 1.0 - binary_entropy(j.p)
+    return _result(_mi_bits(rows, counts, j.n, j.den, j.pz1), j.p)
+
+
+def histogram_mutual_information(h: ProfileHistogram, p: Rational) -> MIResult:
+    """:func:`mutual_information` of a table with distance-profile histogram ``h``, bit for bit.
+
+    No joint table is built: ``_profile_rows`` turns the histogram into
+    the distinct rows and counts that grouping the table's rows would
+    give, and the same core reduces them.
+
+    Raises
+    ------
+    ValueError
+        If p is outside [0, 1/2].
+    """
+    q = as_probability(p, Fraction(1, 2))
+    rows, counts, den = _profile_rows(h, q)
+    return _result(_mi_bits(rows, counts, h.n, den, Fraction(h.ones, 1 << h.n)), q)
+
+
+def _result(mi: float, p: Fraction) -> MIResult:
+    bound = 1.0 - binary_entropy(p)
     return MIResult(mi_bits=mi, bound_bits=bound, margin_bits=bound - mi)
+
+
+def _profile_rows(h: ProfileHistogram, p: Fraction) -> tuple[np.ndarray, np.ndarray, int]:
+    """(rows, counts, den): the distinct p1 numerators of ``h``'s table over den, with their counts.
+
+    For p = s/d the table has den = 4^n·d^n, and a y with profile
+    (N_0, ..., N_n) has the numerator 2^n·sum_d N_d·s^d·(d - s)^(n - d),
+    as ``joint_yz`` would build it.  Profiles with equal numerators, as
+    every profile at p = 1/2 and the profiles with N_0 = 0 at p = 0, are
+    merged exactly, so each distinct numerator occurs once with its total
+    count, as ``_distinct_rows`` gives it, and every count·c1 product
+    rounds as on the table.  The rows come packed in the words layout of
+    ``JointYZ.words``.
+    """
+    n, s, d = h.n, p.numerator, p.denominator
+    weights = [s**k * (d - s) ** (n - k) for k in range(n + 1)]
+    nums = [sum(map(operator.mul, prof, weights)) << n for prof in h.profiles]
+    merged = dict.fromkeys(nums, 0)
+    for num, count in zip(nums, h.counts):
+        merged[num] += count
+    den = 4**n * d**n
+    width = 8 * _word_count(den >> n)
+    raw = b"".join(num.to_bytes(width, "little") for num in merged)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(merged), -1), np.array(list(merged.values())), den
 
 
 def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fraction) -> float:
@@ -295,8 +346,10 @@ def _cell_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[
     near 40 distinct rows with one word per row (n = 8, p = 13/64), 46
     with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
     with five (n = 16).  Class tables have at most n + 1 distinct rows
-    and always take the exact path; a random table from n = 6 on has
-    close to 2^n and takes the kernel, but for a short last block.
+    (r + 1 for a subcube with r fixed coordinates, two for a dictator),
+    whichever producer made them, and always take the exact path; a
+    random table from n = 6 on has close to 2^n and takes the kernel, but
+    for a short last block.
     """
     py_num, up, down = scales = _ratio_scales(n, den, pz1)
     if len(rows) < _KERNEL_MIN_ROWS or den.bit_length() > _KERNEL_DEN_BITS:

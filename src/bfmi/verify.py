@@ -50,10 +50,11 @@ from .boolfn import (
     _orbit_images,
     format_class_spec,
     make_class,
+    profile_histogram,
 )
 from .channel import Rational, as_probability, joint_yz
 from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
-from .mi import binary_entropy, mutual_information
+from .mi import binary_entropy, histogram_mutual_information, mutual_information
 
 logger = logging.getLogger(__name__)
 
@@ -140,7 +141,10 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
     The one judge of where a class exists: the n where it does not are
     skipped with one logged warning that lists them, unless it exists at
     no n of the range; then :func:`make_class`'s ValueError is raised and
-    nothing logged.  Class 1 and 2 reports carry the exact certificate.
+    nothing logged.  MI comes from the class's closed-form profile
+    histogram where it has one, and from its joint table (``lex``)
+    otherwise; both give the same bits.  Class 1 and 2 reports carry the
+    exact certificate.
     """
     spec_str = format_class_spec(class_spec)
     tables, skipped = {}, []
@@ -157,8 +161,12 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
     reports = []
     for n, table in tables.items():
         attach_certificate = isinstance(class_spec, (Class1, Class2)) and n >= 2
+        hist = profile_histogram(n, class_spec)
         for p in p_grid:
-            result = mutual_information(joint_yz(table, p))
+            if hist is None:
+                result = mutual_information(joint_yz(table, p))
+            else:
+                result = histogram_mutual_information(hist, p)
             cert = None
             if attach_certificate:
                 cert = certify_instance(build_karamata_sequences(n, p))
@@ -179,14 +187,25 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
 def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     """MI of the r-subcube indicator on n variables vs the single-one MI on r.
 
-    The two agree exactly; both sides are evaluated through the generic
-    exact-table engine.  For r = 1 both equal 1 - H(p).
+    Both sides come from profile histograms, with no joint table, and
+    the two histograms agree up to exact scalings.  For p = s/d the
+    subcube's distinct rows are the single one's times (2d)^(n - r), over
+    a den larger by (2d)^(n - r)*2^(n - r), and its counts are theirs
+    times 2^(n - r).  So each count*c1 product is the same float and the
+    two MI values agree bit for bit (pinned for n <= 10 by the test
+    suite); callers still compare them within ``IDENTITY_TOLERANCE``.
+    For r = 1 both equal 1 - H(p).
+
+    Raises
+    ------
+    ValueError
+        Where :func:`make_class` finds the subcube absent: r outside
+        1..n-1, or n outside 1..MAX_N.
     """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"need 1 <= r <= n-1, got r={r}, n={n}")
-    mi_full = mutual_information(joint_yz(make_class(n, Class3(r)), p)).mi_bits
-    mi_reduced = mutual_information(joint_yz(make_class(r, Class1()), p)).mi_bits
-    return mi_full, mi_reduced
+    make_class(n, Class3(r))  # the judge of where the subcube exists; the single one on r then does
+    full = histogram_mutual_information(profile_histogram(n, Class3(r)), p).mi_bits
+    reduced = histogram_mutual_information(profile_histogram(r, Class1()), p).mi_bits
+    return full, reduced
 
 
 # ---------------------------------------------------------------------------

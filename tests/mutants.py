@@ -50,6 +50,8 @@ INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
 USAGE = "tests/test_cli.py::TestUsageErrors::"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
+HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
+HISTOGRAM_PATH = "tests/test_mi.py::TestHistogramPath::"
 
 
 @dataclass(frozen=True)
@@ -447,6 +449,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "family-check-at-n-max-2",
+        CLI,
+        "            if n_max < 2:  # a subcube needs 1 <= r <= n-1\n",
+        "            if n_max < 3:\n",
+        tuple(f"{USAGE}test_a_bare_family_at_n_max_2_reports_its_r1_member[{f}]" for f in ("class3", "class4")),
+    ),
+    Mutant(
+        "one-job-refused",
+        CLI,
+        "    if value < 1:\n",
+        "    if value < 2:\n",
+        (USAGE + "test_one_job_is_accepted",),
+    ),
+    Mutant(
         "p-with-p-den-accepted",
         CLI,
         "    if args.p_den is not None:\n",
@@ -467,6 +483,38 @@ MUTANTS = (
         "min(jobs, os.cpu_count() or 1, len(args))",
         "min(jobs, len(args))",
         (EXHAUSTIVE + "test_n5_pool_is_capped_at_the_cpu_count",),
+    ),
+    # the closed-form profile histograms of the class checks, and the producer of their rows
+    Mutant(
+        "histogram-complement-ones-kept",
+        BOOLFN,
+        "ProfileHistogram(h.n, (1 << h.n) - h.ones, profiles, h.counts)",
+        "ProfileHistogram(h.n, h.ones, profiles, h.counts)",
+        (HISTOGRAMS + "test_histograms_are_the_tables_own_profiles[3]",
+         HISTOGRAMS + "test_counts_cover_every_y_and_columns_sum_to_ones_times_shells[24]",
+         HISTOGRAM_PATH + "test_bit_identical_to_the_table_path[4]",
+         HISTOGRAM_PATH + "test_bit_identical_to_the_table_path_at_n_20[class2]",
+         GOLDEN + "[verify-json]"),
+    ),
+    Mutant(
+        "histogram-subcube-counts-unscaled",
+        BOOLFN,
+        "math.comb(r, k) << (n - r) for k in range(r + 1)",
+        "math.comb(r, k) for k in range(r + 1)",
+        (HISTOGRAMS + "test_histograms_are_the_tables_own_profiles[3]",
+         HISTOGRAMS + "test_counts_cover_every_y_and_columns_sum_to_ones_times_shells[24]",
+         HISTOGRAM_PATH + "test_bit_identical_to_the_table_path[6]",
+         GOLDEN + "[reduce-check]", GOLDEN + "[sweep-class3]"),
+    ),
+    Mutant(
+        "producer-equal-numerators-unmerged",
+        MI,
+        'b"".join(num.to_bytes(width, "little") for num in merged)\n'
+        '    return np.frombuffer(raw, dtype="<u8").reshape(len(merged), -1), np.array(list(merged.values())), den\n',
+        'b"".join(num.to_bytes(width, "little") for num in nums)\n'
+        '    return np.frombuffer(raw, dtype="<u8").reshape(len(nums), -1), np.array(h.counts), den\n',
+        # at p = 1/2 every cell's log is 0, so only the rows themselves show the split
+        (HISTOGRAM_PATH + "test_rows_and_counts_are_the_grouped_table_rows[1_2]",),
     ),
     # the symmetry group
     Mutant(

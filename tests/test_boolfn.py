@@ -1,10 +1,13 @@
 """Truth-table constructors, the symmetry group, canonical forms, file format."""
 
 import json
+import math
 import random
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from bfmi.boolfn import (
@@ -22,6 +25,7 @@ from bfmi.boolfn import (
     make_class,
     orbit,
     parse_class_spec,
+    profile_histogram,
 )
 
 
@@ -126,6 +130,52 @@ class TestConstructors:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def histogram_classes(n):
+    """A class of every family with a closed-form histogram at n, witnesses and prefixes off their defaults."""
+    last = (1 << n) - 1
+    classes = [Class1(), Class1(last), Class2(last // 3), Dictator(1), Dictator(n)]
+    for r in range(1, n):
+        classes += [Class3(r, (1 << r) - 1), Class4(r), Class4(r, 1)]
+    return classes
+
+
+def brute_force_profiles(t):
+    """Counter of (N_0(y), ..., N_n(y)) over every y, N_d counting the ones of ``t`` at distance d."""
+    xs = np.flatnonzero(np.array(bits(t)))
+    dist = np.bitwise_count(xs[:, None] ^ np.arange(t.size)[None, :])  # [one, y]
+    return Counter(tuple(np.bincount(col, minlength=t.n + 1).tolist()) for col in dist.T)
+
+
+class TestProfileHistograms:
+    """The closed forms behind every class check against the tables they stand for."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_histograms_are_the_tables_own_profiles(self, n):
+        for c in histogram_classes(n):
+            t, h = make_class(n, c), profile_histogram(n, c)
+            assert h.n == n and h.ones == t.ones_count(), c
+            assert Counter(dict(zip(h.profiles, h.counts))) == brute_force_profiles(t), c
+            assert len(set(h.profiles)) == len(h.profiles), c
+
+    def test_dictator_at_n_1_is_the_single_one(self):
+        h = profile_histogram(1, Dictator())
+        assert (h.ones, h.profiles, h.counts) == (1, ((1, 0), (0, 1)), (1, 1))
+        assert h == profile_histogram(1, Class1(1))
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_counts_cover_every_y_and_columns_sum_to_ones_times_shells(self, n):
+        families = [Class1(), Class2(), Dictator()] + [f(r) for r in range(1, n) for f in (Class3, Class4)]
+        for c in families:
+            h = profile_histogram(n, c)
+            assert sum(h.counts) == 1 << n, c
+            for d in range(n + 1):
+                assert all(0 <= prof[d] <= math.comb(n, d) for prof in h.profiles), c
+                assert sum(k * prof[d] for prof, k in zip(h.profiles, h.counts)) == h.ones * math.comb(n, d), c
+
+    def test_lex_has_no_histogram(self):
+        assert profile_histogram(4, Lex(5)) is None
 
 
 class TestTruthTable:

@@ -14,9 +14,10 @@ import pytest
 
 from bfmi import cli, verify
 from bfmi.boolfn import Dictator, canonical_form, make_class
+from bfmi.channel import joint_yz
 from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
-from bfmi.mi import MIResult, binary_entropy, mutual_information
+from bfmi.mi import MIResult, binary_entropy, mi_class1_closed
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -71,6 +72,14 @@ class TestCompute:
         assert code == 2
         assert "disagrees" in err
 
+    @pytest.mark.parametrize("n", [20, 22, 24])
+    @pytest.mark.parametrize("spec", ["class1:i=77", "class2:i=5"])
+    def test_large_n_class_tables_match_the_closed_form(self, capsys, spec, n):
+        # the output complement swaps the joint table's columns, so class 2 has class 1's MI
+        code, out, _ = run(capsys, "compute", "--n", str(n), "--function", spec, "--p", "3/8")
+        assert code == 0
+        assert abs(json.loads(out)["mi_bits"] - mi_class1_closed(n, Fraction(3, 8))) <= 1e-12
+
     def test_missing_p_is_usage_error(self, capsys):
         code, _, err = run(capsys, "compute", "--n", "2", "--function", "class1")
         assert code == 2
@@ -119,6 +128,37 @@ class TestVerify:
         assert code == 0
         assert out == ""
         assert path.read_text().splitlines()[0].startswith("class_spec,")
+
+
+class TestJointTables:
+    """Class checks reduce closed-form profile histograms; only ``--table``, ``lex`` and
+    ``--dump-joint`` build a joint table."""
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["verify", "--classes", "all,dictator", "--n-min", "1", "--n-max", "5"], 0),
+            (["sweep", "--function", "class4:r=2", "--n", "4", "--p-den", "8"], 0),
+            (["compute", "--n", "6", "--function", "class3:r=2:prefix=3", "--p", "1/3"], 0),
+            (["reduce-check", "--n", "6", "--r", "3", "--p", "1/3"], 0),
+            (["verify", "--classes", "lex:n1=5", "--n-min", "3", "--n-max", "4", "--p", "1/4"], 2),
+            (["compute", "--n", "4", "--function", "class1", "--p", "1/4", "--dump-joint", "{tmp}/j.csv"], 1),
+            (["compute", "--table", "{tmp}/t.json", "--p", "1/4"], 1),
+        ],
+        ids=["verify", "sweep", "compute", "reduce-check", "lex", "dump-joint", "table"],
+    )
+    def test_joint_yz_runs_only_without_a_histogram(self, capsys, monkeypatch, tmp_path, argv, built):
+        (tmp_path / "t.json").write_text(make_class(4, Dictator(3)).to_json())
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return joint_yz(*args)
+
+        monkeypatch.setattr(cli, "joint_yz", counted)
+        monkeypatch.setattr(verify, "joint_yz", counted)
+        code, *_ = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+        assert (code, len(calls)) == (0, built)
 
 
 class TestKaramata:
@@ -259,14 +299,19 @@ class TestSweepAndReduce:
 
 @pytest.fixture
 def failing_margin(monkeypatch):
-    """Every MI result reports a margin of -1e-6, just past the pass tolerance."""
+    """Every MI result, from a joint table or a profile histogram, reports a margin of -1e-6,
+    just past the pass tolerance."""
 
-    def fake(joint):
-        r = mutual_information(joint)
-        return MIResult(mi_bits=r.mi_bits, bound_bits=r.bound_bits, margin_bits=-1e-6)
+    def failing(real):
+        def fake(*args):
+            r = real(*args)
+            return MIResult(mi_bits=r.mi_bits, bound_bits=r.bound_bits, margin_bits=-1e-6)
 
-    monkeypatch.setattr(cli, "mutual_information", fake)
-    monkeypatch.setattr(verify, "mutual_information", fake)
+        return fake
+
+    for module in (cli, verify):
+        for name in ("mutual_information", "histogram_mutual_information"):
+            monkeypatch.setattr(module, name, failing(getattr(module, name)))
 
 
 class TestVerdicts:
@@ -357,6 +402,11 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert "--jobs" in capsys.readouterr().err
 
+    def test_one_job_is_accepted(self, capsys):
+        code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4", "--jobs", "1")
+        assert code == 0
+        assert json.loads(out)["summaries"][0]["num_functions_scanned"] == 16
+
     def test_option_the_subcommand_does_not_read_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"])
@@ -414,6 +464,13 @@ class TestUsageErrors:
         code, out, err = fresh_process(*argv, "--p", "1/4")
         assert (code, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("mi: error: ")
+
+    @pytest.mark.parametrize("family", ["class3", "class4"])
+    def test_a_bare_family_at_n_max_2_reports_its_r1_member(self, capsys, family):
+        code, out, err = run(capsys, "verify", "--classes", family, "--n-max", "2", "--p", "1/4")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)["reports"]
+        assert [(r["class_spec"], r["n"], r["status"]) for r in reports] == [(f"{family}:r=1:prefix=0", 2, "pass")]
 
     def test_a_bare_family_needs_a_member_but_all_keeps_class1_and_class2(self, capsys):
         for family in ("class3", "class4"):
@@ -522,3 +579,33 @@ class TestRepeatedCalls:
             seen.append((code, out.out, out.err))
         assert [code for code, _, _ in seen] == codes
         assert seen == [fresh_process(*argv) for argv in calls]
+
+    def test_the_parser_built_once_answers_as_a_freshly_built_one(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")
+        table = tmp_path / "t.json"
+        table.write_text(make_class(3, Dictator(2)).to_json())
+        calls = [
+            ["compute", "--n", "3", "--function", "class1", "--table", str(table), "--p", "1/4"],
+            ["verify", "--classes", "class1,class4", "--n-max", "3", "--p", "1/4"],
+            ["compute", "--table", str(table), "--p", "1/4"],
+        ]
+
+        def answers(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli._build_parser.cache_clear()
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = exc.code
+                out = capsys.readouterr()
+                seen.append((code, out.out, out.err))
+            return seen
+
+        cli._build_parser.cache_clear()
+        once = answers(fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert [code for code, _, _ in once] == [2, 0, 0]
+        assert "not allowed with argument" in once[0][2]
+        assert once == answers(fresh=True)

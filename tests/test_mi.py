@@ -9,7 +9,19 @@ import numpy as np
 import pytest
 
 import bfmi.mi
-from bfmi.boolfn import Class1, Class2, Class3, Class4, Dictator, Lex, TruthTable, complement, make_class
+from bfmi.boolfn import (
+    Class1,
+    Class2,
+    Class3,
+    Class4,
+    Dictator,
+    Lex,
+    ProfileHistogram,
+    TruthTable,
+    complement,
+    make_class,
+    profile_histogram,
+)
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
     _KERNEL_MIN_ROWS,
@@ -17,13 +29,16 @@ from bfmi.mi import (
     _cell_quotients,
     _distinct_rows,
     _exact_quotients,
+    _profile_rows,
     _ratio_scales,
     binary_entropy,
+    histogram_mutual_information,
     mi_class1_closed,
     mutual_information,
     qlogq_identity_check,
     xlog2x,
 )
+from test_boolfn import brute_force_profiles, histogram_classes
 from test_channel import joint_from_nums
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
@@ -490,6 +505,62 @@ class TestDistinctRows:
         words = words_of(*HAND_BUILT["distinct-keys"])
         rows, counts = _distinct_rows(words)
         assert rows is words and counts.tolist() == [1] * len(words)
+
+
+HISTOGRAM_P = KERNEL_P + (Fraction(3, 8),)
+
+
+class TestHistogramPath:
+    """MI from a closed-form profile histogram against the same class's joint table."""
+
+    @pytest.mark.parametrize("p", HISTOGRAM_P, ids=lambda p: str(p).replace("/", "_"))
+    def test_rows_and_counts_are_the_grouped_table_rows(self, p):
+        # at p = 1/2 every profile has the same numerator, at p = 0 every profile with N_0 = 0
+        for n in (1, 2, 3, 5, 8):
+            for c in histogram_classes(n):
+                table, h = make_class(n, c), profile_histogram(n, c)
+                j = joint_yz(table, p)
+                rows, counts, den = _profile_rows(h, p)
+                assert den == j.den and rows.dtype == j.words.dtype and rows.shape[1] == j.words.shape[1]
+                grouped, grouped_counts = _distinct_rows(j.words)
+                want = dict(zip(_fold(grouped), grouped_counts.tolist()))
+                assert _fold(rows) == list(dict.fromkeys(_fold(rows))), (n, c)  # no numerator twice
+                assert dict(zip(_fold(rows), counts.tolist())) == want, (n, c)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16])
+    def test_bit_identical_to_the_table_path(self, n):
+        classes = histogram_classes(n)
+        if n > 6:  # the subcube sizes at the ends and in the middle
+            classes = [c for c in classes if getattr(c, "r", 1) in (1, n // 2, n - 1)]
+        for c in classes:
+            table, h = make_class(n, c), profile_histogram(n, c)
+            for p in HISTOGRAM_P:
+                want = mutual_information(joint_yz(table, p))
+                got = histogram_mutual_information(h, p)
+                assert got.mi_bits.hex() == want.mi_bits.hex(), (c, p)
+                assert got == want, (c, p)
+
+    @pytest.mark.parametrize("c", [Class1(0x5A5A5), Class2(0xFFFFF)], ids=["class1", "class2"])
+    def test_bit_identical_to_the_table_path_at_n_20(self, c):
+        p = Fraction(3, 8)
+        want = mutual_information(joint_yz(make_class(20, c), p))
+        assert histogram_mutual_information(profile_histogram(20, c), p) == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_any_tables_own_profiles_give_its_mi(self, n):
+        # the producer is not tied to the closed forms: every table at n <= 3, random ones above
+        rng = random.Random(2600 + n)
+        masks = range(1 << (1 << n)) if n <= 3 else [rng.getrandbits(1 << n) for _ in range(6)] + [0]
+        for mask in masks:
+            table = TruthTable(n, mask)
+            profiles = brute_force_profiles(table)
+            h = ProfileHistogram(n, table.ones_count(), tuple(profiles), tuple(profiles.values()))
+            for p in KERNEL_P:
+                assert histogram_mutual_information(h, p) == mutual_information(joint_yz(table, p)), (mask, p)
+
+    def test_p_outside_the_channel_range_raises(self):
+        with pytest.raises(ValueError):
+            histogram_mutual_information(profile_histogram(3, Class1()), Fraction(3, 4))
 
 
 class TestClosedForm:

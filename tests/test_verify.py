@@ -10,11 +10,21 @@ import numpy as np
 import pytest
 
 from bfmi import verify
-from bfmi.boolfn import Class1, Class2, Class3, Dictator, Lex, TruthTable, canonical_form, make_class
-from bfmi.channel import joint_yz
+from bfmi.boolfn import (
+    Class1,
+    Class2,
+    Class3,
+    Dictator,
+    Lex,
+    TruthTable,
+    canonical_form,
+    make_class,
+    profile_histogram,
+)
+from bfmi.channel import _fold, joint_yz
 from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
-from bfmi.mi import binary_entropy, mutual_information
+from bfmi.mi import _profile_rows, binary_entropy, mutual_information
 from bfmi.verify import (
     ATTAINMENT_TOLERANCE,
     PASS_MARGIN_TOLERANCE,
@@ -118,6 +128,22 @@ class TestReduction:
     def test_r_range_checked(self):
         with pytest.raises(ValueError):
             class3_reduction_check(4, 4, Fraction(1, 4))
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3),
+                                   Fraction(12345, 100003)])
+    def test_the_subcube_histogram_is_the_single_one_histogram_scaled(self, p):
+        # rows times (2d)^(n - r) and counts times 2^(n - r): every count·c1 product is the same
+        # float, so the two sides agree bit for bit
+        for n in range(2, 11):
+            for r in range(1, n):
+                rows, counts, den = _profile_rows(profile_histogram(n, Class3(r)), p)
+                rows_r, counts_r, den_r = _profile_rows(profile_histogram(r, Class1()), p)
+                scale = (2 * p.denominator) ** (n - r)
+                assert den == den_r * scale << (n - r)
+                assert dict(zip(_fold(rows), counts.tolist())) == {
+                    num * scale: k << (n - r) for num, k in zip(_fold(rows_r), counts_r.tolist())}
+                full, reduced = class3_reduction_check(n, r, p)
+                assert full.hex() == reduced.hex(), (n, r)
 
 
 class TestVectorEngine:
