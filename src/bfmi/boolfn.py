@@ -9,7 +9,8 @@ binary expansion of i.
 One table, ``_SPECS``, declares each class family: its spec name and
 keys, and the closed-form histogram of its distance profiles
 (:func:`profile_histogram`), from which the class checks take MI
-without building a joint table.  ``lex`` has no such form.
+without building a truth table; ``lex`` has none.  One judge of where a
+class exists serves :func:`make_class` and :func:`profile_histogram`.
 
 The symmetry group acting on truth tables is generated by output
 complement, input-coordinate permutations and input-coordinate
@@ -53,7 +54,7 @@ class TruthTable:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_N:
             raise ValueError(f"n must be in 1..{MAX_N}, got {self.n}")
-        if not 0 <= self.mask < 1 << (1 << self.n):
+        if self.mask < 0 or self.mask.bit_length() > 1 << self.n:
             raise ValueError("mask does not fit in 2^n bits")
 
     @property
@@ -148,6 +149,29 @@ class Lex:
 FunctionClass = Class1 | Class2 | Class3 | Class4 | Dictator | Lex
 
 
+def _judge(n: int, c: FunctionClass) -> None:
+    """Raise :func:`make_class`'s errors (n first) unless ``c`` exists at n; build nothing."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    size = 1 << n
+    if isinstance(c, (Class1, Class2)):
+        if not 0 <= c.witness_index < size:
+            raise ValueError(f"witness_index {c.witness_index} out of range for n={n}")
+    elif isinstance(c, (Class3, Class4)):
+        if not 1 <= c.r <= n - 1:
+            raise ValueError(f"r must be in 1..n-1, got r={c.r} for n={n}")
+        if not 0 <= c.fixed_prefix < 1 << c.r:
+            raise ValueError(f"fixed_prefix {c.fixed_prefix} needs r={c.r} bits")
+    elif isinstance(c, Dictator):
+        if not 1 <= c.j <= n:
+            raise ValueError(f"dictator coordinate j={c.j} out of range for n={n}")
+    elif isinstance(c, Lex):
+        if not 0 <= c.ones_count <= size:
+            raise ValueError(f"ones_count {c.ones_count} out of range for n={n}")
+    else:
+        raise TypeError(f"unknown function class: {c!r}")
+
+
 def make_class(n: int, c: FunctionClass) -> TruthTable:
     """Build the truth table of a parametrized function class.
 
@@ -164,31 +188,15 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
         If n is outside 1..MAX_N, checked before any mask is built, or the
         class parameters are out of range for ``n``.
     """
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"n must be in 1..{MAX_N}, got {n}")
+    _judge(n, c)
     size = 1 << n
     if isinstance(c, (Class1, Class2)):
-        i = c.witness_index
-        if not 0 <= i < size:
-            raise ValueError(f"witness_index {i} out of range for n={n}")
-        mask = 1 << i
-        if isinstance(c, Class2):
-            mask ^= (1 << size) - 1
-        return TruthTable(n, mask)
-    if isinstance(c, (Class3, Class4)):
-        if not 1 <= c.r <= n - 1:
-            raise ValueError(f"r must be in 1..n-1, got r={c.r} for n={n}")
-        if not 0 <= c.fixed_prefix < 1 << c.r:
-            raise ValueError(f"fixed_prefix {c.fixed_prefix} needs r={c.r} bits")
+        mask = 1 << c.witness_index
+    elif isinstance(c, (Class3, Class4)):
         shift = n - c.r
         # the subcube is the contiguous index block fixed_prefix << shift, of length 2^shift
         mask = ((1 << (1 << shift)) - 1) << (c.fixed_prefix << shift)
-        if isinstance(c, Class4):
-            mask ^= (1 << size) - 1
-        return TruthTable(n, mask)
-    if isinstance(c, Dictator):
-        if not 1 <= c.j <= n:
-            raise ValueError(f"dictator coordinate j={c.j} out of range for n={n}")
+    elif isinstance(c, Dictator):
         width = 1 << (n - c.j)  # x_j sits at bit position n-j of the index
         # one period is width zeros then width ones; double it until it spans the table
         # (doubling, not a repunit division: big-int division is quadratic)
@@ -196,12 +204,11 @@ def make_class(n: int, c: FunctionClass) -> TruthTable:
         while period < size:
             mask |= mask << period
             period *= 2
-        return TruthTable(n, mask)
-    if isinstance(c, Lex):
-        if not 0 <= c.ones_count <= size:
-            raise ValueError(f"ones_count {c.ones_count} out of range for n={n}")
-        return TruthTable(n, (1 << c.ones_count) - 1)
-    raise TypeError(f"unknown function class: {c!r}")
+    else:  # Lex; _judge let no other class through
+        mask = (1 << c.ones_count) - 1
+    if isinstance(c, (Class2, Class4)):
+        mask ^= (1 << size) - 1
+    return TruthTable(n, mask)
 
 
 class ProfileHistogram(NamedTuple):
@@ -262,13 +269,13 @@ def profile_histogram(n: int, c: FunctionClass) -> ProfileHistogram | None:
     """The closed-form :class:`ProfileHistogram` of class ``c`` at n, or None (``lex``).
 
     It does not depend on p, on a witness index or prefix, or on a
-    dictator's coordinate.  It is only meaningful where :func:`make_class`
-    accepts (n, c); that judgement is left to make_class.
+    dictator's coordinate.  It raises, as :func:`make_class` does, where
+    the class does not exist at n, and builds no mask.
     """
+    _judge(n, c)  # so c is one of the classes below
     for cls, _, histogram in _SPECS.values():
-        if type(c) is cls:
+        if isinstance(c, cls):
             return None if histogram is None else histogram(n, c)
-    raise TypeError(f"unknown function class: {c!r}")
 
 
 def parse_class_spec(spec: str) -> FunctionClass:

@@ -20,7 +20,6 @@ from .boolfn import (
     Class2,
     Class3,
     Class4,
-    FunctionClass,
     TruthTable,
     make_class,
     parse_class_spec,
@@ -82,22 +81,6 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _load_table(args) -> tuple[TruthTable, FunctionClass | None]:
-    """The table of ``--table`` or ``--function``, and the class of ``--function`` (else None)."""
-    if args.table:
-        with open(args.table) as fh:
-            table = TruthTable.from_json(fh.read())
-        if args.n is not None and args.n != table.n:
-            raise ValueError(f"--n {args.n} disagrees with table file (n={table.n})")
-        return table, None
-    if args.function is None:
-        raise ValueError("provide --function or --table")
-    if args.n is None:
-        raise ValueError("--n is required with --function")
-    cls = parse_class_spec(args.function)
-    return make_class(args.n, cls), cls
 
 
 def _expand_class_specs(text: str, n_min: int, n_max: int):
@@ -182,12 +165,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compute(args) -> tuple[str, bool]:
-    # a class with a closed-form profile histogram needs no joint table, unless it is dumped
+    # only --table, lex and --dump-joint read a table; any other class reduces its histogram
     if args.p is None:
         raise ValueError("compute needs --p")
-    table, cls = _load_table(args)
-    hist = None if cls is None or args.dump_joint else profile_histogram(table.n, cls)
-    if hist is not None:
+    if args.table:
+        with open(args.table) as fh:
+            table = TruthTable.from_json(fh.read())
+        if args.n is not None and args.n != table.n:
+            raise ValueError(f"--n {args.n} disagrees with table file (n={table.n})")
+    elif args.function is None:
+        raise ValueError("provide --function or --table")
+    elif args.n is None:
+        raise ValueError("--n is required with --function")
+    else:
+        cls = parse_class_spec(args.function)
+        hist = profile_histogram(args.n, cls)  # judges (n, cls) before any mask is built
+        table = make_class(args.n, cls) if hist is None or args.dump_joint else None
+    if table is None:
         result = histogram_mutual_information(hist, args.p)
     else:
         joint = joint_yz(table, args.p)

@@ -43,9 +43,9 @@ from itertools import accumulate
 from operator import index
 from typing import Iterable, Optional
 
-from .boolfn import Class1, make_class
-from .channel import Rational, as_probability, joint_yz
-from .mi import binary_entropy, mutual_information, xlog2x
+from .boolfn import Class1, profile_histogram
+from .channel import Rational, as_probability
+from .mi import binary_entropy, histogram_mutual_information, xlog2x
 
 
 class DescendingSeq:
@@ -369,8 +369,8 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     """Compare the direct MI margin with the weighted-sum formulation.
 
     Returns ``(mi_minus_bound, karamata_gap)`` where ``mi_minus_bound``
-    is MI - (1 - H(p)) from the generic exact-table engine on a
-    single-one function, and ``karamata_gap`` is
+    is MI - (1 - H(p)) of a single-one function from its closed-form
+    profile histogram, and ``karamata_gap`` is
 
         [-n(n-1) + (2^n - n) 2^(n-1) (a log2 a + b log2 b)]
             - sum_i (2^n - 1) w_i log2 w_i ,
@@ -380,7 +380,7 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     particular they always agree on which side wins.  The function also
     reconstructs MI from the w-decomposition
     (n - (n/2^n) H(p) + ((2^n-1)/2^n) sum w log2 w) and raises if that
-    disagrees with the generic engine beyond 1e-9.
+    disagrees with that MI beyond 1e-9.
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got n={n}")
@@ -391,7 +391,7 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     rhs_w = -n * (n - 1) + (size - n) * (size // 2) * (xlog2x(inst.a_num / den) + xlog2x(inst.b_num / den))
     karamata_gap = rhs_w - lhs_w
 
-    result = mutual_information(joint_yz(make_class(n, Class1()), inst.p))
+    result = histogram_mutual_information(profile_histogram(n, Class1()), inst.p)
     mi_minus_bound = result.mi_bits - result.bound_bits
 
     reconstructed = (

@@ -138,30 +138,30 @@ class ExhaustiveSummary:
 def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> list[VerifyReport]:
     """Verify MI <= 1 - H(p) for one :class:`FunctionClass` across an (n, p) grid.
 
-    The one judge of where a class exists: the n where it does not are
-    skipped with one logged warning that lists them, unless it exists at
-    no n of the range; then :func:`make_class`'s ValueError is raised and
-    nothing logged.  MI comes from the class's closed-form profile
-    histogram where it has one, and from its joint table (``lex``)
-    otherwise; both give the same bits.  Class 1 and 2 reports carry the
-    exact certificate.
+    The n where the class does not exist are skipped with one logged
+    warning that lists them, unless it exists at no n of the range; then
+    :func:`profile_histogram`'s ValueError is raised and nothing logged.
+    MI comes from the class's closed-form profile histogram where it has
+    one, and from its joint table (``lex``, the only class whose table is
+    built) otherwise; both give the same bits.  Class 1 and 2 reports
+    carry the exact certificate.
     """
     spec_str = format_class_spec(class_spec)
-    tables, skipped = {}, []
+    hists, skipped = {}, []
     for n in n_range:
         try:
-            tables[n] = make_class(n, class_spec)
+            hists[n] = profile_histogram(n, class_spec)
         except ValueError as exc:
             skipped.append((n, exc))
-    if skipped and not tables:
+    if skipped and not hists:
         raise skipped[0][1]
     if skipped:
         ns = ", ".join(str(n) for n, _ in skipped)
         logger.warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
     reports = []
-    for n, table in tables.items():
+    for n, hist in hists.items():
         attach_certificate = isinstance(class_spec, (Class1, Class2)) and n >= 2
-        hist = profile_histogram(n, class_spec)
+        table = make_class(n, class_spec) if hist is None else None
         for p in p_grid:
             if hist is None:
                 result = mutual_information(joint_yz(table, p))
@@ -187,7 +187,7 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
 def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     """MI of the r-subcube indicator on n variables vs the single-one MI on r.
 
-    Both sides come from profile histograms, with no joint table, and
+    Both sides come from profile histograms, with no truth table, and
     the two histograms agree up to exact scalings.  For p = s/d the
     subcube's distinct rows are the single one's times (2d)^(n - r), over
     a den larger by (2d)^(n - r)*2^(n - r), and its counts are theirs
@@ -199,10 +199,9 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
     Raises
     ------
     ValueError
-        Where :func:`make_class` finds the subcube absent: r outside
-        1..n-1, or n outside 1..MAX_N.
+        Where :func:`profile_histogram` finds the subcube absent: r
+        outside 1..n-1, or n outside 1..MAX_N.
     """
-    make_class(n, Class3(r))  # the judge of where the subcube exists; the single one on r then does
     full = histogram_mutual_information(profile_histogram(n, Class3(r)), p).mi_bits
     reduced = histogram_mutual_information(profile_histogram(r, Class1()), p).mi_bits
     return full, reduced

@@ -48,6 +48,7 @@ VECTOR = "tests/test_verify.py::TestVectorEngine::"
 EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
 INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
+CONSTRUCTORS = "tests/test_boolfn.py::TestConstructors::"
 USAGE = "tests/test_cli.py::TestUsageErrors::"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
@@ -353,7 +354,7 @@ MUTANTS = (
     Mutant(
         "sweep-make-class-dropped",
         VERIFY,
-        "    if skipped and not tables:\n",
+        "    if skipped and not hists:\n",
         "    if False:\n",
         (USAGE + "test_sweep_of_a_class_absent_at_n_is_usage_error",),
     ),
@@ -381,14 +382,40 @@ MUTANTS = (
         "def write_csv(joint, path):\n    joint.write_csv(path)\n\n\ndef joint_yz(",
         ("tests/test_perfbench_spans.py::test_span_names_are_unique_and_cover_every_counter",),
     ),
-    # make_class judges n before it builds a mask
+    # one judge of where a class exists, n first, and no mask where no table is read
     Mutant(
         "make-class-n-unchecked",
         BOOLFN,
         "    if not 1 <= n <= MAX_N:\n",
         "    if False:\n",
-        ("tests/test_boolfn.py::TestConstructors::test_n_is_checked_before_the_mask_is_built[class2-25]",
-         "tests/test_boolfn.py::TestConstructors::test_n_is_checked_before_the_mask_is_built[dictator-25]"),
+        (CONSTRUCTORS + "test_n_is_checked_before_the_mask_is_built[class2-25-make_class]",
+         CONSTRUCTORS + "test_n_is_checked_before_the_mask_is_built[dictator-25-make_class]",
+         CONSTRUCTORS + "test_n_is_checked_before_the_mask_is_built[lex-25-profile_histogram]"),
+    ),
+    Mutant(
+        "histogram-judge-skipped",
+        BOOLFN,
+        "    _judge(n, c)  # so c is one of the classes below\n",
+        "",
+        (CONSTRUCTORS + "test_profile_histogram_judges_as_make_class[3-cls3]",
+         CONSTRUCTORS + "test_profile_histogram_judges_as_make_class[3-class1]",
+         CONSTRUCTORS + "test_n_is_checked_before_the_mask_is_built[class2-64-profile_histogram]",
+         USAGE + "test_sweep_of_a_class_absent_at_n_is_usage_error"),
+    ),
+    Mutant(
+        "class-check-builds-mask",
+        VERIFY,
+        "        table = make_class(n, class_spec) if hist is None else None\n",
+        "        table = make_class(n, class_spec)\n",
+        ("tests/test_cli.py::TestJointTables::test_class_checks_at_n_24_build_no_mask[verify]",
+         "tests/test_cli.py::TestJointTables::test_joint_yz_runs_only_without_a_histogram[verify]"),
+    ),
+    Mutant(
+        "truth-table-bound-off-by-one",
+        BOOLFN,
+        "self.mask.bit_length() > 1 << self.n:",
+        "self.mask.bit_length() > (1 << self.n) + 1:",
+        tuple(f"tests/test_boolfn.py::TestTruthTable::test_mask_range_boundaries[{n}]" for n in (1, 6)),
     ),
     # records built from their fields, and the one spec table
     Mutant(

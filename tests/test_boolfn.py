@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import Counter
 from itertools import permutations
@@ -37,6 +38,19 @@ def bits(t):
 def ones(t):
     """Indices of inputs mapped to 1, ascending."""
     return [i for i, b in enumerate(bits(t)) if b]
+
+
+# (n, class) pairs where the class does not exist
+OUT_OF_RANGE = [
+    (2, Class1(4)),
+    (2, Class1(-1)),
+    (3, Class3(0)),
+    (3, Class3(3)),
+    (3, Class3(2, fixed_prefix=4)),
+    (3, Dictator(0)),
+    (3, Dictator(4)),
+    (2, Lex(5)),
+]
 
 
 class TestConstructors:
@@ -100,32 +114,29 @@ class TestConstructors:
         assert make_class(2, Lex(0)).mask == 0
         assert make_class(2, Lex(4)).mask == 0b1111
 
-    @pytest.mark.parametrize(
-        "n, cls",
-        [
-            (2, Class1(4)),
-            (2, Class1(-1)),
-            (3, Class3(0)),
-            (3, Class3(3)),
-            (3, Class3(2, fixed_prefix=4)),
-            (3, Dictator(0)),
-            (3, Dictator(4)),
-            (2, Lex(5)),
-        ],
-    )
+    @pytest.mark.parametrize("n, cls", OUT_OF_RANGE)
     def test_out_of_range_parameters_raise(self, n, cls):
         with pytest.raises(ValueError):
             make_class(n, cls)
 
+    @pytest.mark.parametrize("n, cls", OUT_OF_RANGE + [(3, "class1")])
+    def test_profile_histogram_judges_as_make_class(self, n, cls):
+        # one rule for where a class exists: the same exception, message and all
+        with pytest.raises((ValueError, TypeError)) as built:
+            make_class(n, cls)
+        with pytest.raises(built.type, match=f"^{re.escape(str(built.value))}$"):
+            profile_histogram(n, cls)
+
+    @pytest.mark.parametrize("build", [make_class, profile_histogram])
     @pytest.mark.parametrize("n", [25, 64])
     @pytest.mark.parametrize("cls", [Class1(0), Class2(0), Class3(1), Class4(1), Dictator(1), Lex(0)],
                              ids=["class1", "class2", "class3", "class4", "dictator", "lex"])
-    def test_n_is_checked_before_the_mask_is_built(self, n, cls):
+    def test_n_is_checked_before_the_mask_is_built(self, n, cls, build):
         # at n = 25 a whole mask is 4 MiB, at n = 64 it cannot be built at all
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=f"^n must be in 1..24, got {n}$"):
-                make_class(n, cls)
+                build(n, cls)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -193,6 +204,24 @@ class TestTruthTable:
             TruthTable(25, 0)
         with pytest.raises(ValueError):
             TruthTable(2, 1 << 16)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mask_range_boundaries(self, n):
+        full = (1 << (1 << n)) - 1
+        assert TruthTable(n, full).ones_count() == 1 << n
+        for mask in (full + 1, -1):
+            with pytest.raises(ValueError, match="^mask does not fit in 2\\^n bits$"):
+                TruthTable(n, mask)
+
+    def test_mask_range_check_builds_no_bound(self):
+        # the bound 2^(2^24) alone would be a 2 MiB integer
+        tracemalloc.start()
+        try:
+            TruthTable(24, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
 
     def test_json_round_trip(self):
         rng = random.Random(11)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -132,33 +133,53 @@ class TestVerify:
 
 class TestJointTables:
     """Class checks reduce closed-form profile histograms; only ``--table``, ``lex`` and
-    ``--dump-joint`` build a joint table."""
+    ``--dump-joint`` build a joint table, and only ``lex`` and ``--dump-joint`` a truth table."""
 
     @pytest.mark.parametrize(
-        "argv, built",
+        "argv, joints, tables",
         [
-            (["verify", "--classes", "all,dictator", "--n-min", "1", "--n-max", "5"], 0),
-            (["sweep", "--function", "class4:r=2", "--n", "4", "--p-den", "8"], 0),
-            (["compute", "--n", "6", "--function", "class3:r=2:prefix=3", "--p", "1/3"], 0),
-            (["reduce-check", "--n", "6", "--r", "3", "--p", "1/3"], 0),
-            (["verify", "--classes", "lex:n1=5", "--n-min", "3", "--n-max", "4", "--p", "1/4"], 2),
-            (["compute", "--n", "4", "--function", "class1", "--p", "1/4", "--dump-joint", "{tmp}/j.csv"], 1),
-            (["compute", "--table", "{tmp}/t.json", "--p", "1/4"], 1),
+            (["verify", "--classes", "all,dictator", "--n-min", "1", "--n-max", "5"], 0, 0),
+            (["sweep", "--function", "class4:r=2", "--n", "4", "--p-den", "8"], 0, 0),
+            (["compute", "--n", "6", "--function", "class3:r=2:prefix=3", "--p", "1/3"], 0, 0),
+            (["reduce-check", "--n", "6", "--r", "3", "--p", "1/3"], 0, 0),
+            (["verify", "--classes", "lex:n1=5", "--n-min", "3", "--n-max", "4", "--p", "1/4"], 2, 2),
+            (["compute", "--n", "4", "--function", "class1", "--p", "1/4", "--dump-joint", "{tmp}/j.csv"], 1, 1),
+            (["compute", "--table", "{tmp}/t.json", "--p", "1/4"], 1, 0),
         ],
         ids=["verify", "sweep", "compute", "reduce-check", "lex", "dump-joint", "table"],
     )
-    def test_joint_yz_runs_only_without_a_histogram(self, capsys, monkeypatch, tmp_path, argv, built):
+    def test_joint_yz_runs_only_without_a_histogram(self, capsys, monkeypatch, tmp_path, argv, joints, tables):
         (tmp_path / "t.json").write_text(make_class(4, Dictator(3)).to_json())
-        calls = []
+        calls = {joint_yz: [], make_class: []}
 
-        def counted(*args):
-            calls.append(args)
-            return joint_yz(*args)
+        def counted(fn):
+            def call(*args):
+                calls[fn].append(args)
+                return fn(*args)
+            return call
 
-        monkeypatch.setattr(cli, "joint_yz", counted)
-        monkeypatch.setattr(verify, "joint_yz", counted)
+        for module in (cli, verify):
+            monkeypatch.setattr(module, "joint_yz", counted(joint_yz))
+            monkeypatch.setattr(module, "make_class", counted(make_class))
         code, *_ = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
-        assert (code, len(calls)) == (0, built)
+        assert (code, len(calls[joint_yz]), len(calls[make_class])) == (0, joints, tables)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "--n", "24", "--function", "class2"],
+         ["verify", "--classes", "all", "--n-min", "24", "--n-max", "24"]],
+        ids=["compute", "verify"],
+    )
+    def test_class_checks_at_n_24_build_no_mask(self, capsys, argv):
+        # a class 2 mask at n = 24 is 2 MiB
+        tracemalloc.start()
+        try:
+            code, *_ = run(capsys, *argv, "--p", "3/8")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20
 
 
 class TestKaramata:

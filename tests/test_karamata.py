@@ -480,7 +480,8 @@ class TestBoundEquivalence:
         assert abs(mi_minus_bound) <= 1e-10
         assert abs(gap) <= 1e-10
 
-    @pytest.mark.parametrize("n, p", [(2, Fraction(1, 4)), (3, Fraction(1, 8)), (5, Fraction(3, 8))])
+    @pytest.mark.parametrize("n, p", [(2, Fraction(1, 4)), (3, Fraction(1, 8)), (5, Fraction(3, 8)),
+                                      (20, Fraction(3, 8)), (24, Fraction(31, 64))])
     def test_scaling_identity(self, n, p):
         # the two formulations differ exactly by a factor of -2^n
         mi_minus_bound, gap = bound_equivalence_check(n, p)
