@@ -43,7 +43,7 @@ from itertools import accumulate
 from operator import index
 from typing import Iterable, Optional
 
-from .boolfn import Class1, profile_histogram
+from .boolfn import MAX_N, Class1, profile_histogram
 from .channel import Rational, as_probability
 from .mi import binary_entropy, histogram_mutual_information, xlog2x
 
@@ -246,7 +246,15 @@ class KaramataInstance:
         side), SR that of ``x_seq``, each in lowest terms, and ``ok`` is
         SL <= SR.  The sums are kept as integer numerators over ``den``
         and reduced only on output.
+
+        Raises
+        ------
+        ValueError
+            If there are more than 2^MAX_N prefixes (n >= 13), the joint
+            table dump's ceiling, checked before the file is opened.
         """
+        if self.x_seq.length > 1 << MAX_N:
+            raise ValueError(f"the prefix-sum dump would write {self.x_seq.length} rows, more than 2^{MAX_N}")
         den = self.den
 
         def lines():

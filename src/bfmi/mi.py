@@ -10,34 +10,31 @@ term and terms are accumulated with :func:`math.fsum`, which keeps
 results reproducible bit-for-bit and the rounding error well below
 the 1e-12 tolerances used by the callers (calibrated for n <= 20).
 
-Two producers feed one core, ``_mi_bits``, with the distinct rows of a
-table and their counts.  ``mutual_information`` reads a joint table's
-64-bit words directly and groups equal rows by exact word equality
-(uint64 sorts of each row's top 64 bits, then a check of the lower
-words).  ``histogram_mutual_information`` builds no table: a class with
-a closed-form histogram of distance profiles (every class but ``lex``)
-has at most n + 1 distinct rows, and ``_profile_rows`` forms each one's
-numerator from its profile, merges equal numerators exactly and packs
-them into the same words, so both producers give the core the same rows
-and counts and MI the same bits.  The core takes the distinct rows in
-blocks of ``_KERNEL_ROWS`` and picks how to round each block's
-quotients from its row count.  A block with fewer than 40 rows
-(``_KERNEL_MIN_ROWS``), such as every class table's, has every cell
-divided as Python ints, each row folded into an int once.  A block of
-40 rows or more has both cell masses of each row formed by a multiword
-borrow subtraction and the quotients rounded in NumPy double-double
-arithmetic (Dekker 1971; Shewchuk 1997): the masses are converted once
-from exact 32-bit pieces and multiplied by the double-double of each
-exact factor.  A proven error bound decides which products round
-correctly; any cell it cannot decide, and every cell of a table whose
-denominator leaves the kernel's exponent range, is divided as Python
-ints instead.  The cutoff is the lowest row count at which the kernel's
-fixed cost was measured to pay (see ``_cell_quotients``).  Either way
-every quotient is the correctly rounded float of the exact rational,
-bit for bit what ``int / int`` gives, so the path never moves an MI
-value.  The kernel uses only IEEE +, -, × and comparisons, and the
-logarithms are ``math.log2`` per cell, so MI depends on the platform's
-libm alone, like every other float here outside the exhaustive scan.
+Two producers give the same distinct rows and counts, so MI the same
+bits.  ``mutual_information`` reads a joint table's 64-bit words and
+groups equal rows by exact word equality (uint64 sorts of each row's top
+64 bits, then a check of the lower words); ``_mi_bits`` reduces them.
+``histogram_mutual_information`` builds no table: a class with a
+closed-form histogram of distance profiles (every class but ``lex``) has
+at most n + 1 distinct rows, and ``_profile_rows`` forms each one's
+numerator from its profile as a Python int and merges equal numerators
+exactly.  Every cell's term (count·c1)·log2(c2) needs two correctly
+rounded quotients.  ``_exact_terms`` divides them as Python ints; it
+reduces every histogram, every block of fewer than 40 distinct rows
+(``_KERNEL_MIN_ROWS``) and every table whose denominator leaves the
+kernel's exponent range.  A table block of 40 rows or more has both cell
+masses of each row formed by a multiword borrow subtraction and the
+quotients rounded in NumPy double-double arithmetic (Dekker 1971;
+Shewchuk 1997): the masses are converted once from exact 32-bit pieces
+and multiplied by the double-double of each exact factor.  A proven
+error bound decides which products round correctly, and a row with a
+cell it cannot decide goes to ``_exact_terms``.  The cutoff is the
+lowest row count at which the kernel's fixed cost was measured to pay
+(see ``_block_terms``).  Either way every quotient is bit for bit what
+``int / int`` gives, so the path never moves an MI value.  The kernel
+uses only IEEE +, -, × and comparisons, and the logarithms are
+``math.log2`` per cell, so MI depends on the platform's libm alone, like
+every other float here outside the exhaustive scan.
 """
 
 from __future__ import annotations
@@ -47,11 +44,12 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .boolfn import ProfileHistogram
-from .channel import JointYZ, Rational, _fold as _fold_words, _masses, _word_count, as_probability
+from .channel import JointYZ, Rational, _fold as _fold_words, _masses, as_probability
 
 
 def xlog2x(v: Rational | float) -> float:
@@ -101,8 +99,8 @@ def histogram_mutual_information(h: ProfileHistogram, p: Rational) -> MIResult:
     """:func:`mutual_information` of a table with distance-profile histogram ``h``, bit for bit.
 
     No joint table is built: ``_profile_rows`` turns the histogram into
-    the distinct rows and counts that grouping the table's rows would
-    give, and the same core reduces them.
+    the distinct numerators and counts that grouping the table's rows
+    would give, and ``_exact_terms`` reduces them as Python ints.
 
     Raises
     ------
@@ -110,8 +108,9 @@ def histogram_mutual_information(h: ProfileHistogram, p: Rational) -> MIResult:
         If p is outside [0, 1/2].
     """
     q = as_probability(p, Fraction(1, 2))
-    rows, counts, den = _profile_rows(h, q)
-    return _result(_mi_bits(rows, counts, h.n, den, Fraction(h.ones, 1 << h.n)), q)
+    merged, den = _profile_rows(h, q)
+    scales = _ratio_scales(h.n, den, Fraction(h.ones, 1 << h.n))
+    return _result(math.fsum(_exact_terms(merged, merged.values(), den, *scales)), q)
 
 
 def _result(mi: float, p: Fraction) -> MIResult:
@@ -119,8 +118,8 @@ def _result(mi: float, p: Fraction) -> MIResult:
     return MIResult(mi_bits=mi, bound_bits=bound, margin_bits=bound - mi)
 
 
-def _profile_rows(h: ProfileHistogram, p: Fraction) -> tuple[np.ndarray, np.ndarray, int]:
-    """(rows, counts, den): the distinct p1 numerators of ``h``'s table over den, with their counts.
+def _profile_rows(h: ProfileHistogram, p: Fraction) -> tuple[dict[int, int], int]:
+    """({numerator: count}, den): the distinct p1 numerators of ``h``'s table over den, with their counts.
 
     For p = s/d the table has den = 4^n·d^n, and a y with profile
     (N_0, ..., N_n) has the numerator 2^n·sum_d N_d·s^d·(d - s)^(n - d),
@@ -128,19 +127,15 @@ def _profile_rows(h: ProfileHistogram, p: Fraction) -> tuple[np.ndarray, np.ndar
     every profile at p = 1/2 and the profiles with N_0 = 0 at p = 0, are
     merged exactly, so each distinct numerator occurs once with its total
     count, as ``_distinct_rows`` gives it, and every count·c1 product
-    rounds as on the table.  The rows come packed in the words layout of
-    ``JointYZ.words``.
+    rounds as on the table.
     """
     n, s, d = h.n, p.numerator, p.denominator
     weights = [s**k * (d - s) ** (n - k) for k in range(n + 1)]
-    nums = [sum(map(operator.mul, prof, weights)) << n for prof in h.profiles]
-    merged = dict.fromkeys(nums, 0)
-    for num, count in zip(nums, h.counts):
-        merged[num] += count
-    den = 4**n * d**n
-    width = 8 * _word_count(den >> n)
-    raw = b"".join(num.to_bytes(width, "little") for num in merged)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(merged), -1), np.array(list(merged.values())), den
+    merged: dict[int, int] = {}
+    for prof, count in zip(h.profiles, h.counts):
+        num = sum(map(operator.mul, prof, weights)) << n
+        merged[num] = merged.get(num, 0) + count
+    return merged, 4**n * d**n
 
 
 def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fraction) -> float:
@@ -152,24 +147,58 @@ def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fracti
     (count·c1)·log2(c2), where c1 = p_yz and c2 = p_yz / (p_y * p_z) are
     the correctly rounded floats of the exact rationals.  Rows are taken
     ``_KERNEL_ROWS`` at a time, and each block picks its own rounding path
-    (see ``_cell_quotients``); every block's terms stream into one
+    (see ``_block_terms``); every block's terms stream into one
     :func:`math.fsum`.
     """
+    scales = _ratio_scales(n, den, pz1)
     counts = counts.astype(np.float64)
     blocks = (slice(lo, lo + _KERNEL_ROWS) for lo in range(0, len(rows), _KERNEL_ROWS))
-    return math.fsum(chain.from_iterable(
-        _terms(counts[b], *_cell_quotients(rows[b], n, den, pz1)[0]) for b in blocks))
+    return math.fsum(chain.from_iterable(_block_terms(rows[b], counts[b], den, scales) for b in blocks))
 
 
-def _terms(counts: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> list[float]:
-    """(count·c1)·log2(c2) for every cell of a block of distinct rows whose c1 is positive.
+def _block_terms(rows: np.ndarray, counts: np.ndarray, den: int, scales: tuple) -> Iterable[float]:
+    """Terms of a block of distinct rows, each quotient rounded by the kernel or divided as Python ints.
+
+    A block of fewer than ``_KERNEL_MIN_ROWS`` rows, or of a table with
+    den >= 2^1022, goes to ``_exact_terms`` whole; otherwise the kernel
+    rounds every cell, and each row with a cell it cannot decide goes there.
+
+    The cutoff is the crossover of the two paths' costs, timed per table
+    in one warm process (medians of 21 back-to-back pairs, shared 2-vCPU
+    VM): the kernel's fixed 45-120 µs met int / int at 1.3-2.5 µs per row
+    near 40 distinct rows with one word per row (n = 8, p = 13/64), 46
+    with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
+    with five (n = 16).  Class tables have at most n + 1 distinct rows
+    (r + 1 for a subcube with r fixed coordinates, two for a dictator)
+    and always take the exact path; a random table from n = 6 on has
+    close to 2^n and takes the kernel, but for a short last block.
+    """
+    if len(rows) < _KERNEL_MIN_ROWS or den.bit_length() > _KERNEL_DEN_BITS:
+        return _exact_terms(_fold_words(rows), counts.tolist(), den, *scales)
+    (c1, c2), undecided = _cell_quotients(rows, den, *scales)
+    redo = undecided.any(axis=0)
+    return chain(_terms(counts, c1, c2, ~redo),
+                 _exact_terms(_fold_words(rows[redo]), counts[redo].tolist(), den, *scales))
+
+
+def _terms(counts: np.ndarray, c1: np.ndarray, c2: np.ndarray, decided: np.ndarray) -> list[float]:
+    """(count·c1)·log2(c2) for every cell of the ``decided`` rows of a block whose c1 is positive.
 
     A cell whose c1 rounds to 0.0 would add ±0.0, which cannot change the fsum.
     """
-    keep = c1 > 0
+    keep = (c1 > 0) & decided
     weights = (counts * c1)[keep]
     logs = np.fromiter(map(math.log2, c2[keep].tolist()), dtype=np.float64, count=len(weights))
     return (weights * logs).tolist()
+
+
+def _exact_terms(nums: Iterable[int], counts: Iterable[float], den: int, py_num: int, up: int,
+                 down: tuple[int, int]) -> Iterator[float]:
+    """``_terms`` of the rows with p1 numerators ``nums``, each quotient ``int / int``: the same floats."""
+    for num, count in zip(nums, counts):
+        for mass, d in zip((py_num - num, num), down):
+            if mass and (c1 := mass / den):
+                yield count * c1 * math.log2(mass * up / d)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +222,10 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shares there, with the freed bits taken from the word below.  If the
     sorted keys are all distinct, so are the rows, and ``words`` itself
     comes back with counts of 1.  Otherwise rows are grouped by the dense
-    rank of their key, and each lower word is checked by one scatter and
-    one gather to agree inside every group; a group it splits is
-    re-ranked by the pair (group, rank of the word), packed into one
-    int64.  Only uint64 sorts and exact comparisons run, so no two
+    rank of their key, set through one argsort, and each lower word is
+    checked by one scatter and one gather to agree inside every group; a
+    group it splits is re-ranked by the pair (group, rank of the word),
+    packed into one int64.  Only uint64 sorts and exact comparisons run, so no two
     distinct rows share a group.  Rows come back in no promised order.
     """
     top = words.shape[1] - 1
@@ -212,10 +241,10 @@ def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new = ordered[1:] != ordered[:-1]
     if new.all():
         return words, np.ones(len(words), dtype=np.int64)
-    keys = ordered[np.flatnonzero(np.concatenate(([True], new)))]
-    del ordered, new
-    group, groups = np.searchsorted(keys, key), len(keys)
-    del key, keys
+    group = np.empty(len(key), dtype=np.intp)
+    group[np.argsort(key)] = np.concatenate(([0], np.cumsum(new)))
+    groups = int(np.count_nonzero(new)) + 1
+    del key, ordered, new
     bits = len(words).bit_length()  # ranks are below len(words), so a pair stays below 2^(2·bits)
     for k in reversed(range(top)):
         col = words[:, k]
@@ -329,55 +358,22 @@ def _round_products(hi, lo, factors):
     return r * back, undecided
 
 
-def _cell_quotients(rows: np.ndarray, n: int, den: int, pz1: Fraction) -> tuple[np.ndarray, int]:
-    """(quotients, exact) over a block of distinct rows, each quotient the correctly rounded float64.
+def _cell_quotients(rows: np.ndarray, den: int, py_num: int, up: int,
+                    down: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(quotients, undecided): the double-double kernel over a block of distinct rows.
 
     ``quotients[0][z, i]`` = mass/den and ``quotients[1][z, i]`` =
-    mass·up/down[z] are the two quotients of the z cell of ``rows[i]``,
-    what ``int / int`` gives.  A block of fewer than ``_KERNEL_MIN_ROWS``
-    rows, or of a table with den >= 2^1022, has every cell divided as
-    Python ints; otherwise the double-double kernel runs and only the
-    cells it cannot round are divided as Python ints.  ``exact`` counts
-    the cells divided as Python ints.
-
-    The cutoff is the crossover of the two paths' costs, timed per table
-    in one warm process (medians of 21 back-to-back pairs, shared 2-vCPU
-    VM): the kernel's fixed 45-120 µs met int / int at 1.3-2.5 µs per row
-    near 40 distinct rows with one word per row (n = 8, p = 13/64), 46
-    with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
-    with five (n = 16).  Class tables have at most n + 1 distinct rows
-    (r + 1 for a subcube with r fixed coordinates, two for a dictator),
-    whichever producer made them, and always take the exact path; a
-    random table from n = 6 on has close to 2^n and takes the kernel, but
-    for a short last block.
+    mass·up/down[z] are the two quotients of the z cell of ``rows[i]``.
+    Where ``undecided[z, i]`` is False both are the correctly rounded
+    float64, what ``int / int`` gives.  den must be below 2^1022.
     """
-    py_num, up, down = scales = _ratio_scales(n, den, pz1)
-    if len(rows) < _KERNEL_MIN_ROWS or den.bit_length() > _KERNEL_DEN_BITS:
-        return _exact_quotients(rows, den, *scales), 2 * len(rows)
     exact = py_num.bit_length() <= _EXACT_MASS_BITS
     per_den = _scaled_dd(1, den, exact)
     factors = np.array([[per_den, per_den], [_scaled_dd(up, d, exact) for d in down]])
     factors = factors.transpose(2, 0, 1)[..., None]  # field, quotient, z, broadcast row
     pieces = -(-py_num.bit_length() // 32)
     quotients, flagged = _round_products(*_mass_dd(_masses(rows, py_num), pieces), factors)
-    undecided = flagged.any(axis=0)
-    need = np.flatnonzero(undecided.any(axis=0))
-    if len(need):
-        redo = _exact_quotients(rows[need], den, *scales)
-        quotients[:, :, need] = np.where(undecided[:, need], redo, quotients[:, :, need])
-    return quotients, int(np.count_nonzero(undecided))
-
-
-def _exact_quotients(rows: np.ndarray, den: int, py_num: int, up: int, down: tuple[int, int]) -> np.ndarray:
-    """The (2, 2, len(rows)) quotients of every cell of ``rows``, divided as Python ints.
-
-    Each row is folded into a Python int once.
-    """
-    values = []
-    for num in _fold_words(rows):
-        for z, mass in enumerate((py_num - num, num)):
-            values += (mass / den, mass * up / down[z]) if mass else (0.0, 0.0)
-    return np.array(values).reshape(-1, 2, 2).transpose(2, 1, 0)  # row, z, quotient -> quotient, z, row
+    return quotients, flagged.any(axis=0)
 
 
 def _ratio_scales(n: int, den: int, pz1: Fraction) -> tuple[int, int, tuple[int, int]]:

@@ -123,6 +123,14 @@ MUTANTS = (
          DISTINCT + "test_structured_and_constant_tables_match_the_oracles[7]"),
     ),
     Mutant(
+        "grouping-ranks-unpermuted",
+        MI,
+        "    group[np.argsort(key)] = ",
+        "    group[:] = ",
+        # the dense ranks land on the rows in sorted order, not on the rows they rank
+        (HAND_BUILT + "[one-word]", DISTINCT + "test_a_non_dyadic_table_with_repeated_rows_matches_the_oracles"),
+    ),
+    Mutant(
         "grouping-pair-unpacked",
         MI,
         "        pair = group << bits | ",
@@ -149,12 +157,20 @@ MUTANTS = (
     Mutant(
         "mi-exact-path-masses-swapped",
         MI,
-        "        for z, mass in enumerate((py_num - num, num)):\n",
-        "        for z, mass in enumerate((num, py_num - num)):\n",
+        "        for mass, d in zip((py_num - num, num), down):\n",
+        "        for mass, d in zip((num, py_num - num), down):\n",
         # class tables have at most n + 1 distinct rows, so only the exact path reduces them
         ("tests/test_mi.py::TestMutualInformation::test_bit_identical_to_fraction_cell_reduction[p1]",
          KERNEL + "test_structured_and_constant_tables_match_the_loop[5]",
          GOLDEN + "[verify-json]"),
+    ),
+    Mutant(
+        "kernel-undecided-rows-dropped",
+        MI,
+        "    return chain(_terms(counts, c1, c2, ~redo),\n"
+        "                 _exact_terms(_fold_words(rows[redo]), counts[redo].tolist(), den, *scales))\n",
+        "    return _terms(counts, c1, c2, ~redo)\n",
+        (KERNEL + "test_rows_the_kernel_leaves_undecided_match_the_loop[8]",),
     ),
     Mutant(
         "kernel-zero-margin-for-inexact-masses",
@@ -536,11 +552,9 @@ MUTANTS = (
     Mutant(
         "producer-equal-numerators-unmerged",
         MI,
-        'b"".join(num.to_bytes(width, "little") for num in merged)\n'
-        '    return np.frombuffer(raw, dtype="<u8").reshape(len(merged), -1), np.array(list(merged.values())), den\n',
-        'b"".join(num.to_bytes(width, "little") for num in nums)\n'
-        '    return np.frombuffer(raw, dtype="<u8").reshape(len(nums), -1), np.array(h.counts), den\n',
-        # at p = 1/2 every cell's log is 0, so only the rows themselves show the split
+        "        merged[num] = merged.get(num, 0) + count\n",
+        "        merged[num] = count\n",
+        # at p = 1/2 every cell's log is 0, so only the merged counts themselves show the loss
         (HISTOGRAM_PATH + "test_rows_and_counts_are_the_grouped_table_rows[1_2]",),
     ),
     # the symmetry group

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -22,6 +23,7 @@ from bfmi.mi import MIResult, binary_entropy, mi_class1_closed
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -204,6 +206,14 @@ class TestKaramata:
         doc = json.loads(out)
         assert len(doc["certificates"]) == 5
         assert all(c["holds"] for c in doc["certificates"])
+
+    def test_dump_sums_past_2_to_the_24_rows_exits_2_and_writes_nothing(self, capsys, tmp_path):
+        # n = 13 has 2^13·(2^13 - 1) prefixes; n = 12 (16 773 120 rows) is the largest dump
+        path = tmp_path / "sums.csv"
+        code, out, err = run(capsys, "karamata", "--n", "13", "--p", "1/4", "--dump-sums", str(path))
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and f"{8192 * 8191} rows" in err
+        assert not path.exists()
 
     def test_dump_sums_needs_single_p(self, capsys, tmp_path):
         code, _, err = run(
@@ -559,6 +569,36 @@ class TestUsageErrors:
         code, _, err = run(capsys, "compute", "--n", "4", "--function", "class3:prefix=1", "--p", "1/4")
         assert code == 2
         assert "missing required key 'r'" in err
+
+
+def readme_commands():
+    """The ``mi`` lines of README's Command line block, as argv lists.
+
+    Continuation lines are joined, and comments and bracketed (optional)
+    options dropped.
+    """
+    block = README.read_text().split("## Command line", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]).split() for line in lines]
+
+
+# scans all 2^32 tables at n = 5: about a quarter of a core-hour
+SLOW_EXAMPLE = ["mi", "exhaustive", "--n", "5"]
+
+
+class TestReadmeExamples:
+    def test_the_block_holds_mi_lines_and_the_slow_one(self):
+        commands = readme_commands()
+        assert len(commands) >= 8 and all(argv[0] == "mi" for argv in commands)
+        assert sum(argv[:4] == SLOW_EXAMPLE for argv in commands) == 1
+
+    @pytest.mark.parametrize("argv", [a for a in readme_commands() if a[:4] != SLOW_EXAMPLE], ids=" ".join)
+    def test_each_example_exits_0(self, argv, capsys, tmp_path, monkeypatch):
+        (tmp_path / "table.json").write_text(make_class(3, Dictator(1)).to_json())
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv[1:])
+        assert code == 0, err
+        assert out and not err
 
 
 class TestEntryPoint:

@@ -26,9 +26,10 @@ from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
     _KERNEL_MIN_ROWS,
     _KERNEL_ROWS,
+    _block_terms,
     _cell_quotients,
     _distinct_rows,
-    _exact_quotients,
+    _mi_bits,
     _profile_rows,
     _ratio_scales,
     binary_entropy,
@@ -95,30 +96,49 @@ def loop_mi(j):
     return math.fsum(terms)
 
 
-def kernel_quotients(rows, n, den, pz1):
-    """``_cell_quotients`` with ``_KERNEL_MIN_ROWS`` patched to 0, so the kernel takes any block."""
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
-        return _cell_quotients(rows, n, den, pz1)
+def record_exact_rows(monkeypatch):
+    """Patch ``_exact_terms`` to log how many rows each call takes; returns the log."""
+    log, exact = [], bfmi.mi._exact_terms
+    monkeypatch.setattr(bfmi.mi, "_exact_terms", lambda nums, *args: log.append(len(nums)) or exact(nums, *args))
+    return log
+
+
+def term_bits(terms):
+    """The multiset of a block's terms, bit for bit and in no particular order."""
+    return sorted(map(float.hex, terms))
 
 
 def kernel_fallbacks(j):
-    """Run the kernel on the distinct rows of ``j`` and check both quotients of every cell.
+    """Reduce the distinct rows of ``j`` with the kernel taking blocks of any size.
 
-    The grouping and every quotient are checked against Python ints, whatever
-    path ``_cell_quotients`` would pick for this many rows.  Returns how many
-    cells the kernel sent to the exact ``int / int`` path.
+    The grouping is checked against Python ints, every quotient the kernel
+    decides against ``int / int``, and the MI against the path
+    ``_block_terms`` picks for this many rows.  Returns how many cells went
+    to the exact ``int / int`` path: each cell the kernel left undecided, or
+    every cell when den >= 2^1022 keeps the kernel out.
     """
     rows, counts = _distinct_rows(j.words)
-    (c1, c2), fallbacks = kernel_quotients(rows, j.n, j.den, j.pz1)
     nums = _fold(rows)
     assert dict(zip(nums, counts.tolist())) == Counter(j.p1_nums)
+    want, runs = mutual_information(j).mi_bits, []
+    kernel = bfmi.mi._cell_quotients
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
+        m.setattr(bfmi.mi, "_cell_quotients", lambda *args: runs.append(kernel(*args)) or runs[-1])
+        exact_rows = record_exact_rows(m)
+        assert _mi_bits(rows, counts, j.n, j.den, j.pz1) == want
+    if not runs:
+        return 2 * sum(exact_rows)
+    # each block sends the kernel's undecided rows, and only those, to int / int
+    assert exact_rows == [np.count_nonzero(undecided.any(axis=0)) for _, undecided in runs]
+    (c1, c2), undecided = (np.concatenate(parts, axis=-1) for parts in zip(*runs))
     den, (py_num, up, down) = j.den, reference_scales(j)
     for i, num in enumerate(nums):
         for z, mass in enumerate((py_num - num, num)):
-            assert c1[z, i] == mass / den, (z, num)
-            assert not mass or c2[z, i] == mass * up[z] / down[z], (z, num)
-    return fallbacks
+            if not undecided[z, i]:
+                assert c1[z, i] == mass / den, (z, num)
+                assert not mass or c2[z, i] == mass * up[z] / down[z], (z, num)
+    return int(np.count_nonzero(undecided))
 
 
 def cells_near_midpoints(j, rel):
@@ -401,6 +421,24 @@ class TestDoubleDoubleKernel:
         assert len(terms) < 2 * 7
         assert mutual_information(j).mi_bits == math.fsum(terms)
 
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_rows_the_kernel_leaves_undecided_match_the_loop(self, n, monkeypatch):
+        # every cell flagged: each kernel block sends all of its rows to int / int
+        kernel = bfmi.mi._round_products
+
+        def undecided_everywhere(*args):
+            r, undecided = kernel(*args)
+            return r, np.ones_like(undecided)
+
+        monkeypatch.setattr(bfmi.mi, "_round_products", undecided_everywhere)
+        exact_rows = record_exact_rows(monkeypatch)
+        table = TruthTable(n, random.Random(300 + n).getrandbits(1 << n))
+        for p in (Fraction(13, 64), Fraction(12345, 100003)):
+            j = joint_yz(table, p)
+            exact_rows.clear()
+            assert mutual_information(j).mi_bits == loop_mi(j), p
+            assert sum(exact_rows) == len(set(j.p1_nums)) >= _KERNEL_MIN_ROWS, p
+
 
 # (n, p) for random tables whose rows take one to four words, at dyadic and non-dyadic den
 CUTOFF_CASES = {
@@ -419,42 +457,52 @@ class TestKernelCutoff:
     """Tables on either side of ``_KERNEL_MIN_ROWS`` distinct rows: the path taken and its quotients."""
 
     @pytest.mark.parametrize("case", CUTOFF_CASES)
-    def test_both_paths_agree_bit_for_bit_at_the_cutoff(self, case):
+    def test_both_paths_agree_bit_for_bit_at_the_cutoff(self, case, monkeypatch):
         n, p = CUTOFF_CASES[case]
         j = joint_yz(TruthTable(n, random.Random(n).getrandbits(1 << n)), p)
         rows = _distinct_rows(j.words)[0]
         assert rows.shape[1] == int(case[0]) and len(rows) > _KERNEL_MIN_ROWS
-        py_num, up, down = reference_scales(j)
+        scales, (py_num, up, down) = _ratio_scales(n, j.den, j.pz1), reference_scales(j)
+        exact = bfmi.mi._exact_terms
+        exact_rows = record_exact_rows(monkeypatch)
         for size in (_KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1):
-            part = rows[:size]
-            quotients, exact = _cell_quotients(part, n, j.den, j.pz1)
-            by_kernel, fallbacks = kernel_quotients(part, n, j.den, j.pz1)
-            by_ints = _exact_quotients(part, j.den, *_ratio_scales(n, j.den, j.pz1))
-            assert quotients.tobytes() == by_kernel.tobytes() == by_ints.tobytes(), size
-            assert exact == (2 * size if size < _KERNEL_MIN_ROWS else fallbacks), size
+            part, counts = rows[:size], np.arange(1.0, size + 1)
+            exact_rows.clear()
+            terms = term_bits(_block_terms(part, counts, j.den, scales))
+            (c1, c2), undecided = _cell_quotients(part, j.den, *scales)
+            fallbacks = np.count_nonzero(undecided.any(axis=0))
+            assert exact_rows == [size if size < _KERNEL_MIN_ROWS else fallbacks], size
+            with monkeypatch.context() as m:
+                m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
+                by_kernel = term_bits(_block_terms(part, counts, j.den, scales))
+            by_ints = term_bits(exact(_fold(part), counts.tolist(), j.den, *scales))
+            assert terms == by_kernel == by_ints, size
             for i, num in enumerate(_fold(part)):
                 for z, mass in enumerate((py_num - num, num)):
-                    assert quotients[0, z, i] == mass / j.den
-                    assert not mass or quotients[1, z, i] == mass * up[z] / down[z]
+                    if not undecided[z, i]:
+                        assert c1[z, i] == mass / j.den
+                        assert not mass or c2[z, i] == mass * up[z] / down[z]
 
     def test_class_tables_take_the_exact_path_and_random_tables_the_kernel(self, monkeypatch):
         runs = []
         kernel = bfmi.mi._round_products
         monkeypatch.setattr(bfmi.mi, "_round_products", lambda *args: runs.append(args) or kernel(*args))
+        exact_rows = record_exact_rows(monkeypatch)
         p = Fraction(13, 64)
         for cls in (Class1(3), Class2(5), Class3(4, 1), Class4(4, 2), Dictator(2)):
             j = joint_yz(make_class(10, cls), p)
             rows = _distinct_rows(j.words)[0]
             assert len(rows) <= 11
-            assert _cell_quotients(rows, 10, j.den, j.pz1)[1] == 2 * len(rows), cls
+            exact_rows.clear()
             assert mutual_information(j).mi_bits == loop_mi(j), cls
+            assert exact_rows == [len(rows)], cls
         assert runs == []
         j = joint_yz(TruthTable(10, random.Random(10).getrandbits(1 << 10)), p)
         rows = _distinct_rows(j.words)[0]
         assert len(rows) >= _KERNEL_MIN_ROWS
-        assert _cell_quotients(rows, 10, j.den, j.pz1)[1] == 0
+        exact_rows.clear()
         assert mutual_information(j).mi_bits == loop_mi(j)
-        assert len(runs) == 2
+        assert len(runs) == 1 and exact_rows == [0]  # the kernel decides every cell
 
     def test_a_short_last_block_takes_the_exact_path(self, monkeypatch):
         # the first _KERNEL_ROWS + 17 distinct rows of a random n = 12 table, repeated to fill
@@ -465,14 +513,13 @@ class TestKernelCutoff:
         assert len(distinct) == _KERNEL_ROWS + 17
         nums = [distinct[y % len(distinct)] for y in range(1 << 12)]
         j = joint_from_nums(12, p, j.den, nums, Fraction(sum(nums), j.den))
-        kernel_rows, exact_rows = [], []
-        kernel, exact = bfmi.mi._round_products, bfmi.mi._exact_quotients
+        kernel_rows, kernel = [], bfmi.mi._round_products
         monkeypatch.setattr(bfmi.mi, "_round_products",
                             lambda hi, *args: kernel_rows.append(hi.shape[-1]) or kernel(hi, *args))
-        monkeypatch.setattr(bfmi.mi, "_exact_quotients",
-                            lambda rows, *args: exact_rows.append(len(rows)) or exact(rows, *args))
+        exact_rows = record_exact_rows(monkeypatch)
         assert mutual_information(j).mi_bits == loop_mi(j)
-        assert kernel_rows == [_KERNEL_ROWS] and exact_rows == [17]
+        # the kernel block leaves no row undecided, and the tail goes to int / int whole
+        assert kernel_rows == [_KERNEL_ROWS] and exact_rows == [0, 17]
 
 
 class TestDistinctRows:
@@ -501,6 +548,12 @@ class TestDistinctRows:
     def test_hand_built_words_match_the_oracles(self, case):
         assert_groups_match_the_oracles(words_of(*HAND_BUILT[case]))
 
+    def test_a_non_dyadic_table_with_repeated_rows_matches_the_oracles(self):
+        # p = 1/3 weighs distance d by 2^(n - d), so a random table's rows collide and are ranked
+        j = joint_yz(TruthTable(15, random.Random(15).getrandbits(1 << 15)), Fraction(1, 3))
+        assert_groups_match_the_oracles(j.words)
+        assert len(_distinct_rows(j.words)[1]) < len(j.words)
+
     def test_distinct_keys_return_the_words_themselves(self):
         words = words_of(*HAND_BUILT["distinct-keys"])
         rows, counts = _distinct_rows(words)
@@ -520,12 +573,10 @@ class TestHistogramPath:
             for c in histogram_classes(n):
                 table, h = make_class(n, c), profile_histogram(n, c)
                 j = joint_yz(table, p)
-                rows, counts, den = _profile_rows(h, p)
-                assert den == j.den and rows.dtype == j.words.dtype and rows.shape[1] == j.words.shape[1]
+                merged, den = _profile_rows(h, p)
+                assert den == j.den
                 grouped, grouped_counts = _distinct_rows(j.words)
-                want = dict(zip(_fold(grouped), grouped_counts.tolist()))
-                assert _fold(rows) == list(dict.fromkeys(_fold(rows))), (n, c)  # no numerator twice
-                assert dict(zip(_fold(rows), counts.tolist())) == want, (n, c)
+                assert merged == dict(zip(_fold(grouped), grouped_counts.tolist())), (n, c)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9, 12, 16])
     def test_bit_identical_to_the_table_path(self, n):
@@ -557,6 +608,19 @@ class TestHistogramPath:
             h = ProfileHistogram(n, table.ones_count(), tuple(profiles), tuple(profiles.values()))
             for p in KERNEL_P:
                 assert histogram_mutual_information(h, p) == mutual_information(joint_yz(table, p)), (mask, p)
+
+    def test_every_family_reduces_without_the_table_machinery(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a histogram reached the table path")
+
+        for name in ("_mi_bits", "_masses", "_distinct_rows", "_fold_words"):
+            monkeypatch.setattr(bfmi.mi, name, unreachable)
+        for n in range(1, 25):
+            for c in histogram_classes(n):
+                h = profile_histogram(n, c)
+                for p in KERNEL_P:
+                    result = histogram_mutual_information(h, p)
+                    assert -1e-12 <= result.mi_bits <= result.bound_bits + 1e-12, (n, c, p)
 
     def test_p_outside_the_channel_range_raises(self):
         with pytest.raises(ValueError):

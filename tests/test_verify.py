@@ -21,7 +21,7 @@ from bfmi.boolfn import (
     make_class,
     profile_histogram,
 )
-from bfmi.channel import _fold, joint_yz
+from bfmi.channel import joint_yz
 from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import _profile_rows, binary_entropy, mutual_information
@@ -136,12 +136,11 @@ class TestReduction:
         # float, so the two sides agree bit for bit
         for n in range(2, 11):
             for r in range(1, n):
-                rows, counts, den = _profile_rows(profile_histogram(n, Class3(r)), p)
-                rows_r, counts_r, den_r = _profile_rows(profile_histogram(r, Class1()), p)
+                merged, den = _profile_rows(profile_histogram(n, Class3(r)), p)
+                merged_r, den_r = _profile_rows(profile_histogram(r, Class1()), p)
                 scale = (2 * p.denominator) ** (n - r)
                 assert den == den_r * scale << (n - r)
-                assert dict(zip(_fold(rows), counts.tolist())) == {
-                    num * scale: k << (n - r) for num, k in zip(_fold(rows_r), counts_r.tolist())}
+                assert merged == {num * scale: k << (n - r) for num, k in merged_r.items()}
                 full, reduced = class3_reduction_check(n, r, p)
                 assert full.hex() == reduced.hex(), (n, r)
 
