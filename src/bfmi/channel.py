@@ -27,16 +27,18 @@ den/2^n needs, and :class:`JointYZ` keeps that ``(2^n, W)`` uint64 array
 as it is: for p = s/d every cell is an integer numerator over 4^n·d^n.
 Validation runs in NumPy on the words (a multiword comparison against
 den/2^n and a column sum in 32-bit halves), and nothing is cached
-between calls.  Python ints appear only in the ``p1_nums`` and ``rows``
-views and in the CSV dump of a den that is not a power of two or has
-den/2^n >= 2^106.  The dump takes no ``math.gcd`` per cell: with
-den = 2^a·m and m odd, it forms both masses of a block of rows by a
-multiword subtraction, counts each mass's trailing zeros t across its
-words (capped at a) and reads the reduced denominator from a table of
-den >> t.  For m = 1 and masses below 2^106 it shifts the masses on
-their words and writes their exact decimal digits in NumPy; otherwise
-it folds them into Python ints, shifts each right by its t and, for
-m > 1 (a non-dyadic p), takes a gcd with m.
+between calls.  Here Python ints appear only in the ``rows`` view and
+in the CSV dump of a den that is not a power of two or has
+den/2^n >= 2^106; :mod:`bfmi.mi` folds the words of a row into ints only
+for a cell its kernel cannot round and for den >= 2^1022, and reduces a
+class's profile histogram as ints throughout.  The dump takes no
+``math.gcd`` per cell: with den = 2^a·m and m odd, it forms both masses
+of a block of rows by a multiword subtraction, counts each mass's
+trailing zeros t across its words (capped at a) and reads the reduced
+denominator from a table of den >> t.  For m = 1 and masses below 2^106
+it shifts the masses on their words and writes their exact decimal
+digits in NumPy; otherwise it folds them into Python ints, shifts each
+right by its t and, for m > 1 (a non-dyadic p), takes a gcd with m.
 The result is exact.  The test suite checks it against a naive oracle
 that sums p(x, y) over the preimage f^{-1}(1) term by term, and against
 the same inverse run on Python ints for every lane width up to n = 20.
@@ -58,7 +60,7 @@ from .boolfn import MAX_N, TruthTable, _bits
 
 Rational = Fraction | int
 # rows per block of the passes that would otherwise hold a whole-table temporary: the
-# ``p1_nums`` view folds this many rows into Python ints at a time, and ``_wht`` multiplies
+# ``rows`` view folds this many rows into Python ints at a time, and ``_wht`` multiplies
 # this many 16-entry blocks by the Hadamard matrix at once
 _READ_ROWS = 1 << 12
 # rows per rendered and written block of the CSV dump; with 4096 the random-tables benchmark
@@ -131,11 +133,11 @@ class JointYZ:
     positive multiple of 2^n, every numerator lies in
     [0, den/2^n] (so entries are nonnegative and every row sums to
     exactly 1/2^n, the uniform Y marginal), and ``pz1`` is the exact sum
-    of the p1 column.  ``p1_nums`` (Python ints) and ``rows`` (Fractions)
-    are views built on each access; nothing in the MI reduction reads
-    them.  The CSV dump counts the cells' powers of two on the words and
-    reduces the cells by them one block of rows at a time, in NumPy for
-    a dyadic den below 2^(n + 106) and on folded Python ints otherwise.
+    of the p1 column.  ``rows`` (Fractions) is a view built on each
+    access; nothing in the MI reduction reads it.  The CSV dump counts
+    the cells' powers of two on the words and reduces the cells by them
+    one block of rows at a time, in NumPy for a dyadic den below
+    2^(n + 106) and on folded Python ints otherwise.
     """
 
     n: int
@@ -171,19 +173,10 @@ class JointYZ:
             raise ValueError("pz1 does not match the p1 column sum")
 
     @property
-    def pz0(self) -> Fraction:
-        return 1 - self.pz1
-
-    @property
-    def p1_nums(self) -> tuple[int, ...]:
-        """The p1 numerators as Python ints; a read-only view built per access."""
-        return tuple(_nums(self.words))
-
-    @property
     def rows(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """``rows[y] = (p0, p1)`` as exact Fractions; a read-only view built per access."""
         den, py_num = self.den, self.den >> self.n
-        return tuple((Fraction(py_num - num, den), Fraction(num, den)) for num in self.p1_nums)
+        return tuple((Fraction(py_num - num, den), Fraction(num, den)) for num in _nums(self.words))
 
     def write_csv(self, path) -> None:
         """Dump as CSV rows: y_index, p0_num, p0_den, p1_num, p1_den, in lowest terms.

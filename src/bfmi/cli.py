@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -81,6 +82,7 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit
 
 
 def _expand_class_specs(text: str, n_min: int, n_max: int):
@@ -261,9 +263,28 @@ def main(argv=None) -> int:
         text, ok = _COMMANDS[args.command](args)
         _emit(text, args.out)
     except (ValueError, OSError) as exc:
-        print(f"mi: error: {exc}", file=sys.stderr)
+        if isinstance(exc, BrokenPipeError):
+            _to_devnull(sys.stdout)
+        try:
+            print(f"mi: error: {exc}", file=sys.stderr, flush=True)
+        except BrokenPipeError:  # stderr shares stdout's closed pipe: the line has nowhere to go
+            _to_devnull(sys.stderr)
         return 2
     return 0 if ok else 1
+
+
+def _to_devnull(stream) -> None:
+    """Point a stream that hit a closed pipe at devnull, so the flush at exit cannot fail (exit 120).
+
+    This is the Python documentation's remedy for EPIPE.
+    """
+    try:
+        fd = stream.fileno()
+    except OSError:  # io.UnsupportedOperation: no descriptor behind the stream, nothing to flush at exit
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -19,19 +19,17 @@ closed-form histogram of distance profiles (every class but ``lex``) has
 at most n + 1 distinct rows, and ``_profile_rows`` forms each one's
 numerator from its profile as a Python int and merges equal numerators
 exactly.  Every cell's term (count·c1)·log2(c2) needs two correctly
-rounded quotients.  ``_exact_terms`` divides them as Python ints; it
-reduces every histogram, every block of fewer than 40 distinct rows
-(``_KERNEL_MIN_ROWS``) and every table whose denominator leaves the
-kernel's exponent range.  A table block of 40 rows or more has both cell
-masses of each row formed by a multiword borrow subtraction and the
-quotients rounded in NumPy double-double arithmetic (Dekker 1971;
-Shewchuk 1997): the masses are converted once from exact 32-bit pieces
-and multiplied by the double-double of each exact factor.  A proven
-error bound decides which products round correctly, and a row with a
-cell it cannot decide goes to ``_exact_terms``.  The cutoff is the
-lowest row count at which the kernel's fixed cost was measured to pay
-(see ``_block_terms``).  Either way every quotient is bit for bit what
-``int / int`` gives, so the path never moves an MI value.  The kernel
+rounded quotients, and the representation picks the arithmetic.
+``_exact_terms`` divides Python ints: it reduces every histogram.  A
+block of table rows, whatever its size, has both cell masses of each row
+formed by a multiword borrow subtraction and the quotients rounded in
+NumPy double-double arithmetic (Dekker 1971; Shewchuk 1997): the masses
+are converted once from exact 32-bit pieces and multiplied by the
+double-double of each exact factor.  A proven error bound decides which
+products round correctly, and a row with a cell it cannot decide goes to
+``_exact_terms``, as does every row of a table whose denominator leaves
+the kernel's exponent range.  Either way every quotient is bit for bit
+what ``int / int`` gives, so the path never moves an MI value.  The kernel
 uses only IEEE +, -, × and comparisons, and the logarithms are
 ``math.log2`` per cell, so MI depends on the platform's libm alone, like
 every other float here outside the exhaustive scan.
@@ -146,9 +144,8 @@ def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fracti
     Each nonzero cell of a row with multiplicity ``count`` adds
     (count·c1)·log2(c2), where c1 = p_yz and c2 = p_yz / (p_y * p_z) are
     the correctly rounded floats of the exact rationals.  Rows are taken
-    ``_KERNEL_ROWS`` at a time, and each block picks its own rounding path
-    (see ``_block_terms``); every block's terms stream into one
-    :func:`math.fsum`.
+    ``_KERNEL_ROWS`` at a time (see ``_block_terms``), and every block's
+    terms stream into one :func:`math.fsum`.
     """
     scales = _ratio_scales(n, den, pz1)
     counts = counts.astype(np.float64)
@@ -159,21 +156,11 @@ def _mi_bits(rows: np.ndarray, counts: np.ndarray, n: int, den: int, pz1: Fracti
 def _block_terms(rows: np.ndarray, counts: np.ndarray, den: int, scales: tuple) -> Iterable[float]:
     """Terms of a block of distinct rows, each quotient rounded by the kernel or divided as Python ints.
 
-    A block of fewer than ``_KERNEL_MIN_ROWS`` rows, or of a table with
-    den >= 2^1022, goes to ``_exact_terms`` whole; otherwise the kernel
-    rounds every cell, and each row with a cell it cannot decide goes there.
-
-    The cutoff is the crossover of the two paths' costs, timed per table
-    in one warm process (medians of 21 back-to-back pairs, shared 2-vCPU
-    VM): the kernel's fixed 45-120 µs met int / int at 1.3-2.5 µs per row
-    near 40 distinct rows with one word per row (n = 8, p = 13/64), 46
-    with two (n = 10), 62 with three (n = 10, p = 12345/100003) and 100
-    with five (n = 16).  Class tables have at most n + 1 distinct rows
-    (r + 1 for a subcube with r fixed coordinates, two for a dictator)
-    and always take the exact path; a random table from n = 6 on has
-    close to 2^n and takes the kernel, but for a short last block.
+    The kernel rounds every cell, and each row with a cell it cannot
+    decide goes to ``_exact_terms``; a block of a table with
+    den >= 2^1022 goes there whole.
     """
-    if len(rows) < _KERNEL_MIN_ROWS or den.bit_length() > _KERNEL_DEN_BITS:
+    if den.bit_length() > _KERNEL_DEN_BITS:
         return _exact_terms(_fold_words(rows), counts.tolist(), den, *scales)
     (c1, c2), undecided = _cell_quotients(rows, den, *scales)
     redo = undecided.any(axis=0)
@@ -211,7 +198,6 @@ _EXACT_MASS_BITS = 105  # masses below 2^105 convert to double-double without er
 _PUSH = 1.0 + 2.0**-41  # Ziv's rounding-test factor for a 2^-97 error; see _round_products
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for binary64
 _KERNEL_ROWS = 1 << 11  # distinct rows per block, which bounds the kernel's temporaries
-_KERNEL_MIN_ROWS = 40  # a block of fewer rows is divided as Python ints; the crossover is measured
 
 
 def _distinct_rows(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -307,6 +293,12 @@ def _scaled_dd(num: int, den: int, exact_masses: bool) -> tuple[float, ...]:
     hi = float(g) and lo = float(g - hi) are correctly rounded integer
     divisions, so hi + lo is within u²·g of g.  The rounding-test factor
     is 1 when the products are exact: g is 1 and the masses are exact.
+    Every c1 quotient of a power-of-two den with masses below 2^105
+    takes it, and it pays: on a random n = 9 table at
+    p = 13/64 (den = 2^72, masses of up to 64 bits) the factor 1 + 2^-41
+    would flag 512 of the 1024 c1 cells, one in each distinct row, and
+    send every row to ``_exact_terms``; MI then took 1.46 ms instead of
+    0.34 ms (best of 7, shared 2-vCPU VM).
     A zero ``den`` (p_z = 0, so every mass in that column is 0) gives g = 0.
     """
     if num == 0 or den == 0:

@@ -39,7 +39,7 @@ MI = "src/bfmi/mi.py"
 VERIFY = "src/bfmi/verify.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
 DISTINCT = "tests/test_mi.py::TestDistinctRows::"
-CUTOFF = "tests/test_mi.py::TestKernelCutoff::"
+BLOCKS = "tests/test_mi.py::TestKernelBlocks::"
 HAND_BUILT = DISTINCT + "test_hand_built_words_match_the_oracles"
 LANES = "tests/test_channel.py::TestJointYZ::test_int64_lanes_match_python_int_inverse"
 GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
@@ -50,6 +50,8 @@ INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
 CONSTRUCTORS = "tests/test_boolfn.py::TestConstructors::"
 USAGE = "tests/test_cli.py::TestUsageErrors::"
+VERDICTS = "tests/test_cli.py::TestVerdicts::"
+CLOSED_PIPE = VERDICTS + "test_a_fresh_process_on_a_closed_pipe_exits_2"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
 HISTOGRAM_PATH = "tests/test_mi.py::TestHistogramPath::"
@@ -137,31 +139,31 @@ MUTANTS = (
         "        pair = group | ",
         (HAND_BUILT + "[equal-keys-interleaved]",),
     ),
-    # the escape from the kernel to the exact path, taken per block of distinct rows
-    Mutant(
-        "mi-cutoff-inverted",
-        MI,
-        "if len(rows) < _KERNEL_MIN_ROWS or ",
-        "if len(rows) >= _KERNEL_MIN_ROWS or ",
-        (CUTOFF + "test_class_tables_take_the_exact_path_and_random_tables_the_kernel",
-         CUTOFF + "test_both_paths_agree_bit_for_bit_at_the_cutoff[1w-13/64]",
-         CUTOFF + "test_a_short_last_block_takes_the_exact_path"),
-    ),
+    # the escapes from the kernel to the exact path, taken per block of distinct rows
     Mutant(
         "mi-den-escape-dropped",
         MI,
-        " or den.bit_length() > _KERNEL_DEN_BITS:",
-        ":",
+        "    if den.bit_length() > _KERNEL_DEN_BITS:\n",
+        "    if False:\n",
         (KERNEL + "test_den_at_the_top_of_the_exponent_range",),
+    ),
+    Mutant(
+        "kernel-decided-rows-inverted",
+        MI,
+        "_terms(counts, c1, c2, ~redo)",
+        "_terms(counts, c1, c2, redo)",
+        # a block of any size keeps only the rows the kernel could not decide
+        (BLOCKS + "test_small_blocks_take_the_kernel_and_match_int_division_bit_for_bit[1w-13/64]",
+         BLOCKS + "test_a_short_last_block_takes_the_kernel"),
     ),
     Mutant(
         "mi-exact-path-masses-swapped",
         MI,
         "        for mass, d in zip((py_num - num, num), down):\n",
         "        for mass, d in zip((num, py_num - num), down):\n",
-        # class tables have at most n + 1 distinct rows, so only the exact path reduces them
-        ("tests/test_mi.py::TestMutualInformation::test_bit_identical_to_fraction_cell_reduction[p1]",
-         KERNEL + "test_structured_and_constant_tables_match_the_loop[5]",
+        # the exact path reduces class histograms, tables past den 2^1022 and undecided kernel rows
+        (KERNEL + "test_den_at_the_top_of_the_exponent_range",
+         KERNEL + "test_rows_the_kernel_leaves_undecided_match_the_loop[8]",
          GOLDEN + "[verify-json]"),
     ),
     Mutant(
@@ -519,6 +521,32 @@ MUTANTS = (
         "    source = p_compute.add_mutually_exclusive_group()\n",
         "    source = p_compute\n",
         (USAGE + "test_function_and_table_together_exit_2",),
+    ),
+    # a closed stdout pipe exits 2, with stderr on the same pipe too, and not 120 from the flush at exit
+    Mutant(
+        "closed-pipe-stdout-kept",
+        CLI,
+        "            _to_devnull(sys.stdout)\n",
+        "            pass\n",
+        (CLOSED_PIPE + "[compute-stderr-shared]", CLOSED_PIPE + "[compute-stderr-open]"),
+    ),
+    Mutant(
+        "closed-pipe-stderr-unguarded",
+        CLI,
+        "        try:\n"
+        "            print(f\"mi: error: {exc}\", file=sys.stderr, flush=True)\n"
+        "        except BrokenPipeError:  # stderr shares stdout's closed pipe: the line has nowhere to go\n"
+        "            _to_devnull(sys.stderr)\n",
+        "        print(f\"mi: error: {exc}\", file=sys.stderr, flush=True)\n",
+        (VERDICTS + "test_stdout_and_stderr_on_one_closed_pipe_exit_2",
+         CLOSED_PIPE + "[verify-stderr-shared]", CLOSED_PIPE + "[verify-stderr-shared-unbuffered]"),
+    ),
+    Mutant(
+        "emit-flush-dropped",
+        CLI,
+        "        sys.stdout.flush()  # a closed pipe raises here, not in the flush at exit\n",
+        "",
+        (CLOSED_PIPE + "[verify-stderr-open]", CLOSED_PIPE + "[compute-stderr-open]"),
     ),
     Mutant(
         "pool-cpu-cap-removed",

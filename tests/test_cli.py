@@ -409,6 +409,40 @@ class TestVerdicts:
         assert not out
         assert err.startswith("mi: error:")
 
+    def test_stdout_and_stderr_on_one_closed_pipe_exit_2(self, monkeypatch):
+        class ClosedPipe(io.StringIO):
+            """A text stream whose reader is gone: every write raises as a closed pipe does."""
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", ClosedPipe())
+        assert main(["verify", "--classes", "class1", "--n-min", "2", "--n-max", "9", "--p", "1/4"]) == 2
+
+    @pytest.mark.parametrize("command, shared, buffered", [
+        ("verify", True, True), ("verify", True, False), ("verify", False, True),
+        # a report this small stays in stdout's buffer until a flush
+        ("compute", True, True), ("compute", False, True),
+    ], ids=["verify-stderr-shared", "verify-stderr-shared-unbuffered", "verify-stderr-open",
+            "compute-stderr-shared", "compute-stderr-open"])
+    def test_a_fresh_process_on_a_closed_pipe_exits_2(self, command, shared, buffered):
+        # the reader end is closed before the child starts, so its first write to stdout fails
+        argv = {"verify": ["verify", "--classes", "class1", "--n-min", "2", "--n-max", "9", "--p", "1/4"],
+                "compute": ["compute", "--n", "4", "--function", "class1", "--p", "1/4"]}[command]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env.update(PYTHONPATH=str(SRC), **({} if buffered else {"PYTHONUNBUFFERED": "1"}))
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bfmi.cli", *argv],
+                                  stdout=w, stderr=w if shared else subprocess.PIPE, timeout=120, env=env)
+        finally:
+            os.close(w)
+        assert proc.returncode == 2
+        if not shared:
+            assert proc.stderr == b"mi: error: [Errno 32] Broken pipe\n"
+
 
 class TestUsageErrors:
     def test_unknown_command_exits_2(self):

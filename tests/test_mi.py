@@ -24,7 +24,6 @@ from bfmi.boolfn import (
 )
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
-    _KERNEL_MIN_ROWS,
     _KERNEL_ROWS,
     _block_terms,
     _cell_quotients,
@@ -40,7 +39,7 @@ from bfmi.mi import (
     xlog2x,
 )
 from test_boolfn import brute_force_profiles, histogram_classes
-from test_channel import joint_from_nums
+from test_channel import joint_from_nums, p1_nums
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
 
@@ -68,7 +67,7 @@ def direct_mi(table, p):
 def fraction_cell_mi(j):
     """Reference reduction over one Fraction per cell, grouping equal rows."""
     py = Fraction(1, 1 << j.n)
-    pz = (j.pz0, j.pz1)
+    pz = (1 - j.pz1, j.pz1)
     terms = []
     for row, count in Counter(j.rows).items():
         for z in (0, 1):
@@ -80,8 +79,9 @@ def fraction_cell_mi(j):
 
 def reference_scales(j):
     """(den/2^n, up, down) of ``j``: p_yz / (p_y * p_z) = mass * up[z] / down[z] with p_y = 1/2^n."""
-    up = [q.denominator << j.n for q in (j.pz0, j.pz1)]
-    down = [j.den * q.numerator for q in (j.pz0, j.pz1)]
+    pz = (1 - j.pz1, j.pz1)
+    up = [q.denominator << j.n for q in pz]
+    down = [j.den * q.numerator for q in pz]
     return j.den >> j.n, up, down
 
 
@@ -89,7 +89,7 @@ def loop_mi(j):
     """The per-cell reduction the kernel replaced: one Python int per cell, int / int quotients."""
     den, (py_num, up, down) = j.den, reference_scales(j)
     terms = []
-    for num, count in Counter(j.p1_nums).items():
+    for num, count in Counter(p1_nums(j)).items():
         for z, mass in enumerate((py_num - num, num)):
             if mass > 0:
                 terms.append(count * (mass / den) * math.log2(mass * up[z] / down[z]))
@@ -109,21 +109,20 @@ def term_bits(terms):
 
 
 def kernel_fallbacks(j):
-    """Reduce the distinct rows of ``j`` with the kernel taking blocks of any size.
+    """Reduce the distinct rows of ``j`` through ``_mi_bits`` and count the cells it divides as Python ints.
 
     The grouping is checked against Python ints, every quotient the kernel
-    decides against ``int / int``, and the MI against the path
-    ``_block_terms`` picks for this many rows.  Returns how many cells went
-    to the exact ``int / int`` path: each cell the kernel left undecided, or
-    every cell when den >= 2^1022 keeps the kernel out.
+    decides against ``int / int``, and the MI against ``mutual_information``.
+    Returns how many cells went to the exact ``int / int`` path: each cell
+    the kernel left undecided, or every cell when den >= 2^1022 keeps the
+    kernel out.
     """
     rows, counts = _distinct_rows(j.words)
     nums = _fold(rows)
-    assert dict(zip(nums, counts.tolist())) == Counter(j.p1_nums)
+    assert dict(zip(nums, counts.tolist())) == Counter(p1_nums(j))
     want, runs = mutual_information(j).mi_bits, []
     kernel = bfmi.mi._cell_quotients
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
         m.setattr(bfmi.mi, "_cell_quotients", lambda *args: runs.append(kernel(*args)) or runs[-1])
         exact_rows = record_exact_rows(m)
         assert _mi_bits(rows, counts, j.n, j.den, j.pz1) == want
@@ -157,7 +156,7 @@ def cells_near_midpoints(j, rel):
 
     return sum(
         near(Fraction(mass, den)) or near(Fraction(mass * up[z], down[z]))
-        for num in set(j.p1_nums)
+        for num in set(p1_nums(j))
         for z, mass in enumerate((py_num - num, num))
         if mass
     )
@@ -414,7 +413,7 @@ class TestDoubleDoubleKernel:
         den, (py_num, up, down) = j.den, reference_scales(j)
         terms = [
             count * (mass / den) * math.log2(mass * up[z] / down[z])
-            for num, count in Counter(j.p1_nums).items()
+            for num, count in Counter(p1_nums(j)).items()
             for z, mass in enumerate((py_num - num, num))
             if mass / den > 0
         ]
@@ -437,11 +436,11 @@ class TestDoubleDoubleKernel:
             j = joint_yz(table, p)
             exact_rows.clear()
             assert mutual_information(j).mi_bits == loop_mi(j), p
-            assert sum(exact_rows) == len(set(j.p1_nums)) >= _KERNEL_MIN_ROWS, p
+            assert sum(exact_rows) == len(set(p1_nums(j))), p
 
 
 # (n, p) for random tables whose rows take one to four words, at dyadic and non-dyadic den
-CUTOFF_CASES = {
+BLOCK_CASES = {
     "1w-13/64": (8, Fraction(13, 64)),
     "1w-1/3": (8, Fraction(1, 3)),
     "2w-13/64": (10, Fraction(13, 64)),
@@ -453,73 +452,73 @@ CUTOFF_CASES = {
 }
 
 
-class TestKernelCutoff:
-    """Tables on either side of ``_KERNEL_MIN_ROWS`` distinct rows: the path taken and its quotients."""
+def record_kernel_rows(monkeypatch):
+    """Patch ``_round_products`` to log how many rows each kernel run takes; returns the log."""
+    log, kernel = [], bfmi.mi._round_products
+    monkeypatch.setattr(bfmi.mi, "_round_products", lambda hi, *args: log.append(hi.shape[-1]) or kernel(hi, *args))
+    return log
 
-    @pytest.mark.parametrize("case", CUTOFF_CASES)
-    def test_both_paths_agree_bit_for_bit_at_the_cutoff(self, case, monkeypatch):
-        n, p = CUTOFF_CASES[case]
+
+class TestKernelBlocks:
+    """Blocks of table rows of any size run the kernel; only its undecided rows are divided as Python ints."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_small_blocks_take_the_kernel_and_match_int_division_bit_for_bit(self, case, monkeypatch):
+        n, p = BLOCK_CASES[case]
         j = joint_yz(TruthTable(n, random.Random(n).getrandbits(1 << n)), p)
         rows = _distinct_rows(j.words)[0]
-        assert rows.shape[1] == int(case[0]) and len(rows) > _KERNEL_MIN_ROWS
+        assert rows.shape[1] == int(case[0]) and len(rows) > 41
         scales, (py_num, up, down) = _ratio_scales(n, j.den, j.pz1), reference_scales(j)
         exact = bfmi.mi._exact_terms
-        exact_rows = record_exact_rows(monkeypatch)
-        for size in (_KERNEL_MIN_ROWS - 1, _KERNEL_MIN_ROWS, _KERNEL_MIN_ROWS + 1):
+        kernel_rows, exact_rows = record_kernel_rows(monkeypatch), record_exact_rows(monkeypatch)
+        for size in (1, 2, 17, 39, 40, 41):
             part, counts = rows[:size], np.arange(1.0, size + 1)
+            kernel_rows.clear()
             exact_rows.clear()
             terms = term_bits(_block_terms(part, counts, j.den, scales))
+            assert kernel_rows == [size], size
             (c1, c2), undecided = _cell_quotients(part, j.den, *scales)
-            fallbacks = np.count_nonzero(undecided.any(axis=0))
-            assert exact_rows == [size if size < _KERNEL_MIN_ROWS else fallbacks], size
-            with monkeypatch.context() as m:
-                m.setattr(bfmi.mi, "_KERNEL_MIN_ROWS", 0)
-                by_kernel = term_bits(_block_terms(part, counts, j.den, scales))
+            # one kernel run, and only the rows it leaves undecided reach int / int
+            assert exact_rows == [np.count_nonzero(undecided.any(axis=0))], size
             by_ints = term_bits(exact(_fold(part), counts.tolist(), j.den, *scales))
-            assert terms == by_kernel == by_ints, size
+            assert terms == by_ints, size
             for i, num in enumerate(_fold(part)):
                 for z, mass in enumerate((py_num - num, num)):
                     if not undecided[z, i]:
                         assert c1[z, i] == mass / j.den
                         assert not mass or c2[z, i] == mass * up[z] / down[z]
 
-    def test_class_tables_take_the_exact_path_and_random_tables_the_kernel(self, monkeypatch):
-        runs = []
-        kernel = bfmi.mi._round_products
-        monkeypatch.setattr(bfmi.mi, "_round_products", lambda *args: runs.append(args) or kernel(*args))
-        exact_rows = record_exact_rows(monkeypatch)
+    def test_class_and_random_tables_take_the_kernel_once(self, monkeypatch):
+        kernel_rows, exact_rows = record_kernel_rows(monkeypatch), record_exact_rows(monkeypatch)
         p = Fraction(13, 64)
         for cls in (Class1(3), Class2(5), Class3(4, 1), Class4(4, 2), Dictator(2)):
             j = joint_yz(make_class(10, cls), p)
             rows = _distinct_rows(j.words)[0]
             assert len(rows) <= 11
+            kernel_rows.clear()
             exact_rows.clear()
             assert mutual_information(j).mi_bits == loop_mi(j), cls
-            assert exact_rows == [len(rows)], cls
-        assert runs == []
+            assert kernel_rows == [len(rows)] and exact_rows == [0], cls  # the kernel decides every cell
         j = joint_yz(TruthTable(10, random.Random(10).getrandbits(1 << 10)), p)
         rows = _distinct_rows(j.words)[0]
-        assert len(rows) >= _KERNEL_MIN_ROWS
+        kernel_rows.clear()
         exact_rows.clear()
         assert mutual_information(j).mi_bits == loop_mi(j)
-        assert len(runs) == 1 and exact_rows == [0]  # the kernel decides every cell
+        assert kernel_rows == [len(rows)] and exact_rows == [0]
 
-    def test_a_short_last_block_takes_the_exact_path(self, monkeypatch):
+    def test_a_short_last_block_takes_the_kernel(self, monkeypatch):
         # the first _KERNEL_ROWS + 17 distinct rows of a random n = 12 table, repeated to fill
-        # its 2^12 rows: the kernel takes the full block and int / int the 17-row tail
+        # its 2^12 rows: the kernel takes the full block and then the 17-row tail
         p = Fraction(13, 64)
         j = joint_yz(TruthTable(12, random.Random(12).getrandbits(1 << 12)), p)
-        distinct = list(dict.fromkeys(j.p1_nums))[: _KERNEL_ROWS + 17]
+        distinct = list(dict.fromkeys(p1_nums(j)))[: _KERNEL_ROWS + 17]
         assert len(distinct) == _KERNEL_ROWS + 17
         nums = [distinct[y % len(distinct)] for y in range(1 << 12)]
         j = joint_from_nums(12, p, j.den, nums, Fraction(sum(nums), j.den))
-        kernel_rows, kernel = [], bfmi.mi._round_products
-        monkeypatch.setattr(bfmi.mi, "_round_products",
-                            lambda hi, *args: kernel_rows.append(hi.shape[-1]) or kernel(hi, *args))
-        exact_rows = record_exact_rows(monkeypatch)
+        kernel_rows, exact_rows = record_kernel_rows(monkeypatch), record_exact_rows(monkeypatch)
         assert mutual_information(j).mi_bits == loop_mi(j)
-        # the kernel block leaves no row undecided, and the tail goes to int / int whole
-        assert kernel_rows == [_KERNEL_ROWS] and exact_rows == [0, 17]
+        # neither block leaves a row undecided
+        assert kernel_rows == [_KERNEL_ROWS, 17] and exact_rows == [0, 0]
 
 
 class TestDistinctRows:
