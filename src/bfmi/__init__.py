@@ -30,6 +30,7 @@ from .karamata import (
     MajorizationCertificate,
     bound_equivalence_check,
     build_karamata_sequences,
+    certify,
     certify_instance,
     check_majorization,
     karamata_conclusion,
@@ -75,6 +76,7 @@ __all__ = [
     "bound_equivalence_check",
     "build_karamata_sequences",
     "canonical_form",
+    "certify",
     "certify_instance",
     "check_majorization",
     "class3_reduction_check",

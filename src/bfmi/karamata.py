@@ -27,9 +27,23 @@ value as a rational (``p``, ``a``/``b``/``c``, ``max()``/``min()``/
 gap between the two sides is affine in the prefix length wherever both
 runs are constant, so its maximum over a run segment is attained at a
 segment endpoint, and checking every merged run boundary certifies
-every prefix exactly.  A dense elementwise scan is kept as an
-independent oracle in the test suite.  Only :func:`karamata_conclusion`
-and :func:`bound_equivalence_check` touch floating point (they involve
+every prefix exactly.
+
+Three private steps do the work, each written once: ``_runs`` builds
+the two run lists as plain ``(numerator, count)`` ints (ties merged,
+descending order, positive counts, equal lengths and totals checked),
+``_first_violation`` walks their common refinement, and ``_ledger``
+makes the scalar comparisons.  :func:`certify` chains them and is what
+``mi karamata`` and the class 1/2 checks of ``mi verify`` call for every
+p.  The :class:`DescendingSeq` and :class:`KaramataInstance` objects are
+built only for API callers and for ``mi karamata --dump-sums``, which
+writes from them; :func:`build_karamata_sequences`,
+:func:`certify_instance`, :func:`check_majorization` and
+:func:`sub_inequality_ledger` are thin wrappers over the same steps.
+
+A dense elementwise scan is kept as an independent oracle in the test
+suite.  Only :func:`karamata_conclusion` and
+:func:`bound_equivalence_check` touch floating point (they involve
 logarithms); each value enters them as one correctly rounded division
 ``num / den``, the same float that ``float(Fraction(num, den))`` gives.
 """
@@ -39,13 +53,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from operator import index
 from typing import Iterable, Optional
 
 from .boolfn import MAX_N, Class1, profile_histogram
 from .channel import Rational, as_probability
 from .mi import binary_entropy, histogram_mutual_information, xlog2x
+
+
+_HALF = Fraction(1, 2)
+
+
+def _merge(runs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], int, int]:
+    """(merged runs, length, total numerator) of integer (numerator, count) runs.
+
+    Equal neighbours are merged.  Raises ValueError unless the counts are
+    positive, the numerators nonincreasing and the runs non-empty.
+    """
+    merged: list[tuple[int, int]] = []
+    length = total = 0
+    last = None
+    for num, count in runs:
+        if count <= 0:
+            raise ValueError("run counts must be positive")
+        length += count
+        total += num * count
+        if last is None or num < last:
+            merged.append((num, count))
+        elif num == last:
+            merged[-1] = (num, merged[-1][1] + count)
+        else:
+            raise ValueError("sequence is not descending")
+        last = num
+    if not merged:
+        raise ValueError("sequence must be non-empty")
+    return merged, length, total
+
+
+def _check_lengths(x_length: int, y_length: int) -> None:
+    if x_length != y_length:
+        raise ValueError(f"length mismatch: {x_length} vs {y_length}")
+
+
+def _dense(runs):
+    """Every element of a run list, in order."""
+    return chain.from_iterable(repeat(num, count) for num, count in runs)
 
 
 class DescendingSeq:
@@ -67,24 +120,9 @@ class DescendingSeq:
         den = index(den)
         if den <= 0:
             raise ValueError(f"denominator must be positive, got {den}")
-        merged: list[tuple[int, int]] = []
-        for num, count in runs:
-            num = index(num)
-            count = index(count)
-            if count <= 0:
-                raise ValueError("run counts must be positive")
-            if merged and merged[-1][0] == num:
-                merged[-1] = (num, merged[-1][1] + count)
-            elif merged and merged[-1][0] < num:
-                raise ValueError("sequence is not descending")
-            else:
-                merged.append((num, count))
-        if not merged:
-            raise ValueError("sequence must be non-empty")
+        merged, self.length, self.total_num = _merge((index(num), index(count)) for num, count in runs)
         self.runs = tuple(merged)
         self.den = den
-        self.length = sum(count for _, count in merged)
-        self.total_num = sum(num * count for num, count in merged)
 
     def _key(self):
         # runs and den divided by their common gcd: equal values, equal keys
@@ -132,21 +170,32 @@ class MajorizationCertificate:
             raise ValueError("certificate cannot hold with a violation or unequal totals")
 
 
-def _merged_runs(x_runs, y_runs):
-    """Yield (x numerator, y numerator, length) over the common refinement of two run lists.
+def _first_violation(x_runs, y_runs) -> Optional[int]:
+    """The smallest 1-based prefix length k with sum_{j<=k} y_j > sum_{j<=k} x_j, or None.
 
-    Both run lists must cover the same length.
+    Walks the common refinement of two run lists over one denominator,
+    which must cover the same length.  Inside a segment where both runs
+    are constant the gap is affine in k, so checking each segment's end
+    certifies every prefix.
     """
+    gap = position = 0  # prefix(y) - prefix(x), in numerators; must stay <= 0
     y_iter = iter(y_runs)
     yv = rem_y = 0
     for xv, rem_x in x_runs:
         while rem_x:
             if not rem_y:
                 yv, rem_y = next(y_iter)
-            step = min(rem_x, rem_y)
-            yield xv, yv, step
+            step = rem_x if rem_x < rem_y else rem_y
+            new_gap = gap + step * (yv - xv)
+            if new_gap > 0:
+                # gap <= 0 at the segment start, so yv > xv; solve for the
+                # earliest prefix inside the segment that crosses zero
+                return position + (-gap) // (yv - xv) + 1
+            gap = new_gap
+            position += step
             rem_x -= step
             rem_y -= step
+    return None
 
 
 def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCertificate:
@@ -162,8 +211,7 @@ def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCert
     ValueError
         On length mismatch.
     """
-    if xs.length != ys.length:
-        raise ValueError(f"length mismatch: {xs.length} vs {ys.length}")
+    _check_lengths(xs.length, ys.length)
     x_runs, y_runs = xs.runs, ys.runs
     x_total, y_total = xs.total_num, ys.total_num
     if xs.den != ys.den:
@@ -172,25 +220,12 @@ def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCert
         x_runs = [(num * fx, count) for num, count in x_runs]
         y_runs = [(num * fy, count) for num, count in y_runs]
         x_total, y_total = x_total * fx, y_total * fy
-
-    first_violation = None
-    gap = 0  # prefix(y) - prefix(x), in numerators; must stay <= 0
-    position = 0
-    for xv, yv, step in _merged_runs(x_runs, y_runs):
-        delta = yv - xv
-        new_gap = gap + step * delta
-        if new_gap > 0:
-            # gap <= 0 at the segment start, so delta > 0; solve for the
-            # earliest prefix inside the segment that crosses zero
-            first_violation = position + (-gap) // delta + 1
-            break
-        gap = new_gap
-        position += step
-
+    first_violation = _first_violation(x_runs, y_runs)
     totals_equal = x_total == y_total
-    holds = first_violation is None and totals_equal
     return MajorizationCertificate(
-        holds=holds, first_violation=first_violation, totals_equal=totals_equal
+        holds=first_violation is None and totals_equal,
+        first_violation=first_violation,
+        totals_equal=totals_equal,
     )
 
 
@@ -259,30 +294,28 @@ class KaramataInstance:
 
         def lines():
             yield "k,SL_num,SL_den,SR_num,SR_den,ok\r\n"
-            sl = sr = k = 0
-            for xv, yv, step in _merged_runs(self.x_seq.runs, self.y_seq.runs):
-                for _ in range(step):
-                    k += 1
-                    sl += yv
-                    sr += xv
-                    gl = math.gcd(sl, den)
-                    gr = math.gcd(sr, den)
-                    yield f"{k},{sl // gl},{den // gl},{sr // gr},{den // gr},{sl <= sr}\r\n"
+            sl = sr = 0
+            for k, (xv, yv) in enumerate(zip(_dense(self.x_seq.runs), _dense(self.y_seq.runs)), start=1):
+                sl += yv
+                sr += xv
+                gl = math.gcd(sl, den)
+                gr = math.gcd(sr, den)
+                yield f"{k},{sl // gl},{den // gl},{sr // gr},{den // gr},{sl <= sr}\r\n"
 
         with open(path, "w", newline="") as fh:
             fh.writelines(lines())
 
 
-def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
-    """Construct the exact majorization instance for (n, p).
+def _runs(n: int, p: Rational):
+    """(p, D, A, B, C, K, x runs, y runs) for (n, p), as plain ints with ties merged.
 
-    Requires n >= 2 and rational p in [0, 1/2].  The returned sequences
-    are descending with ties permitted (at p = 1/2 all entries of both
-    sides collapse to 1/2^n).
+    The numerators and D are the module docstring's; each run list is
+    checked to be descending with positive counts, both to have the
+    same length, and both totals to equal (2^n - 1) * D.
     """
     if n < 2:
         raise ValueError(f"the construction needs n >= 2, got n={n}")
-    q = as_probability(p, Fraction(1, 2))
+    q = as_probability(p, _HALF)
     s, d = q.numerator, q.denominator
     size = 1 << n
     d_pow = d ** (n - 1)
@@ -292,18 +325,61 @@ def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
     c_num = d_pow * d * (size - 1)
     big_k = (size // 2) * (size - n)
 
+    x_runs, x_length, x_total = _merge(((a_num, big_k), (c_num, size * (n - 1)), (b_num, big_k)))
     # shell k holds C(n, k) values w_k, each repeated 2^n - 1 times
-    y_runs = [
+    y_runs, y_length, y_total = _merge(
         (size * (d_pow * d - (d - s) ** (n - k) * s**k), math.comb(n, k) * (size - 1))
         for k in range(n, -1, -1)
-    ]
-    x_seq = DescendingSeq([(a_num, big_k), (c_num, size * (n - 1)), (b_num, big_k)], den)
-    y_seq = DescendingSeq(y_runs, den)
+    )
     target = (size - 1) * den
-    if x_seq.total_num != target or y_seq.total_num != target:
+    if x_total != target or y_total != target:
         raise AssertionError("sequence totals must equal 2^n - 1; construction bug")
+    _check_lengths(x_length, y_length)
+    return q, den, a_num, b_num, c_num, big_k, x_runs, y_runs
+
+
+def _ledger(n, den, a_num, b_num, c_num, x_runs, y_runs, x_total, y_total) -> tuple[bool, dict]:
+    """(holds, named comparisons) of the scalar ledger; see :func:`sub_inequality_ledger`."""
+    target = ((1 << n) - 1) * den
+    w_max = y_runs[0][0]
+    subs = {
+        "w_max_le_a": w_max <= a_num,
+        "two_wmax_le_a_plus_c": 2 * w_max <= a_num + c_num,
+        "w_min_ge_b": y_runs[-1][0] >= b_num,
+        "totals": x_total == target and y_total == target,
+    }
+    if n == 2:
+        # prefix(y) - prefix(x) after each element; K = 4 and the middle segment is t = 5 .. 8
+        gaps = accumulate(yv - xv for xv, yv in zip(_dense(x_runs), _dense(y_runs)))
+        subs["middle_prefix_sums_direct"] = all(gap <= 0 for gap in islice(gaps, 4, 8))
+        return all(ok for name, ok in subs.items() if name != "two_wmax_le_a_plus_c"), subs
+    return all(subs.values()), subs
+
+
+def _certificate(n, den, a_num, b_num, c_num, x_runs, y_runs, x_total, y_total) -> MajorizationCertificate:
+    """The prefix walk and the scalar ledger of one instance, given as plain run lists of one length."""
+    first_violation = _first_violation(x_runs, y_runs)
+    ledger_holds, subs = _ledger(n, den, a_num, b_num, c_num, x_runs, y_runs, x_total, y_total)
+    # the ledger's totals entry (both equal 2^n - 1) implies the walk's (equal to each other)
+    return MajorizationCertificate(
+        holds=first_violation is None and ledger_holds,
+        first_violation=first_violation,
+        totals_equal=subs["totals"],
+        sub_inequalities=subs,
+    )
+
+
+def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
+    """Construct the exact majorization instance for (n, p).
+
+    Requires n >= 2 and rational p in [0, 1/2].  The returned sequences
+    are descending with ties permitted (at p = 1/2 all entries of both
+    sides collapse to 1/2^n).
+    """
+    q, den, a_num, b_num, c_num, big_k, x_runs, y_runs = _runs(n, p)
     return KaramataInstance(
-        n=n, p=q, K=big_k, den=den, a_num=a_num, b_num=b_num, c_num=c_num, x_seq=x_seq, y_seq=y_seq
+        n=n, p=q, K=big_k, den=den, a_num=a_num, b_num=b_num, c_num=c_num,
+        x_seq=DescendingSeq(x_runs, den), y_seq=DescendingSeq(y_runs, den),
     )
 
 
@@ -322,41 +398,30 @@ def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
     comparison stays in the ledger for transparency, and ``holds``
     requires only the comparisons applicable at the given dimension.
     """
-    target = ((1 << inst.n) - 1) * inst.den
-    w_max = inst.y_seq.runs[0][0]
-    subs = {
-        "w_max_le_a": w_max <= inst.a_num,
-        "two_wmax_le_a_plus_c": 2 * w_max <= inst.a_num + inst.c_num,
-        "w_min_ge_b": inst.y_seq.runs[-1][0] >= inst.b_num,
-        "totals": inst.x_seq.total_num == target and inst.y_seq.total_num == target,
-    }
-    required = dict(subs)
-    if inst.n == 2:
-        filler = (1 << inst.n) * (inst.n - 1)
-        runs = _merged_runs(inst.x_seq.runs, inst.y_seq.runs)
-        # prefix(y) - prefix(x) after each element; the middle segment is t = K+1 .. K+filler
-        gaps = list(accumulate(yv - xv for xv, yv, step in runs for _ in range(step)))
-        subs["middle_prefix_sums_direct"] = all(gap <= 0 for gap in gaps[inst.K : inst.K + filler])
-        required.pop("two_wmax_le_a_plus_c")
-        required["middle_prefix_sums_direct"] = subs["middle_prefix_sums_direct"]
-    return MajorizationCertificate(
-        holds=all(required.values()),
-        first_violation=None,
-        totals_equal=subs["totals"],
-        sub_inequalities=subs,
-    )
+    xs, ys = inst.x_seq, inst.y_seq
+    holds, subs = _ledger(inst.n, inst.den, inst.a_num, inst.b_num, inst.c_num, xs.runs, ys.runs,
+                          xs.total_num, ys.total_num)
+    return MajorizationCertificate(holds=holds, first_violation=None, totals_equal=subs["totals"],
+                                   sub_inequalities=subs)
 
 
 def certify_instance(inst: KaramataInstance) -> MajorizationCertificate:
     """Full certificate: prefix-sum majorization plus the scalar ledger."""
-    major = check_majorization(inst.x_seq, inst.y_seq)
-    ledger = sub_inequality_ledger(inst)
-    return MajorizationCertificate(
-        holds=major.holds and ledger.holds,
-        first_violation=major.first_violation,
-        totals_equal=major.totals_equal and ledger.totals_equal,
-        sub_inequalities=dict(ledger.sub_inequalities),
-    )
+    xs, ys = inst.x_seq, inst.y_seq
+    _check_lengths(xs.length, ys.length)
+    return _certificate(inst.n, inst.den, inst.a_num, inst.b_num, inst.c_num, xs.runs, ys.runs,
+                        xs.total_num, ys.total_num)
+
+
+def certify(n: int, p: Rational) -> MajorizationCertificate:
+    """The certificate of (n, p), equal to ``certify_instance(build_karamata_sequences(n, p))``.
+
+    Runs the same construction, walk and ledger on plain run lists and
+    builds no sequence or instance object.
+    """
+    _, den, a_num, b_num, c_num, _, x_runs, y_runs = _runs(n, p)
+    total = ((1 << n) - 1) * den  # both totals, as _runs checked
+    return _certificate(n, den, a_num, b_num, c_num, x_runs, y_runs, total, total)
 
 
 def karamata_conclusion(xs: DescendingSeq, ys: DescendingSeq) -> tuple[float, float]:

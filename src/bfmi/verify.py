@@ -53,7 +53,7 @@ from .boolfn import (
     profile_histogram,
 )
 from .channel import Rational, as_probability, joint_yz
-from .karamata import MajorizationCertificate, build_karamata_sequences, certify_instance
+from .karamata import MajorizationCertificate, certify
 from .mi import binary_entropy, histogram_mutual_information, mutual_information
 
 logger = logging.getLogger(__name__)
@@ -169,7 +169,7 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
                 result = histogram_mutual_information(hist, p)
             cert = None
             if attach_certificate:
-                cert = certify_instance(build_karamata_sequences(n, p))
+                cert = certify(n, p)
             reports.append(
                 VerifyReport(
                     class_spec=spec_str,

@@ -55,6 +55,10 @@ CLOSED_PIPE = VERDICTS + "test_a_fresh_process_on_a_closed_pipe_exits_2"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
 HISTOGRAM_PATH = "tests/test_mi.py::TestHistogramPath::"
+MAJORIZATION = "tests/test_karamata.py::TestCheckMajorization::"
+CONSTRUCTION = "tests/test_karamata.py::TestSequenceConstruction::"
+CERTIFICATES = "tests/test_karamata.py::TestCertificates::"
+CERTIFY = "tests/test_karamata.py::TestCertify::"
 
 
 @dataclass(frozen=True)
@@ -362,10 +366,37 @@ MUTANTS = (
     Mutant(
         "karamata-p-string-trailing-space",
         CLI,
-        '"p": str(inst.p),',
-        '"p": str(inst.p) + " ",',
+        '"p": str(p),',
+        '"p": str(p) + " ",',
         tuple(f"{GOLDEN}[karamata-n{n}]" for n in range(2, 21))
         + (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
+    ),
+    # the run walk, run merging and scalar ledger that certify and the sequence objects share
+    Mutant(
+        "karamata-walk-tie-is-a-violation",
+        KARAMATA,
+        "            if new_gap > 0:\n",
+        "            if new_gap >= 0:\n",
+        (MAJORIZATION + "test_identical_sequences_hold", CERTIFICATES + "test_instances_majorize_exactly",
+         CERTIFY + "test_equals_the_certificate_of_the_instance[2]", GOLDEN + "[karamata-n2]"),
+    ),
+    Mutant(
+        "karamata-tie-merge-dropped",
+        KARAMATA,
+        "        elif num == last:\n",
+        "        elif False:\n",
+        ("tests/test_karamata.py::TestDescendingSeq::test_adjacent_equal_runs_merge",
+         CONSTRUCTION + "test_symmetric_point_collapses_everything",
+         CONSTRUCTION + "test_integer_runs_match_the_fraction_reference[2]"),
+    ),
+    Mutant(
+        "karamata-n2-direct-middle-prefixes-dropped",
+        KARAMATA,
+        "    if n == 2:\n",
+        "    if False:\n",
+        (CERTIFICATES + "test_ledger_values_n2",
+         "tests/test_karamata.py::TestMutations::test_n2_pairing_lemma_false_inside_the_quarter_to_half_interval",
+         GOLDEN + "[karamata-n2]"),
     ),
     # the public surface and the report writers
     # sweep's make_class pre-check is gone; verify_class's raise keeps its behaviour

@@ -375,10 +375,10 @@ class TestVerdicts:
         assert entry["max_margin"] < -verify.PASS_MARGIN_TOLERANCE
 
     def test_karamata_grid_exits_1_when_any_certificate_fails(self, capsys, monkeypatch):
-        real = cli.certify_instance
+        real = cli.certify
         monkeypatch.setattr(
-            cli, "certify_instance",
-            lambda inst: MajorizationCertificate(holds=False) if inst.p == Fraction(1, 4) else real(inst),
+            cli, "certify",
+            lambda n, p: MajorizationCertificate(holds=False) if p == Fraction(1, 4) else real(n, p),
         )
         code, out, _ = run(capsys, "karamata", "--n", "3", "--p-den", "8")
         assert code == 1
@@ -389,7 +389,7 @@ class TestVerdicts:
 
     def test_sweep_fails_on_a_failed_certificate(self, capsys, monkeypatch):
         # sweep reads the same report status as verify: margin and certificate
-        monkeypatch.setattr(verify, "certify_instance", lambda inst: MajorizationCertificate(holds=False))
+        monkeypatch.setattr(verify, "certify", lambda n, p: MajorizationCertificate(holds=False))
         code, out, _ = run(capsys, "sweep", "--function", "class1", "--n", "3", "--p", "1/4")
         assert code == 1
         assert out.startswith("p,mi_bits,bound_bits,margin_bits")

@@ -21,6 +21,7 @@ from bfmi.karamata import (
     MajorizationCertificate,
     bound_equivalence_check,
     build_karamata_sequences,
+    certify,
     certify_instance,
     check_majorization,
     karamata_conclusion,
@@ -240,6 +241,10 @@ class TestSequenceConstruction:
             # one shared denominator D = 2^n * d^n * (2^n - 1)
             assert inst.den == inst.x_seq.den == inst.y_seq.den == size * p.denominator**n * (size - 1)
             assert inst.x_seq.total_num == inst.y_seq.total_num == (size - 1) * inst.den
+            # the plain run lists certify reads are the instance's, ties merged
+            q, den, a_num, b_num, c_num, big_k, plain_x, plain_y = karamata._runs(n, p)
+            assert (q, den, a_num, b_num, c_num, big_k) == (inst.p, inst.den, inst.a_num, inst.b_num, inst.c_num, inst.K)
+            assert (tuple(plain_x), tuple(plain_y)) == (inst.x_seq.runs, inst.y_seq.runs)
 
     def test_instance_rejects_sequences_off_its_denominator(self):
         inst = build_karamata_sequences(3, Fraction(1, 8))
@@ -348,6 +353,24 @@ class TestCertificates:
                     first,
                     totals,
                 )
+
+
+class TestCertify:
+    """``certify`` runs the object path's construction, walk and ledger on plain run lists."""
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_equals_the_certificate_of_the_instance(self, n):
+        # the 64ths grid holds the ties at p = 0 and p = 1/2
+        for p in GRID + (Fraction(1, 3), Fraction(12345, 100003), Fraction(2047, 4096)):
+            assert certify(n, p) == certify_instance(build_karamata_sequences(n, p))
+
+    @pytest.mark.parametrize("n, p", [(1, Fraction(1, 4)), (3, Fraction(3, 4))])
+    def test_raises_what_the_construction_raises(self, n, p):
+        with pytest.raises(ValueError) as built:
+            build_karamata_sequences(n, p)
+        with pytest.raises(ValueError) as certified:
+            certify(n, p)
+        assert str(certified.value) == str(built.value)
 
 
 class TestMutations:

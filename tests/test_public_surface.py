@@ -24,6 +24,7 @@ PUBLIC_NAMES = [
     "bound_equivalence_check",
     "build_karamata_sequences",
     "canonical_form",
+    "certify",
     "certify_instance",
     "check_majorization",
     "class3_reduction_check",
