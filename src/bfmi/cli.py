@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .mi import histogram_mutual_information, mutual_information
 from .verify import (
     IDENTITY_TOLERANCE,
     _csv_text,
+    _json_text,
     exhaustive_check,
     class3_reduction_check,
     margin_passes,
@@ -190,7 +190,7 @@ def _cmd_compute(args) -> tuple[str, bool]:
         if args.dump_joint:
             joint.write_csv(args.dump_joint)
         result = mutual_information(joint)
-    return json.dumps(vars(result), indent=2), margin_passes(result.margin_bits)
+    return _json_text(vars(result)), margin_passes(result.margin_bits)
 
 
 def _cmd_verify(args) -> tuple[str, bool]:
@@ -219,7 +219,7 @@ def _cmd_karamata(args) -> tuple[str, bool]:
             build_karamata_sequences(args.n, p).write_prefix_sums(args.dump_sums)
         entries.append({"n": args.n, "p": str(p), **vars(cert)})
     doc = entries[0] if args.p is not None else {"version": 1, "certificates": entries}
-    return json.dumps(doc, indent=2), all(e["holds"] for e in entries)
+    return _json_text(doc), all(e["holds"] for e in entries)
 
 
 def _cmd_exhaustive(args) -> tuple[str, bool]:
@@ -240,7 +240,7 @@ def _cmd_reduce_check(args) -> tuple[str, bool]:
     mi_full, mi_reduced = class3_reduction_check(args.n, args.r, args.p)
     diff = abs(mi_full - mi_reduced)
     doc = {"mi_full": mi_full, "mi_reduced": mi_reduced, "abs_diff": diff}
-    return json.dumps(doc, indent=2), diff <= IDENTITY_TOLERANCE
+    return _json_text(doc), diff <= IDENTITY_TOLERANCE
 
 
 # each command returns (report text, whether every check passed)

@@ -20,9 +20,12 @@ Each output format is declared once, by its record's dataclass.  A JSON
 record is the record's fields in field order; only derived values are
 spelled out: ``p`` as an exact string, the verify ``status`` (appended),
 and the argmax tables as ``{n, bits_hex}`` dicts.  A CSV report has the
-same columns, its one nested value flattened in place.  Emission is
-deterministic: fixed iteration order, fixed summation order,
-shortest-roundtrip float formatting.
+same columns, its one nested value flattened in place.  One writer
+lays out each format, ``_json_text`` and ``_csv_text``; ``mi`` passes
+the documents it builds itself (``compute``, ``karamata``,
+``reduce-check``) to them too.  Emission is deterministic: fixed
+iteration order, fixed summation order, shortest-roundtrip float
+formatting.
 """
 
 from __future__ import annotations
@@ -407,7 +410,12 @@ def report_to_dict(report: VerifyReport) -> dict:
 
 
 def reports_to_json(reports: Iterable[VerifyReport]) -> str:
-    return json.dumps({"version": 1, "reports": [report_to_dict(r) for r in reports]}, indent=2)
+    return _json_text({"version": 1, "reports": [report_to_dict(r) for r in reports]})
+
+
+def _json_text(doc) -> str:
+    """The JSON text of every report: two-space indent, ASCII escapes, no trailing newline."""
+    return json.dumps(doc, indent=2)
 
 
 def _csv_text(header: list[str], rows: Iterable[dict]) -> str:
@@ -438,9 +446,7 @@ def summary_to_dict(s: ExhaustiveSummary) -> dict:
 
 
 def summaries_to_json(summaries: Iterable[ExhaustiveSummary]) -> str:
-    return json.dumps(
-        {"version": 1, "summaries": [summary_to_dict(s) for s in summaries]}, indent=2
-    )
+    return _json_text({"version": 1, "summaries": [summary_to_dict(s) for s in summaries]})
 
 
 def summaries_to_csv(summaries: Iterable[ExhaustiveSummary]) -> str:

@@ -102,6 +102,13 @@ MUTANTS = (
         "    return words[first], counts\n",
         (KERNEL + "test_equal_floats_of_distinct_rows_stay_apart", HAND_BUILT + "[below-the-aligned-key]"),
     ),
+    Mutant(
+        "kernel-den-shift-one-too-far",
+        MI,
+        "        den <<= -a\n",
+        "        den <<= 1 - a\n",
+        tuple(f"{KERNEL}test_dens_below_the_ratio_scale_match_the_fraction_oracle[{n}]" for n in range(1, 5)),
+    ),
     # the row grouping on top-aligned uint64 keys
     Mutant(
         "grouping-lower-word-split-skipped",
@@ -418,6 +425,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "json-indent-1",
+        VERIFY,
+        "json.dumps(doc, indent=2)",
+        "json.dumps(doc, indent=1)",
+        # one writer for every JSON report: each command's pinned bytes see it
+        tuple(GOLDEN + f"[{case}]" for case in ("verify-json", "exhaustive-n2-json", "karamata-n4",
+                                                  "karamata-dump-n5", "compute-random-dump", "reduce-check")),
+    ),
+    Mutant(
         "csv-certificate-holds-json-spelling",
         VERIFY,
         'None if cert is None else cert["holds"]',
@@ -545,6 +561,27 @@ MUTANTS = (
         "    if False:\n",
         tuple(f"{USAGE}test_p_with_p_den_is_usage_error[{cmd}-{den}]"
               for cmd in ("verify", "karamata", "exhaustive", "sweep") for den in (8, 64)),
+    ),
+    Mutant(
+        "compute-source-check-dropped",
+        CLI,
+        "    elif args.function is None:\n",
+        "    elif False:\n",
+        (USAGE + "test_a_missing_input_is_one_error_line[compute-no-source]",),
+    ),
+    Mutant(
+        "compute-n-check-dropped",
+        CLI,
+        "    elif args.n is None:\n",
+        "    elif False:\n",
+        (USAGE + "test_a_missing_input_is_one_error_line[compute-function-no-n]",),
+    ),
+    Mutant(
+        "reduce-check-p-check-dropped",
+        CLI,
+        '        raise ValueError("reduce-check needs --p")\n',
+        "        pass\n",
+        (USAGE + "test_a_missing_input_is_one_error_line[reduce-check-no-p]",),
     ),
     Mutant(
         "compute-exclusive-group-removed",

@@ -376,6 +376,11 @@ class TestClassSpecs:
         assert parsed == expected
         assert parse_class_spec(format_class_spec(parsed)) == parsed
 
+    @pytest.mark.parametrize("value", ["class1:i=0", (0,), None])
+    def test_format_of_a_non_class_raises(self, value):
+        with pytest.raises(TypeError, match="^unknown function class: "):
+            format_class_spec(value)
+
     @pytest.mark.parametrize(
         "text", ["nope", "class3", "class3:r", "class1:i=x", "lex", "class1:i=0:z=1"]
     )

@@ -185,6 +185,11 @@ class TestMarginalSum:
         with pytest.raises(ValueError):
             marginal_sum(0, 0, Fraction(1, 4))
 
+    @pytest.mark.parametrize("y", [4, -1])
+    def test_y_index_outside_the_k_cube_raises(self, y):
+        with pytest.raises(ValueError, match="^y_index out of range for k=2$"):
+            marginal_sum(y, 2, Fraction(1, 4))
+
     @pytest.mark.parametrize("k", [MAX_N + 1, 30])
     def test_k_above_max_n_is_rejected_before_enumerating(self, k):
         with pytest.raises(ValueError, match=f"k must be in 1..{MAX_N}, got {k}"):

@@ -450,22 +450,35 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_malformed_p_exits_2(self):
+    @pytest.mark.parametrize(
+        "p, message", [("0.7", "p must be in [0, 1/2], got 7/10"), ("abc", "not a rational: 'abc'")],
+        ids=["above-half", "not-a-rational"],
+    )
+    def test_malformed_p_exits_2(self, capsys, p, message):
         with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n", "2", "--function", "class1", "--p", "0.7"])
+            main(["compute", "--n", "2", "--function", "class1", "--p", p])
         assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert not out.out
+        assert message in out.err
 
     def test_zero_grid_denominator_is_usage_error(self, capsys):
         code, _, err = run(capsys, "karamata", "--n", "3", "--p-den", "0")
         assert code == 2
         assert "1..4096" in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_non_positive_jobs_is_usage_error(self, capsys, jobs):
+    @pytest.mark.parametrize(
+        "jobs, message",
+        [("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"), ("x", "not an integer: 'x'")],
+        ids=["0", "-2", "x"],
+    )
+    def test_non_positive_jobs_is_usage_error(self, capsys, jobs, message):
         with pytest.raises(SystemExit) as exc:
             main(["exhaustive", "--n", "2", "--p", "1/4", "--jobs", jobs])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert not out.out
+        assert f"--jobs: {message}" in out.err
 
     def test_one_job_is_accepted(self, capsys):
         code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4", "--jobs", "1")
@@ -504,6 +517,17 @@ class TestUsageErrors:
         # make_class checks n before it builds a 2^64-bit mask
         code, out, err = run(capsys, *argv, "--p", "1/4")
         assert (code, out, err) == (2, "", "mi: error: n must be in 1..24, got 64\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["compute", "--p", "1/4"], "provide --function or --table"),
+         (["compute", "--function", "class1", "--p", "1/4"], "--n is required with --function"),
+         (["reduce-check", "--n", "4", "--r", "2"], "reduce-check needs --p")],
+        ids=["compute-no-source", "compute-function-no-n", "reduce-check-no-p"],
+    )
+    def test_a_missing_input_is_one_error_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"mi: error: {message}\n")
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -510,6 +510,10 @@ class TestBoundEquivalence:
         mi_minus_bound, gap = bound_equivalence_check(n, p)
         assert abs(mi_minus_bound + gap / (1 << n)) <= 1e-10
 
+    def test_n_below_2_raises(self):
+        with pytest.raises(ValueError, match="^needs n >= 2, got n=1$"):
+            bound_equivalence_check(1, Fraction(1, 4))
+
     def test_sign_agreement_across_grid(self):
         for n in (2, 4):
             for p in GRID[::4]:

@@ -420,6 +420,18 @@ class TestDoubleDoubleKernel:
         assert len(terms) < 2 * 7
         assert mutual_information(j).mi_bits == math.fsum(terms)
 
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dens_below_the_ratio_scale_match_the_fraction_oracle(self, n):
+        # noiseless tables, den = 2^n: every p1 numerator is 0 or 1, and up = total·2^n outgrows
+        # down[z] = 2^n·(total - ones or ones), so _scaled_dd shifts den up, not num
+        size = 1 << n
+        masks = range(1 << size) if n <= 3 else random.Random(n).sample(range(1 << size), 64)
+        for mask in masks:
+            nums = [mask >> y & 1 for y in range(size)]
+            j = joint_from_nums(n, Fraction(0), size, nums, Fraction(sum(nums), size))
+            assert mutual_information(j).mi_bits == fraction_cell_mi(j), mask
+        assert mutual_information(joint_from_nums(1, Fraction(0), 2, [1, 0], Fraction(1, 2))).mi_bits == 1.0
+
     @pytest.mark.parametrize("n", range(8, 13))
     def test_rows_the_kernel_leaves_undecided_match_the_loop(self, n, monkeypatch):
         # every cell flagged: each kernel block sends all of its rows to int / int
@@ -651,6 +663,10 @@ class TestClosedForm:
             binary_entropy(Fraction(1, 1024)), abs=1e-12
         )
 
+    def test_n_below_1_raises(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            mi_class1_closed(0, Fraction(1, 4))
+
 
 class TestShellSumIdentity:
     def test_frozen_example(self):
@@ -668,3 +684,7 @@ class TestShellSumIdentity:
         for p in (Fraction(0), Fraction(3, 8), Fraction(1, 2), Fraction(11, 64)):
             lhs, rhs = qlogq_identity_check(n, p)
             assert abs(lhs - rhs) <= 1e-12
+
+    def test_n_below_1_raises(self):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            qlogq_identity_check(0, Fraction(1, 4))
