@@ -66,13 +66,8 @@ class TruthTable:
         return self.mask.bit_count()
 
     def to_json(self) -> str:
-        """Serialize as ``{"n": ..., "bits_hex": ...}``.
-
-        ``bits_hex`` packs the bit vector little-endian by index (bit i
-        goes to byte i // 8, position i % 8) and hex-encodes the bytes.
-        """
-        nbytes = (self.size + 7) // 8
-        return json.dumps({"n": self.n, "bits_hex": self.mask.to_bytes(nbytes, "little").hex()})
+        """Serialize as ``{"n": ..., "bits_hex": ...}`` (see :func:`_table_dict`)."""
+        return json.dumps(_table_dict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "TruthTable":
@@ -87,6 +82,16 @@ class TruthTable:
         if len(raw) != ((1 << n) + 7) // 8:
             raise ValueError("bits_hex length does not match n")
         return cls(n, int.from_bytes(raw, "little"))
+
+
+def _table_dict(table: TruthTable) -> dict:
+    """The truth-table file format as a dict: ``{"n": ..., "bits_hex": ...}``.
+
+    ``bits_hex`` packs the bit vector little-endian by index (bit i
+    goes to byte i // 8, position i % 8) and hex-encodes the bytes.
+    """
+    nbytes = (table.size + 7) // 8
+    return {"n": table.n, "bits_hex": table.mask.to_bytes(nbytes, "little").hex()}
 
 
 # ---------------------------------------------------------------------------

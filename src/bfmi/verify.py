@@ -19,12 +19,16 @@ orbits, walking each orbit once.
 Each output format is declared once, by its record's dataclass.  A JSON
 record is the record's fields in field order; only derived values are
 spelled out: ``p`` as an exact string, the verify ``status`` (appended),
-and the argmax tables as ``{n, bits_hex}`` dicts.  A CSV report has the
-same columns, its one nested value flattened in place.  One writer
-lays out each format, ``_json_text`` and ``_csv_text``; ``mi`` passes
-the documents it builds itself (``compute``, ``karamata``,
-``reduce-check``) to them too.  Emission is deterministic: fixed
-iteration order, fixed summation order, shortest-roundtrip float
+and the argmax tables as the truth-table file's ``{n, bits_hex}`` dicts.
+A CSV report has the same columns, its one nested value flattened in
+place.  One writer lays out each format, ``_json_text`` and
+``_csv_text``; ``mi`` passes the documents it builds itself
+(``compute``, ``karamata``, ``reduce-check``) to them too.
+``_json_text`` writes the standard ``json`` encoder's ``indent=2`` text
+itself, byte for byte: with an indent that encoder leaves its C path
+for a pure-Python one, while this walk quotes strings with the C helper
+and writes each scalar with one lookup.  Emission is deterministic:
+fixed iteration order, fixed summation order, shortest-roundtrip float
 formatting.
 """
 
@@ -32,13 +36,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 import math
 import os
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from multiprocessing import Pool
 from typing import Iterable, Optional
 
@@ -51,6 +55,7 @@ from .boolfn import (
     TruthTable,
     _lex_min,
     _orbit_images,
+    _table_dict,
     format_class_spec,
     make_class,
     profile_histogram,
@@ -414,8 +419,95 @@ def reports_to_json(reports: Iterable[VerifyReport]) -> str:
 
 
 def _json_text(doc) -> str:
-    """The JSON text of every report: two-space indent, ASCII escapes, no trailing newline."""
-    return json.dumps(doc, indent=2)
+    """The JSON text of every report: two-space indent, ASCII escapes, no trailing newline.
+
+    The text is the standard ``json`` encoder's at ``indent=2``, byte for
+    byte, but built without the pure-Python encoder that ``indent``
+    selects there: one walk appends each line to a list, joined once.
+    """
+    parts: list[str] = []
+    _json_parts(doc, "\n", parts)
+    return "".join(parts)
+
+
+def _json_float(x: float) -> str:
+    """A float as the ``json`` encoder writes it: its repr, or NaN, Infinity, -Infinity (``allow_nan``)."""
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+# the text of each exact scalar type; containers and subclasses take the slow path
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _json_float,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalar(value) -> str:
+    """A non-container value's text; a subclass of str, int or float is written as its base."""
+    fmt = _JSON_SCALARS.get(type(value))
+    if fmt is None:  # the json encoder's order of isinstance checks
+        base = next((t for t in (str, int, float) if isinstance(value, t)), None)
+        if base is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        fmt = _JSON_SCALARS[base]
+    return fmt(value)
+
+
+def _json_key(key) -> str:
+    """A quoted dict key; int, float, bool and None keys are quoted as their text, as in ``json``."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = _json_scalar(key)
+    return encode_basestring_ascii(key)
+
+
+def _json_parts(value, nl: str, parts: list[str]) -> None:
+    """Append ``value``'s text to ``parts``; ``nl`` is a newline and the indent of ``value``'s line.
+
+    A non-empty container opens, puts each item on its own line two
+    spaces deeper, and closes on a line at ``nl``; an empty one is ``{}``
+    or ``[]``.  A scalar item of an exact built-in type is written in the
+    loop itself, without recursing.
+    """
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            fmt = _JSON_SCALARS.get(type(item))
+            if fmt is not None:
+                parts.append(f"{sep}{_json_key(key)}: {fmt(item)}")
+            else:
+                parts.append(f"{sep}{_json_key(key)}: ")
+                _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        sep = "[" + inner
+        for item in value:
+            fmt = _JSON_SCALARS.get(type(item))
+            if fmt is not None:
+                parts.append(sep + fmt(item))
+            else:
+                parts.append(sep)
+                _json_parts(item, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    else:
+        parts.append(_json_scalar(value))
 
 
 def _csv_text(header: list[str], rows: Iterable[dict]) -> str:
@@ -441,7 +533,7 @@ def reports_to_csv(reports: Iterable[VerifyReport]) -> str:
 
 
 def summary_to_dict(s: ExhaustiveSummary) -> dict:
-    tables = [json.loads(t.to_json()) for t in s.argmax_canonical_tables]
+    tables = [_table_dict(t) for t in s.argmax_canonical_tables]
     return vars(s) | {"p": str(s.p), "argmax_canonical_tables": tables}
 
 

@@ -46,6 +46,7 @@ GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
 WRITER = "tests/test_channel.py::TestJointYZContainer::"
 VECTOR = "tests/test_verify.py::TestVectorEngine::"
 EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
+JSON_TEXT = "tests/test_verify.py::TestJsonText::"
 INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
 CONSTRUCTORS = "tests/test_boolfn.py::TestConstructors::"
@@ -427,11 +428,36 @@ MUTANTS = (
     Mutant(
         "json-indent-1",
         VERIFY,
-        "json.dumps(doc, indent=2)",
-        "json.dumps(doc, indent=1)",
+        '    inner = nl + "  "',
+        '    inner = nl + " "',
         # one writer for every JSON report: each command's pinned bytes see it
         tuple(GOLDEN + f"[{case}]" for case in ("verify-json", "exhaustive-n2-json", "karamata-n4",
                                                   "karamata-dump-n5", "compute-random-dump", "reduce-check")),
+    ),
+    # the JSON writer against json.dumps(indent=2) on tokens no golden report holds
+    Mutant(
+        "json-empty-dict-on-two-lines",
+        VERIFY,
+        '            parts.append("{}")\n',
+        '            parts.append("{" + nl + "}")\n',
+        (JSON_TEXT + "test_every_token_kind_matches_the_json_encoder",
+         JSON_TEXT + "test_seeded_random_trees_match_the_json_encoder"),
+    ),
+    Mutant(
+        "json-ensure-ascii-dropped",
+        VERIFY,
+        "    str: encode_basestring_ascii,\n",
+        "    str: lambda s: '\"' + s + '\"',\n",
+        (JSON_TEXT + "test_every_token_kind_matches_the_json_encoder",
+         JSON_TEXT + "test_seeded_random_trees_match_the_json_encoder"),
+    ),
+    Mutant(
+        "json-negative-zero-unsigned",
+        VERIFY,
+        "    return float.__repr__(x)\n",
+        "    return float.__repr__(x + 0.0)\n",
+        (JSON_TEXT + "test_every_token_kind_matches_the_json_encoder",
+         JSON_TEXT + "test_seeded_random_trees_match_the_json_encoder"),
     ),
     Mutant(
         "csv-certificate-holds-json-spelling",

@@ -2,14 +2,16 @@
 
 import json
 import math
+import enum
 import os
 import random
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bfmi import verify
+from bfmi import cli, verify
 from bfmi.boolfn import (
     Class1,
     Class2,
@@ -41,6 +43,8 @@ from bfmi.verify import (
     summaries_to_json,
     verify_class,
 )
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import run_case as run_golden_case
 
 SMALL_GRID = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2))
 
@@ -482,3 +486,102 @@ class TestReports:
         assert summaries_to_json(exhaustive_check(2, (Fraction(1, 4),))) == summaries_to_json(
             summaries
         )
+
+
+# every character class the JSON encoder treats apart: plain ASCII, the two escaped printables,
+# control characters, DEL, non-ASCII in and beyond the BMP, U+2028, a lone surrogate and U+FFFE
+_JSON_CHARS = 'aZ09 /"\\\x00\x01\x08\t\n\x1f\x7f\xe9\u2028\ud800\ufffe\U0001f600'
+_JSON_FLOATS = (0.0, -0.0, 0.1, -2.5, 1e-310, 5e-324, 1.7976931348623157e308, 1e16, math.nan,
+                math.inf, -math.inf)
+_JSON_INTS = (0, -1, 2**63, 2**64, -(2**64) - 1, 10**40)
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_JSON_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth=0):
+    """A seeded JSON tree: dicts, lists and tuples (empty ones too) down to depth 4, then scalars."""
+    kind = rng.randrange(11 if depth < 4 else 8)
+    if kind == 0:
+        return rng.choice((None, True, False))
+    if kind == 1:
+        return rng.choice(_JSON_INTS)
+    if kind == 2:
+        return rng.randint(-(2**70), 2**70)
+    if kind == 3:
+        return rng.choice(_JSON_FLOATS)
+    if kind == 4:  # any bit pattern: subnormals, NaN payloads, both zeros
+        return struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+    if kind == 5:
+        return rng.random() * 10 ** rng.randint(-20, 20)
+    if kind in (6, 7):
+        return _random_text(rng)
+    items = rng.randrange(4)
+    if kind == 8:
+        return {_random_text(rng): _random_json(rng, depth + 1) for _ in range(items)}
+    values = [_random_json(rng, depth + 1) for _ in range(items)]
+    return values if kind == 9 else tuple(values)
+
+
+# the golden cases whose report is JSON (CSV reports and ``sweep`` never reach the JSON writer)
+JSON_GOLDEN_CASES = [c for c in GOLDEN_CASES if c[1][0] != "sweep" and c[1][-1] != "csv"]
+
+
+class TestJsonText:
+    """The one JSON writer equals ``json.dumps(doc, indent=2)`` on every value it can be given."""
+
+    @pytest.mark.parametrize("case_id, argv, written", JSON_GOLDEN_CASES, ids=[c[0] for c in JSON_GOLDEN_CASES])
+    def test_every_golden_document_matches_the_json_encoder(self, case_id, argv, written, tmp_path, monkeypatch):
+        docs = []
+
+        def record(doc):
+            docs.append(doc)
+            return json_text(doc)
+
+        json_text = verify._json_text
+        monkeypatch.setattr(verify, "_json_text", record)
+        monkeypatch.setattr(cli, "_json_text", record)
+        run_golden_case(argv, written, tmp_path)
+        assert len(docs) == 1
+        assert json_text(docs[0]) == json.dumps(docs[0], indent=2)
+
+    def test_every_token_kind_matches_the_json_encoder(self):
+        doc = {
+            "floats": [0.0, -0.0, 1.5, -1e-300, 5e-324, 1e16, math.nan, math.inf, -math.inf],
+            "ints": [0, -7, 2**64, -(2**64) - 1, 10**40],
+            "literals": [True, False, None],
+            "text": ["", "plain", 'quote " back \\ slash', "\x00\x1f\x7f\t\n", "\xe9 \U0001f600"],
+            "\xe9 key \x01": "\ud800",
+            "empty": [{}, [], ()],
+            "nested": {"a": {"b": [[], {"c": ()}]}, "tuple": (1, (2.0, "x"))},
+        }
+        assert verify._json_text(doc) == json.dumps(doc, indent=2)
+        for scalar in (-0.0, math.nan, -math.inf, 2**70, "\xe9", None, {}, (), []):
+            assert verify._json_text(scalar) == json.dumps(scalar, indent=2)
+
+    def test_seeded_random_trees_match_the_json_encoder(self):
+        rng = random.Random(2024)
+        for _ in range(10_000):
+            doc = _random_json(rng)
+            assert verify._json_text(doc) == json.dumps(doc, indent=2), doc
+
+    def test_non_string_keys_and_subclasses_are_written_as_the_json_encoder_writes_them(self):
+        class Text(str):
+            pass
+
+        doc = [
+            {1: "int", -0.0: "zero", math.nan: "nan", math.inf: "inf", None: "none"},
+            {True: "bool", 2**70: "big"},  # one dict cannot hold both 1 and True
+            {Text("k"): [Text("v"), enum.IntEnum("E", "A")(1), np.float64(0.25)]},
+        ]
+        assert verify._json_text(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("value", [Fraction(1, 3), np.int64(1), b"x", object()])
+    @pytest.mark.parametrize("where", ["top", "in a list", "in a dict", "as a key"])
+    def test_an_unsupported_value_raises_type_error_from_both(self, value, where):
+        doc = {"top": value, "in a list": [1, value], "in a dict": {"k": value}, "as a key": {value: 1}}[where]
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2)
+        with pytest.raises(TypeError):
+            verify._json_text(doc)
