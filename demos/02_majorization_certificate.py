@@ -10,9 +10,9 @@ from fractions import Fraction
 from bfmi import (
     bound_equivalence_check,
     build_karamata_sequences,
+    certify_instance,
     check_majorization,
     karamata_conclusion,
-    sub_inequality_ledger,
 )
 
 n, p = 3, Fraction(1, 8)
@@ -28,8 +28,7 @@ print()
 cert = check_majorization(inst.x_seq, inst.y_seq)
 print(f"every prefix sum dominated exactly: {cert.holds}")
 
-ledger = sub_inequality_ledger(inst)
-for name, value in ledger.sub_inequalities.items():
+for name, value in certify_instance(inst).sub_inequalities.items():
     print(f"  {name}: {value}")
 print()
 

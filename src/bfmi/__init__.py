@@ -34,7 +34,6 @@ from .karamata import (
     certify_instance,
     check_majorization,
     karamata_conclusion,
-    sub_inequality_ledger,
 )
 from .mi import MIResult, binary_entropy, mi_class1_closed, mutual_information, qlogq_identity_check, xlog2x
 from .verify import (
@@ -95,7 +94,6 @@ __all__ = [
     "qlogq_identity_check",
     "reports_to_csv",
     "reports_to_json",
-    "sub_inequality_ledger",
     "summaries_to_csv",
     "summaries_to_json",
     "verify_class",

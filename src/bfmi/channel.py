@@ -81,8 +81,8 @@ _HADAMARD = np.array([[(-1) ** (i & j).bit_count() for j in range(16)] for i in 
 
 
 def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
-    """Coerce to an exact Fraction in [0, upper]."""
-    q = Fraction(p)
+    """Coerce to an exact Fraction in [0, upper]; a Fraction comes back as itself."""
+    q = p if type(p) is Fraction else Fraction(p)
     if not 0 <= q <= upper:
         raise ValueError(f"probability {q} outside [0, {upper}]")
     return q

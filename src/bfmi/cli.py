@@ -29,6 +29,7 @@ from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify
 from .mi import histogram_mutual_information, mutual_information
 from .verify import (
+    DEFAULT_P_GRID,
     IDENTITY_TOLERANCE,
     _csv_text,
     _json_text,
@@ -68,7 +69,7 @@ def _positive_int(text: str) -> int:
 def _grid(args) -> tuple[Fraction, ...]:
     # --p-den defaults to None, so an explicit --p-den 64 is seen too
     if args.p is None:
-        return p_grid(64 if args.p_den is None else args.p_den)
+        return DEFAULT_P_GRID if args.p_den is None else p_grid(args.p_den)
     if args.p_den is not None:
         raise ValueError("--p-den is not allowed with --p")
     return (args.p,)

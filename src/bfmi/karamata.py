@@ -22,12 +22,11 @@ D = 2^n * d^n * (2^n - 1):
 and both sequence totals are (2^n - 1) * D.  The construction, the
 run walk, the scalar ledger and the prefix-sum dump do integer
 arithmetic only; a ``Fraction`` is built only where a caller reads a
-value as a rational (``p``, ``a``/``b``/``c``, ``max()``/``min()``/
-``total()``).  Sequences are stored run-length encoded: the prefix-sum
-gap between the two sides is affine in the prefix length wherever both
-runs are constant, so its maximum over a run segment is attained at a
-segment endpoint, and checking every merged run boundary certifies
-every prefix exactly.
+value as a rational (``p``, ``a``/``b``/``c``, ``total()``).  Sequences
+are stored run-length encoded: the prefix-sum gap between the two sides
+is affine in the prefix length wherever both runs are constant, so its
+maximum over a run segment is attained at a segment endpoint, and
+checking every merged run boundary certifies every prefix exactly.
 
 Three private steps do the work, each written once: ``_runs`` builds
 the two run lists as plain ``(numerator, count)`` ints (ties merged,
@@ -38,8 +37,8 @@ makes the scalar comparisons.  :func:`certify` chains them and is what
 p.  The :class:`DescendingSeq` and :class:`KaramataInstance` objects are
 built only for API callers and for ``mi karamata --dump-sums``, which
 writes from them; :func:`build_karamata_sequences`,
-:func:`certify_instance`, :func:`check_majorization` and
-:func:`sub_inequality_ledger` are thin wrappers over the same steps.
+:func:`certify_instance` and :func:`check_majorization` are thin
+wrappers over the same steps.
 
 A dense elementwise scan is kept as an independent oracle in the test
 suite.  Only :func:`karamata_conclusion` and
@@ -111,7 +110,8 @@ class DescendingSeq:
     therefore permitted (p in {0, 1/2} produces them).  ``length`` is
     the number of elements and ``total_num`` the numerator of their sum
     over ``den``.  ``length`` is an attribute, not ``len()``, because
-    from n = 32 on it exceeds ``sys.maxsize``.
+    from n = 32 on it exceeds ``sys.maxsize``.  Two sequences are equal
+    when their ``den`` and ``runs`` are.
     """
 
     __slots__ = ("runs", "den", "length", "total_num")
@@ -124,16 +124,11 @@ class DescendingSeq:
         self.runs = tuple(merged)
         self.den = den
 
-    def _key(self):
-        # runs and den divided by their common gcd: equal values, equal keys
-        g = math.gcd(self.den, *(num for num, _ in self.runs))
-        return self.den // g, tuple((num // g, count) for num, count in self.runs)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, DescendingSeq) and self._key() == other._key()
+        return isinstance(other, DescendingSeq) and (self.den, self.runs) == (other.den, other.runs)
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.den, self.runs))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{Fraction(num, self.den)}x{count}" for num, count in self.runs)
@@ -141,12 +136,6 @@ class DescendingSeq:
 
     def total(self) -> Fraction:
         return Fraction(self.total_num, self.den)
-
-    def max(self) -> Fraction:
-        return Fraction(self.runs[0][0], self.den)
-
-    def min(self) -> Fraction:
-        return Fraction(self.runs[-1][0], self.den)
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,7 @@ class MajorizationCertificate:
     totals to agree; ``first_violation`` is the smallest 1-based prefix
     length whose comparison fails, when one exists.
     ``sub_inequalities`` carries the named scalar comparisons of the
-    construction (filled by :func:`sub_inequality_ledger`).
+    construction (filled by :func:`certify_instance` and :func:`certify`).
     """
 
     holds: bool
@@ -202,26 +191,19 @@ def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCert
     """Does ``xs`` majorize ``ys``?  Exact, zero tolerance.
 
     Certifies sum_{j<=k} y_j <= sum_{j<=k} x_j for every prefix length
-    k, plus equality of the grand totals.  Two different denominators
-    are lifted to their lcm once, on entry; the walk itself compares
-    integer numerators.
+    k, plus equality of the grand totals, by comparing integer
+    numerators over the denominator both sequences share.
 
     Raises
     ------
     ValueError
-        On length mismatch.
+        On length mismatch or on two different denominators.
     """
     _check_lengths(xs.length, ys.length)
-    x_runs, y_runs = xs.runs, ys.runs
-    x_total, y_total = xs.total_num, ys.total_num
     if xs.den != ys.den:
-        den = math.lcm(xs.den, ys.den)
-        fx, fy = den // xs.den, den // ys.den
-        x_runs = [(num * fx, count) for num, count in x_runs]
-        y_runs = [(num * fy, count) for num, count in y_runs]
-        x_total, y_total = x_total * fx, y_total * fy
-    first_violation = _first_violation(x_runs, y_runs)
-    totals_equal = x_total == y_total
+        raise ValueError(f"denominator mismatch: {xs.den} vs {ys.den}")
+    first_violation = _first_violation(xs.runs, ys.runs)
+    totals_equal = xs.total_num == ys.total_num
     return MajorizationCertificate(
         holds=first_violation is None and totals_equal,
         first_violation=first_violation,
@@ -339,7 +321,20 @@ def _runs(n: int, p: Rational):
 
 
 def _ledger(n, den, a_num, b_num, c_num, x_runs, y_runs, x_total, y_total) -> tuple[bool, dict]:
-    """(holds, named comparisons) of the scalar ledger; see :func:`sub_inequality_ledger`."""
+    """(holds, named comparisons) of the scalar ledger of one instance.
+
+    Checks w_max <= a, 2*w_max <= a + c, w_min >= b, and equality of
+    both sequence totals with 2^n - 1, all by exact comparison of
+    numerators over the instance denominator.
+
+    The pairing lemma 2*w_max <= a + c only enters the argument for
+    n >= 3 and is genuinely false at n = 2 for p strictly between 1/4
+    and 1/2 (it is tight at both ends of that interval).  At n = 2 the
+    middle-segment prefix sums it would bridge are instead verified
+    directly (entry ``middle_prefix_sums_direct``), the raw scalar
+    comparison stays in the ledger for transparency, and ``holds``
+    requires only the comparisons applicable at the given dimension.
+    """
     target = ((1 << n) - 1) * den
     w_max = y_runs[0][0]
     subs = {
@@ -383,30 +378,11 @@ def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
     )
 
 
-def sub_inequality_ledger(inst: KaramataInstance) -> MajorizationCertificate:
-    """Exact scalar comparisons used by the majorization argument.
-
-    Checks w_max <= a, 2*w_max <= a + c, w_min >= b, and equality of
-    both sequence totals with 2^n - 1, all by exact comparison of
-    numerators over the instance denominator.
-
-    The pairing lemma 2*w_max <= a + c only enters the argument for
-    n >= 3 and is genuinely false at n = 2 for p strictly between 1/4
-    and 1/2 (it is tight at both ends of that interval).  At n = 2 the
-    middle-segment prefix sums it would bridge are instead verified
-    directly (entry ``middle_prefix_sums_direct``), the raw scalar
-    comparison stays in the ledger for transparency, and ``holds``
-    requires only the comparisons applicable at the given dimension.
-    """
-    xs, ys = inst.x_seq, inst.y_seq
-    holds, subs = _ledger(inst.n, inst.den, inst.a_num, inst.b_num, inst.c_num, xs.runs, ys.runs,
-                          xs.total_num, ys.total_num)
-    return MajorizationCertificate(holds=holds, first_violation=None, totals_equal=subs["totals"],
-                                   sub_inequalities=subs)
-
-
 def certify_instance(inst: KaramataInstance) -> MajorizationCertificate:
-    """Full certificate: prefix-sum majorization plus the scalar ledger."""
+    """Full certificate: prefix-sum majorization plus the scalar ledger.
+
+    ``sub_inequalities`` holds the ledger's named comparisons.
+    """
     xs, ys = inst.x_seq, inst.y_seq
     _check_lengths(xs.length, ys.length)
     return _certificate(inst.n, inst.den, inst.a_num, inst.b_num, inst.c_num, xs.runs, ys.runs,
@@ -457,18 +433,18 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError(f"needs n >= 2, got n={n}")
-    inst = build_karamata_sequences(n, p)
-    size, den = 1 << n, inst.den
-    sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(num / den) for num, count in inst.y_seq.runs)
+    q, den, a_num, b_num, _, big_k, _, y_runs = _runs(n, p)
+    size = 1 << n
+    sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(num / den) for num, count in y_runs)
     lhs_w = (size - 1) * sum_w_log_w
-    rhs_w = -n * (n - 1) + (size - n) * (size // 2) * (xlog2x(inst.a_num / den) + xlog2x(inst.b_num / den))
+    rhs_w = -n * (n - 1) + big_k * (xlog2x(a_num / den) + xlog2x(b_num / den))
     karamata_gap = rhs_w - lhs_w
 
-    result = histogram_mutual_information(profile_histogram(n, Class1()), inst.p)
+    result = histogram_mutual_information(profile_histogram(n, Class1()), q)
     mi_minus_bound = result.mi_bits - result.bound_bits
 
     reconstructed = (
-        n - (n / size) * binary_entropy(inst.p) + ((size - 1) / size) * sum_w_log_w
+        n - (n / size) * binary_entropy(q) + ((size - 1) / size) * sum_w_log_w
     )
     if abs(reconstructed - result.mi_bits) > 1e-9:
         raise AssertionError(

@@ -388,6 +388,14 @@ MUTANTS = (
         (MAJORIZATION + "test_identical_sequences_hold", CERTIFICATES + "test_instances_majorize_exactly",
          CERTIFY + "test_equals_the_certificate_of_the_instance[2]", GOLDEN + "[karamata-n2]"),
     ),
+    # a pair over two denominators would be walked as if it shared one
+    Mutant(
+        "karamata-den-check-dropped",
+        KARAMATA,
+        "    if xs.den != ys.den:\n",
+        "    if False:\n",
+        (MAJORIZATION + "test_different_denominators_raise",),
+    ),
     Mutant(
         "karamata-tie-merge-dropped",
         KARAMATA,

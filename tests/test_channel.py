@@ -18,7 +18,7 @@ import pytest
 from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
 import bfmi.channel
 from bfmi.channel import (_DUMP_ROWS, JointYZ, _decimal, _lane_bits, _lowest_terms, _nums, _shift_right,
-                          _trailing_zeros, _wht, joint_yz, marginal_sum)
+                          _trailing_zeros, _wht, as_probability, joint_yz, marginal_sum)
 from bfmi.mi import _distinct_rows
 from test_boolfn import _brute_force_image
 
@@ -136,6 +136,30 @@ def joint_from_nums(n, p, den, nums, pz1):
     width = max(1, -(-(max(den, 0) >> n).bit_length() // 64))
     rows = [[(num >> (64 * k)) & (2**64 - 1) for k in range(width)] for num in nums]
     return JointYZ(n, p, den, np.array(rows, dtype=np.uint64).reshape(len(nums), width), pz1)
+
+
+class TestAsProbability:
+    def test_a_fraction_comes_back_as_itself(self):
+        for p in (Fraction(0), Fraction(13, 64), Fraction(1, 2), Fraction(1)):
+            assert as_probability(p) is p
+        assert as_probability(Fraction(1, 4), Fraction(1, 2)) == Fraction(1, 4)
+
+    def test_other_rationals_are_coerced(self):
+        for p, expected in ((0, Fraction(0)), (1, Fraction(1)), (True, Fraction(1)), ("3/8", Fraction(3, 8)),
+                            ("0.25", Fraction(1, 4)), (0.5, Fraction(1, 2))):
+            q = as_probability(p)
+            assert type(q) is Fraction and q == expected
+
+    def test_out_of_range_and_malformed_values_raise(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        for p, upper in ((Fraction(-1, 64), one), (Fraction(65, 64), one), (-1, one), (2, one),
+                         ("3/4", half), (Fraction(33, 64), half)):
+            with pytest.raises(ValueError, match=f"^probability {Fraction(p)} outside \\[0, {upper}\\]$"):
+                as_probability(p, upper)
+        with pytest.raises(ValueError):
+            as_probability("one half")
+        with pytest.raises(TypeError):
+            as_probability(None)
 
 
 class TestJointXY:

@@ -640,6 +640,11 @@ def readme_commands():
     return [re.sub(r"\[[^]]*\]", "", line.split("#", 1)[0]).split() for line in lines]
 
 
+def readme_quick_start():
+    """The Python block of README's Library quick start."""
+    return README.read_text().split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 # scans all 2^32 tables at n = 5: about a quarter of a core-hour
 SLOW_EXAMPLE = ["mi", "exhaustive", "--n", "5"]
 
@@ -657,6 +662,11 @@ class TestReadmeExamples:
         code, out, err = run(capsys, *argv[1:])
         assert code == 0, err
         assert out and not err
+
+    def test_the_library_quick_start_runs(self, capsys):
+        exec(compile(readme_quick_start(), "README.md", "exec"), {})
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 2 and out[-1] == "True"
 
 
 class TestEntryPoint:

@@ -25,18 +25,26 @@ from bfmi.karamata import (
     certify_instance,
     check_majorization,
     karamata_conclusion,
-    sub_inequality_ledger,
 )
 from bfmi.mi import xlog2x
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
 
 
-def seq_of(values):
-    """A DescendingSeq of an explicit nonincreasing list of rationals, over their lcm denominator."""
+def seq_of(values, den=None):
+    """A DescendingSeq of an explicit nonincreasing list of rationals.
+
+    Its denominator is ``den`` when given, else the lcm of the values' denominators.
+    """
     values = [Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in values)) if values else 1
+    if den is None:
+        den = math.lcm(*(v.denominator for v in values)) if values else 1
     return DescendingSeq([(v.numerator * (den // v.denominator), 1) for v in values], den)
+
+
+def w_max(inst):
+    """The largest w value of an instance, as a Fraction."""
+    return Fraction(inst.y_seq.runs[0][0], inst.den)
 
 
 def dense(seq):
@@ -125,15 +133,18 @@ class TestDescendingSeq:
 
     def test_rational_accessors(self):
         seq = DescendingSeq([(9, 1), (6, 2), (3, 1)], 12)
-        assert (seq.max(), seq.min(), seq.total()) == (Fraction(3, 4), Fraction(1, 4), Fraction(2))
+        assert seq.total() == Fraction(2)
         assert seq.total_num == 24
 
-    def test_equality_is_by_value_across_denominators(self):
+    def test_equality_is_by_denominator_and_runs(self):
         small = DescendingSeq([(3, 1), (1, 2)], 4)
+        again = DescendingSeq([(3, 1), (1, 1), (1, 1)], 4)
+        assert small == again and hash(small) == hash(again)
+        # the same values over another denominator are another sequence
         lifted = DescendingSeq([(9, 1), (3, 2)], 12)
-        assert small == lifted and hash(small) == hash(lifted)
+        assert small != lifted
         assert small != DescendingSeq([(3, 1), (1, 2)], 5)
-        assert repr(lifted) == "DescendingSeq(3/4x1, 1/4x2)"
+        assert repr(lifted) == repr(small) == "DescendingSeq(3/4x1, 1/4x2)"
 
 
 class TestCheckMajorization:
@@ -166,17 +177,14 @@ class TestCheckMajorization:
         with pytest.raises(ValueError):
             MajorizationCertificate(holds=True, first_violation=3, totals_equal=True)
 
-    def test_different_denominators_are_lifted_to_their_lcm(self):
+    def test_different_denominators_raise(self):
         xs = seq_of([Fraction(2, 3), Fraction(1, 3), 0])
-        for ys, expected in (
-            (seq_of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]), (True, None, True)),
-            (seq_of([Fraction(3, 4), Fraction(1, 4), 0]), (False, 1, True)),
-            (seq_of([Fraction(5, 8), Fraction(1, 2), Fraction(-1, 8)]), (False, 2, True)),
-            (seq_of([Fraction(1, 2), Fraction(1, 4), 0]), (False, None, False)),
-        ):
-            assert xs.den == 3 and ys.den in (4, 8)
-            assert outcome(check_majorization(xs, ys)) == expected
-            assert outcome(check_majorization(xs, ys)) == dense_majorization(dense(xs), dense(ys))
+        ys = seq_of([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        assert (xs.den, ys.den) == (3, 4)
+        with pytest.raises(ValueError, match="^denominator mismatch: 3 vs 4$"):
+            check_majorization(xs, ys)
+        # over one shared denominator the same pair is certified
+        assert outcome(check_majorization(seq_of(dense(xs), 12), seq_of(dense(ys), 12))) == (True, None, True)
 
     def test_against_dense_oracle_on_random_sequences(self):
         rng = random.Random(61)
@@ -190,7 +198,8 @@ class TestCheckMajorization:
                 (Fraction(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(length)),
                 reverse=True,
             )
-            cert = check_majorization(seq_of(xs), seq_of(ys))
+            den = math.lcm(*(v.denominator for v in xs + ys))
+            cert = check_majorization(seq_of(xs, den), seq_of(ys, den))
             holds, first, totals = dense_majorization(xs, ys)
             assert cert.holds == holds
             assert cert.first_violation == first
@@ -249,7 +258,7 @@ class TestSequenceConstruction:
     def test_instance_rejects_sequences_off_its_denominator(self):
         inst = build_karamata_sequences(3, Fraction(1, 8))
         lifted = DescendingSeq([(num * 2, count) for num, count in inst.y_seq.runs], inst.den * 2)
-        assert lifted == inst.y_seq
+        assert rational_runs(lifted) == rational_runs(inst.y_seq)
         with pytest.raises(ValueError):
             dataclasses.replace(inst, y_seq=lifted)
 
@@ -295,9 +304,9 @@ class TestSequenceConstruction:
 class TestCertificates:
     def test_ledger_values_n2(self):
         inst = build_karamata_sequences(2, Fraction(1, 4))
-        cert = sub_inequality_ledger(inst)
-        assert inst.y_seq.max() == Fraction(5, 16) <= inst.a
-        assert 2 * inst.y_seq.max() == inst.a + inst.c  # equality case
+        cert = certify_instance(inst)
+        assert w_max(inst) == Fraction(5, 16) <= inst.a
+        assert 2 * w_max(inst) == inst.a + inst.c  # equality case
         assert cert.holds
         assert cert.sub_inequalities == {
             "w_max_le_a": True,
@@ -313,27 +322,27 @@ class TestCertificates:
         # majorization itself still holds, via the direct middle-segment
         # prefix sums, so the certificate does too
         inst = build_karamata_sequences(2, Fraction(3, 8))
-        assert 2 * inst.y_seq.max() == Fraction(55, 96) > inst.a + inst.c == Fraction(9, 16)
-        cert = sub_inequality_ledger(inst)
+        assert 2 * w_max(inst) == Fraction(55, 96) > inst.a + inst.c == Fraction(9, 16)
+        cert = certify_instance(inst)
         assert cert.sub_inequalities["two_wmax_le_a_plus_c"] is False
         assert cert.sub_inequalities["middle_prefix_sums_direct"] is True
         assert cert.holds
         assert check_majorization(inst.x_seq, inst.y_seq).holds
         for p in (Fraction(1, 4), Fraction(1, 2)):
             tight = build_karamata_sequences(2, p)
-            assert 2 * tight.y_seq.max() == tight.a + tight.c
+            assert 2 * w_max(tight) == tight.a + tight.c
 
     def test_pairing_lemma_holds_from_three_variables_up(self):
         for n in (3, 4, 5, 8):
             for p in GRID:
                 inst = build_karamata_sequences(n, p)
-                assert 2 * inst.y_seq.max() <= inst.a + inst.c
+                assert 2 * w_max(inst) <= inst.a + inst.c
 
     def test_ledger_at_symmetric_point(self):
         for n in (2, 4, 6):
             inst = build_karamata_sequences(n, Fraction(1, 2))
-            assert inst.y_seq.max() == Fraction(1, 1 << n) == inst.b
-            assert sub_inequality_ledger(inst).holds
+            assert w_max(inst) == Fraction(1, 1 << n) == inst.b
+            assert certify_instance(inst).holds
 
     def test_instances_majorize_exactly(self):
         for n in (2, 3, 4, 6, 8):
@@ -416,9 +425,9 @@ class TestMutations:
         for p in (Fraction(1, 64), Fraction(13, 64), Fraction(31, 64)):
             inst = build_karamata_sequences(n, p)
             swapped = dataclasses.replace(inst, a_num=inst.b_num, b_num=inst.a_num)
-            ledger = sub_inequality_ledger(swapped)
-            assert not ledger.sub_inequalities["w_max_le_a"]
-            assert not ledger.sub_inequalities["w_min_ge_b"]
+            ledger = certify_instance(swapped).sub_inequalities
+            assert not ledger["w_max_le_a"]
+            assert not ledger["w_min_ge_b"]
             assert not certify_instance(swapped).holds
             # the swapped majorizing side [b, c, a] is not descending at all
             with pytest.raises(ValueError):

@@ -43,7 +43,6 @@ PUBLIC_NAMES = [
     "qlogq_identity_check",
     "reports_to_csv",
     "reports_to_json",
-    "sub_inequality_ledger",
     "summaries_to_csv",
     "summaries_to_json",
     "verify_class",
