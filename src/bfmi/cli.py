@@ -67,11 +67,8 @@ def _positive_int(text: str) -> int:
 
 
 def _grid(args) -> tuple[Fraction, ...]:
-    # --p-den defaults to None, so an explicit --p-den 64 is seen too
     if args.p is None:
         return DEFAULT_P_GRID if args.p_den is None else p_grid(args.p_den)
-    if args.p_den is not None:
-        raise ValueError("--p-den is not allowed with --p")
     return (args.p,)
 
 
@@ -103,7 +100,7 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
             for family in families:
                 yield family(r), range(max(n_min, r + 1), n_max + 1)
 
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    names = [name.strip().lower() for name in text.split(",") if name.strip()]
     if not names:
         raise ValueError(f"--classes names no class: {text!r}")
     for name in names:
@@ -119,30 +116,41 @@ def _expand_class_specs(text: str, n_min: int, n_max: int):
             yield parse_class_spec(name), n_range
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main``'s handler, not ``sys.exit``."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads; built on first use, once per process
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=_parse_p, help="exact error probability, e.g. 3/8")
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    grid = argparse.ArgumentParser(add_help=False)
-    grid.add_argument("--p-den", type=int, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
-    fmt = argparse.ArgumentParser(add_help=False)
+    point = _Parser(add_help=False)
+    point.add_argument("--p", type=_parse_p, required=True, help="exact error probability, e.g. 3/8")
+    grid = _Parser(add_help=False)
+    # --p-den defaults to None, so that an explicit --p-den 64 is seen too
+    points = grid.add_mutually_exclusive_group()
+    points.add_argument("--p", type=_parse_p, help="one exact p in place of the grid, e.g. 3/8")
+    points.add_argument("--p-den", type=int, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
+    fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="json")
 
-    parser = argparse.ArgumentParser(prog="mi", description=__doc__)
+    parser = _Parser(prog="mi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_compute = sub.add_parser("compute", parents=[common], help="MI, bound and margin for one function")
+    p_compute = sub.add_parser("compute", parents=[common, point], help="MI, bound and margin for one function")
     p_compute.add_argument("--n", type=int)
-    source = p_compute.add_mutually_exclusive_group()
+    source = p_compute.add_mutually_exclusive_group(required=True)
     source.add_argument("--function", help="class spec, e.g. class1:i=0 or class3:r=2:prefix=1")
     source.add_argument("--table", help="truth-table JSON file")
     p_compute.add_argument("--dump-joint", help="write the exact joint table as CSV")
 
     p_verify = sub.add_parser("verify", parents=[common, grid, fmt], help="bound checks over an (n, p) grid")
     p_verify.add_argument("--classes", default="class1,class2,class3,class4")
-    p_verify.add_argument("--n-min", type=int, default=2)
+    p_verify.add_argument("--n-min", type=_positive_int, default=2)
     p_verify.add_argument("--n-max", type=int, default=6)
 
     p_karamata = sub.add_parser("karamata", parents=[common, grid], help="exact majorization certificate")
@@ -159,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--function", required=True)
 
-    p_red = sub.add_parser("reduce-check", parents=[common],
+    p_red = sub.add_parser("reduce-check", parents=[common, point],
                            help="subcube MI on n variables vs single-one MI on r")
     p_red.add_argument("--n", type=int, required=True)
     p_red.add_argument("--r", type=int, required=True)
@@ -169,15 +177,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_compute(args) -> tuple[str, bool]:
     # only --table, lex and --dump-joint read a table; any other class reduces its histogram
-    if args.p is None:
-        raise ValueError("compute needs --p")
     if args.table:
         with open(args.table) as fh:
             table = TruthTable.from_json(fh.read())
         if args.n is not None and args.n != table.n:
             raise ValueError(f"--n {args.n} disagrees with table file (n={table.n})")
-    elif args.function is None:
-        raise ValueError("provide --function or --table")
     elif args.n is None:
         raise ValueError("--n is required with --function")
     else:
@@ -195,8 +199,6 @@ def _cmd_compute(args) -> tuple[str, bool]:
 
 
 def _cmd_verify(args) -> tuple[str, bool]:
-    if args.n_min < 1:
-        raise ValueError(f"--n-min must be at least 1, got {args.n_min}")
     if args.n_max > MAX_N:
         raise ValueError(f"--n-max must be at most {MAX_N}, got {args.n_max}")
     if args.n_min > args.n_max:
@@ -236,8 +238,6 @@ def _cmd_sweep(args) -> tuple[str, bool]:
 
 
 def _cmd_reduce_check(args) -> tuple[str, bool]:
-    if args.p is None:
-        raise ValueError("reduce-check needs --p")
     mi_full, mi_reduced = class3_reduction_check(args.n, args.r, args.p)
     diff = abs(mi_full - mi_reduced)
     doc = {"mi_full": mi_full, "mi_reduced": mi_reduced, "abs_diff": diff}
@@ -256,10 +256,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     # the one place that writes the report and maps its verdict to an exit code
     try:
+        args = _build_parser().parse_args(argv)
         text, ok = _COMMANDS[args.command](args)
         _emit(text, args.out)
     except (ValueError, OSError) as exc:

@@ -431,8 +431,6 @@ def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:
     (n - (n/2^n) H(p) + ((2^n-1)/2^n) sum w log2 w) and raises if that
     disagrees with that MI beyond 1e-9.
     """
-    if n < 2:
-        raise ValueError(f"needs n >= 2, got n={n}")
     q, den, a_num, b_num, _, big_k, _, y_runs = _runs(n, p)
     size = 1 << n
     sum_w_log_w = math.fsum(count // (size - 1) * xlog2x(num / den) for num, count in y_runs)

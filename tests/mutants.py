@@ -51,6 +51,8 @@ INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
 CONSTRUCTORS = "tests/test_boolfn.py::TestConstructors::"
 USAGE = "tests/test_cli.py::TestUsageErrors::"
+BAD_INPUT = USAGE + "test_bad_input_is_one_error_line"
+FRESH_BAD_INPUT = USAGE + "test_a_fresh_process_prints_the_same_line"
 VERDICTS = "tests/test_cli.py::TestVerdicts::"
 CLOSED_PIPE = VERDICTS + "test_a_fresh_process_on_a_closed_pipe_exits_2"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
@@ -588,41 +590,52 @@ MUTANTS = (
         "    if value < 2:\n",
         (USAGE + "test_one_job_is_accepted",),
     ),
+    # the option rules argparse declares, and its usage errors routed to main's one error line
     Mutant(
         "p-with-p-den-accepted",
         CLI,
-        "    if args.p_den is not None:\n",
-        "    if False:\n",
-        tuple(f"{USAGE}test_p_with_p_den_is_usage_error[{cmd}-{den}]"
+        "    points = grid.add_mutually_exclusive_group()\n",
+        "    points = grid\n",
+        tuple(f"{BAD_INPUT}[{cmd}-p-with-p-den-{den}]"
               for cmd in ("verify", "karamata", "exhaustive", "sweep") for den in (8, 64)),
     ),
     Mutant(
         "compute-source-check-dropped",
         CLI,
-        "    elif args.function is None:\n",
-        "    elif False:\n",
-        (USAGE + "test_a_missing_input_is_one_error_line[compute-no-source]",),
+        "add_mutually_exclusive_group(required=True)",
+        "add_mutually_exclusive_group()",
+        (BAD_INPUT + "[compute-no-source]",),
     ),
     Mutant(
         "compute-n-check-dropped",
         CLI,
         "    elif args.n is None:\n",
         "    elif False:\n",
-        (USAGE + "test_a_missing_input_is_one_error_line[compute-function-no-n]",),
+        (BAD_INPUT + "[compute-function-no-n]", FRESH_BAD_INPUT + "[compute-function-no-n]"),
     ),
     Mutant(
         "reduce-check-p-check-dropped",
         CLI,
-        '        raise ValueError("reduce-check needs --p")\n',
-        "        pass\n",
-        (USAGE + "test_a_missing_input_is_one_error_line[reduce-check-no-p]",),
+        'point.add_argument("--p", type=_parse_p, required=True,',
+        'point.add_argument("--p", type=_parse_p,',
+        (BAD_INPUT + "[reduce-check-no-p]", BAD_INPUT + "[compute-no-p]"),
     ),
     Mutant(
         "compute-exclusive-group-removed",
         CLI,
-        "    source = p_compute.add_mutually_exclusive_group()\n",
+        "    source = p_compute.add_mutually_exclusive_group(required=True)\n",
         "    source = p_compute\n",
-        (USAGE + "test_function_and_table_together_exit_2",),
+        (BAD_INPUT + "[function-and-table]", FRESH_BAD_INPUT + "[function-and-table]"),
+    ),
+    Mutant(
+        "usage-error-escapes-main",
+        CLI,
+        "    def error(self, message):\n"
+        "        raise ValueError(message)\n",
+        "",
+        tuple(f"{BAD_INPUT}[{case}]" for case in ("no-arguments", "unknown-command", "jobs-0", "compute-no-p",
+                                                  "function-and-table", "option-not-read"))
+        + (FRESH_BAD_INPUT + "[no-arguments]",),
     ),
     # a closed stdout pipe exits 2, with stderr on the same pipe too, and not 120 from the flush at exit
     Mutant(

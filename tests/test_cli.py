@@ -34,7 +34,7 @@ def run(capsys, *argv):
 
 def fresh_process(*argv):
     """(exit code, stdout, stderr) of ``mi`` run in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-m", "bfmi.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=env)
     return proc.returncode, proc.stdout, proc.stderr
@@ -83,11 +83,6 @@ class TestCompute:
         assert code == 0
         assert abs(json.loads(out)["mi_bits"] - mi_class1_closed(n, Fraction(3, 8))) <= 1e-12
 
-    def test_missing_p_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "compute", "--n", "2", "--function", "class1")
-        assert code == 2
-        assert "needs --p" in err
-
 
 class TestVerify:
     def test_small_grid_passes(self, capsys):
@@ -120,6 +115,13 @@ class TestVerify:
         assert [r["n"] for r in json.loads(out)["reports"]] == [4]
         [skip] = [rec for rec in caplog.records if "skipping" in rec.message]
         assert "class3:r=3:prefix=0 at n=2, 3:" in skip.message
+
+    @pytest.mark.parametrize("name", ["ALL", "Class3", " CLASS4 ", "Class3:R=2"])
+    def test_class_names_are_case_insensitive(self, capsys, name):
+        argv = ["verify", "--n-max", "4", "--p-den", "4", "--classes"]
+        code, out, err = run(capsys, *argv, name)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, *argv, name.strip().lower())
 
     def test_csv_format_and_out_file(self, capsys, tmp_path):
         path = tmp_path / "reports.csv"
@@ -444,67 +446,71 @@ class TestVerdicts:
             assert proc.stderr == b"mi: error: [Errno 32] Broken pipe\n"
 
 
+# argv -> the message of the one stderr line that bad input prints: first the
+# errors argparse finds, then those the commands find
+USAGE_ERRORS = {
+    "no-arguments": ([], "the following arguments are required: command"),
+    "unknown-command": (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from "
+                        "'compute', 'verify', 'karamata', 'exhaustive', 'sweep', 'reduce-check')"),
+    "p-above-half": (["compute", "--n", "2", "--function", "class1", "--p", "0.7"],
+                     "argument --p: p must be in [0, 1/2], got 7/10"),
+    "p-not-a-rational": (["compute", "--n", "2", "--function", "class1", "--p", "abc"],
+                         "argument --p: not a rational: 'abc'"),
+    **{f"jobs-{jobs}": (["exhaustive", "--n", "2", "--p", "1/4", "--jobs", jobs], f"argument --jobs: {message}")
+       for jobs, message in [("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
+                             ("x", "not an integer: 'x'")]},
+    "n-min-below-1": (["verify", "--p", "1/4", "--n-min", "0", "--n-max", "1"],
+                      "argument --n-min: must be at least 1, got 0"),
+    "option-not-read": (["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"],
+                        "unrecognized arguments: --format csv"),
+    **{f"removed{option}": (["verify", "--p", "1/4", option, "1"], f"unrecognized arguments: {option} 1")
+       for option in ("--lemma-samples", "--seed")},
+    # 64 is the default grid, so it must be told apart from an absent --p-den
+    **{f"{argv[0]}-p-with-p-den-{den}": ([*argv, "--p", "1/4", "--p-den", den],
+                                         "argument --p-den: not allowed with argument --p")
+       for argv in (["verify"], ["karamata", "--n", "3"], ["exhaustive", "--n", "2"],
+                    ["sweep", "--function", "class1", "--n", "3"])
+       for den in ("8", "64")},
+    "function-and-table": (["compute", "--n", "3", "--function", "dictator", "--table", "t.json", "--p", "1/4"],
+                           "argument --table: not allowed with argument --function"),
+    "compute-no-source": (["compute", "--p", "1/4"], "one of the arguments --function --table is required"),
+    "compute-no-p": (["compute", "--n", "2", "--function", "class1"], "the following arguments are required: --p"),
+    "reduce-check-no-p": (["reduce-check", "--n", "4", "--r", "2"], "the following arguments are required: --p"),
+    "compute-function-no-n": (["compute", "--function", "class1", "--p", "1/4"], "--n is required with --function"),
+    "n-min-above-n-max": (["verify", "--p", "1/4", "--n-min", "5", "--n-max", "3"],
+                          "--n-min 5 is greater than --n-max 3"),
+    "empty-classes": (["verify", "--p", "1/4", "--classes", ","], "--classes names no class: ','"),
+    "n-max-above-max-n": (["verify", "--p", "1/4", "--n-min", "24", "--n-max", "25"],
+                          "--n-max must be at most 24, got 25"),
+    "zero-grid-denominator": (["karamata", "--n", "3", "--p-den", "0"], "p_den must be in 1..4096, got 0"),
+}
+
+
 class TestUsageErrors:
-    def test_unknown_command_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("argv, message", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+    def test_bad_input_is_one_error_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"mi: error: {message}\n")
 
-    @pytest.mark.parametrize(
-        "p, message", [("0.7", "p must be in [0, 1/2], got 7/10"), ("abc", "not a rational: 'abc'")],
-        ids=["above-half", "not-a-rational"],
-    )
-    def test_malformed_p_exits_2(self, capsys, p, message):
+    @pytest.mark.parametrize("case", ["no-arguments", "jobs-0", "function-and-table", "compute-function-no-n"])
+    def test_a_fresh_process_prints_the_same_line(self, case):
+        argv, message = USAGE_ERRORS[case]
+        assert fresh_process(*argv) == (2, "", f"mi: error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["--help"], *([command, "--help"] for command in cli._COMMANDS)],
+                             ids=["mi", *cli._COMMANDS])
+    def test_help_prints_usage_and_exits_0(self, capsys, argv):
+        # the one SystemExit left: argparse's help action ends the process after printing
         with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n", "2", "--function", "class1", "--p", p])
-        assert exc.value.code == 2
+            main(argv)
         out = capsys.readouterr()
-        assert not out.out
-        assert message in out.err
-
-    def test_zero_grid_denominator_is_usage_error(self, capsys):
-        code, _, err = run(capsys, "karamata", "--n", "3", "--p-den", "0")
-        assert code == 2
-        assert "1..4096" in err
-
-    @pytest.mark.parametrize(
-        "jobs, message",
-        [("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"), ("x", "not an integer: 'x'")],
-        ids=["0", "-2", "x"],
-    )
-    def test_non_positive_jobs_is_usage_error(self, capsys, jobs, message):
-        with pytest.raises(SystemExit) as exc:
-            main(["exhaustive", "--n", "2", "--p", "1/4", "--jobs", jobs])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert not out.out
-        assert f"--jobs: {message}" in out.err
+        assert exc.value.code == 0
+        assert out.out.startswith(" ".join(["usage: mi", *argv[:-1]]) + " ")
+        assert not out.err
 
     def test_one_job_is_accepted(self, capsys):
         code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4", "--jobs", "1")
         assert code == 0
         assert json.loads(out)["summaries"][0]["num_functions_scanned"] == 16
-
-    def test_option_the_subcommand_does_not_read_exits_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"])
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize(
-        "argv, option",
-        [
-            (["--n-min", "5", "--n-max", "3"], "--n-min"),
-            (["--classes", ","], "--classes"),
-            (["--n-min", "0", "--n-max", "1"], "--n-min"),
-            (["--n-min", "24", "--n-max", "25"], "--n-max"),
-        ],
-        ids=["n-min-above-n-max", "empty-classes", "n-min-below-1", "n-max-above-max-n"],
-    )
-    def test_bad_verify_input_names_the_option(self, capsys, argv, option):
-        code, out, err = run(capsys, "verify", "--p", "1/4", *argv)
-        assert code == 2
-        assert not out
-        assert option in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -517,17 +523,6 @@ class TestUsageErrors:
         # make_class checks n before it builds a 2^64-bit mask
         code, out, err = run(capsys, *argv, "--p", "1/4")
         assert (code, out, err) == (2, "", "mi: error: n must be in 1..24, got 64\n")
-
-    @pytest.mark.parametrize(
-        "argv, message",
-        [(["compute", "--p", "1/4"], "provide --function or --table"),
-         (["compute", "--function", "class1", "--p", "1/4"], "--n is required with --function"),
-         (["reduce-check", "--n", "4", "--r", "2"], "reduce-check needs --p")],
-        ids=["compute-no-source", "compute-function-no-n", "reduce-check-no-p"],
-    )
-    def test_a_missing_input_is_one_error_line(self, capsys, argv, message):
-        code, out, err = run(capsys, *argv)
-        assert (code, out, err) == (2, "", f"mi: error: {message}\n")
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -571,38 +566,11 @@ class TestUsageErrors:
         reports = json.loads(out)["reports"]
         assert [(r["class_spec"], r["n"]) for r in reports] == [("class1:i=0", 1), ("class2:i=0", 1)]
 
-    @pytest.mark.parametrize("den", ["8", "64"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["verify"], ["karamata", "--n", "3"], ["exhaustive", "--n", "2"], ["sweep", "--function", "class1", "--n", "3"]],
-        ids=["verify", "karamata", "exhaustive", "sweep"],
-    )
-    def test_p_with_p_den_is_usage_error(self, capsys, argv, den):
-        # 64 is the default grid, so it must be told apart from an absent --p-den
-        code, out, err = run(capsys, *argv, "--p", "1/4", "--p-den", den)
-        assert (code, out) == (2, "")
-        assert "--p-den is not allowed with --p" in err
-
-    def test_function_and_table_together_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "table.json"
-        path.write_text(make_class(3, Dictator(2)).to_json())
-        with pytest.raises(SystemExit) as exc:
-            main(["compute", "--n", "3", "--function", "dictator", "--table", str(path), "--p", "1/4"])
-        assert exc.value.code == 2
-        assert "not allowed with argument" in capsys.readouterr().err
-
     def test_sweep_of_a_class_absent_at_n_is_usage_error(self, capsys):
         code, out, err = run(capsys, "sweep", "--function", "class3:r=9", "--n", "7", "--p", "1/4")
         assert code == 2
         assert not out
         assert "r must be in 1..n-1" in err
-
-    @pytest.mark.parametrize("option", ["--lemma-samples", "--seed"])
-    def test_removed_verify_options_exit_2(self, capsys, option):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--p", "1/4", option, "1"])
-        assert exc.value.code == 2
-        assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "doc",
@@ -696,21 +664,12 @@ class TestRepeatedCalls:
         ],
         ids=["argparse-error-then-good", "value-error-then-good", "two-subcommands"],
     )
-    def test_repeated_calls_match_a_fresh_process(self, capsys, monkeypatch, calls, codes):
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
-        seen = []
-        for argv in calls:
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's own usage errors
-                code = exc.code
-            out = capsys.readouterr()
-            seen.append((code, out.out, out.err))
+    def test_repeated_calls_match_a_fresh_process(self, capsys, calls, codes):
+        seen = [run(capsys, *argv) for argv in calls]
         assert [code for code, _, _ in seen] == codes
         assert seen == [fresh_process(*argv) for argv in calls]
 
-    def test_the_parser_built_once_answers_as_a_freshly_built_one(self, capsys, monkeypatch, tmp_path):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_the_parser_built_once_answers_as_a_freshly_built_one(self, capsys, tmp_path):
         table = tmp_path / "t.json"
         table.write_text(make_class(3, Dictator(2)).to_json())
         calls = [
@@ -724,12 +683,7 @@ class TestRepeatedCalls:
             for argv in calls:
                 if fresh:
                     cli._build_parser.cache_clear()
-                try:
-                    code = main(argv)
-                except SystemExit as exc:  # argparse's own usage errors
-                    code = exc.code
-                out = capsys.readouterr()
-                seen.append((code, out.out, out.err))
+                seen.append(run(capsys, *argv))
             return seen
 
         cli._build_parser.cache_clear()

@@ -520,7 +520,7 @@ class TestBoundEquivalence:
         assert abs(mi_minus_bound + gap / (1 << n)) <= 1e-10
 
     def test_n_below_2_raises(self):
-        with pytest.raises(ValueError, match="^needs n >= 2, got n=1$"):
+        with pytest.raises(ValueError, match="^the construction needs n >= 2, got n=1$"):
             bound_equivalence_check(1, Fraction(1, 4))
 
     def test_sign_agreement_across_grid(self):
