@@ -56,9 +56,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .boolfn import MAX_N, TruthTable, _bits
+from ._orbit import _bits
+from .boolfn import MAX_N, TruthTable
+from .mi import Rational, as_probability
 
-Rational = Fraction | int
 # rows per block of the passes that would otherwise hold a whole-table temporary: the
 # ``rows`` view folds this many rows into Python ints at a time, and ``_wht`` multiplies
 # this many 16-entry blocks by the Hadamard matrix at once
@@ -70,22 +71,14 @@ _DUMP_ROWS = 1 << 10
 _DECIMAL_BITS = 106
 _TEN16 = 10**16
 # the ASCII digits of 0..9999, four bytes to an entry, most significant first: every choice
-# of four digits in index order, built in uint8 so that importing bfmi does not raise the
-# peak RSS
+# of four digits in index order, built in uint8 so that importing this module does not raise
+# the peak RSS
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
 _DIGITS4 = _DIGITS4.reshape(10_000, 4).view("<u4")[:, 0]
 _WORD = (1 << 64) - 1
 # Sylvester-Hadamard matrix of order 16; its leading 2^k x 2^k block is the one of order 2^k
 _HADAMARD = np.array([[(-1) ** (i & j).bit_count() for j in range(16)] for i in range(16)],
                      dtype=np.int64)
-
-
-def as_probability(p, upper: Fraction = Fraction(1)) -> Fraction:
-    """Coerce to an exact Fraction in [0, upper]; a Fraction comes back as itself."""
-    q = p if type(p) is Fraction else Fraction(p)
-    if not 0 <= q <= upper:
-        raise ValueError(f"probability {q} outside [0, {upper}]")
-    return q
 
 
 def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:

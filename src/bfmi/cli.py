@@ -25,7 +25,6 @@ from .boolfn import (
     parse_class_spec,
     profile_histogram,
 )
-from .channel import joint_yz
 from .karamata import build_karamata_sequences, certify
 from .mi import histogram_mutual_information, mutual_information
 from .verify import (
@@ -56,19 +55,31 @@ def _parse_p(text: str) -> Fraction:
     return p
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
+def _den_grid(text: str) -> tuple[Fraction, ...]:
+    # p_grid holds the range rule; argparse puts the option's name before its message
+    try:
+        return p_grid(_integer(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _grid(args) -> tuple[Fraction, ...]:
     if args.p is None:
-        return DEFAULT_P_GRID if args.p_den is None else p_grid(args.p_den)
+        return DEFAULT_P_GRID if args.grid is None else args.grid
     return (args.p,)
 
 
@@ -134,7 +145,8 @@ def _build_parser() -> argparse.ArgumentParser:
     # --p-den defaults to None, so that an explicit --p-den 64 is seen too
     points = grid.add_mutually_exclusive_group()
     points.add_argument("--p", type=_parse_p, help="one exact p in place of the grid, e.g. 3/8")
-    points.add_argument("--p-den", type=int, help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
+    points.add_argument("--p-den", type=_den_grid, dest="grid", metavar="P_DEN",
+                        help="grid denominator: p = k/D, k = 0..D/2 (default 64)")
     fmt = _Parser(add_help=False)
     fmt.add_argument("--format", choices=("csv", "json"), default="json")
 
@@ -191,6 +203,8 @@ def _cmd_compute(args) -> tuple[str, bool]:
     if table is None:
         result = histogram_mutual_information(hist, args.p)
     else:
+        from .channel import joint_yz
+
         joint = joint_yz(table, args.p)
         if args.dump_joint:
             joint.write_csv(args.dump_joint)

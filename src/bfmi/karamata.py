@@ -57,8 +57,7 @@ from operator import index
 from typing import Iterable, Optional
 
 from .boolfn import MAX_N, Class1, profile_histogram
-from .channel import Rational, as_probability
-from .mi import binary_entropy, histogram_mutual_information, xlog2x
+from .mi import Rational, as_probability, binary_entropy, histogram_mutual_information, xlog2x
 
 
 _HALF = Fraction(1, 2)

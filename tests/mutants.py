@@ -37,6 +37,9 @@ INIT = "src/bfmi/__init__.py"
 KARAMATA = "src/bfmi/karamata.py"
 MI = "src/bfmi/mi.py"
 VERIFY = "src/bfmi/verify.py"
+MI_KERNEL = "src/bfmi/_kernel.py"
+ORBIT = "src/bfmi/_orbit.py"
+SCAN = "src/bfmi/_scan.py"
 KERNEL = "tests/test_mi.py::TestDoubleDoubleKernel::"
 DISTINCT = "tests/test_mi.py::TestDistinctRows::"
 BLOCKS = "tests/test_mi.py::TestKernelBlocks::"
@@ -54,6 +57,7 @@ USAGE = "tests/test_cli.py::TestUsageErrors::"
 BAD_INPUT = USAGE + "test_bad_input_is_one_error_line"
 FRESH_BAD_INPUT = USAGE + "test_a_fresh_process_prints_the_same_line"
 VERDICTS = "tests/test_cli.py::TestVerdicts::"
+EXACT_IMPORTS = "tests/test_cli.py::TestExactPathsImportNoNumpy::test_exact_commands_load_neither_numpy_nor_multiprocessing"
 CLOSED_PIPE = VERDICTS + "test_a_fresh_process_on_a_closed_pipe_exits_2"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
@@ -77,28 +81,28 @@ MUTANTS = (
     # the double-double quotient kernel
     Mutant(
         "kernel-no-midpoint-guard",
-        MI,
+        MI_KERNEL,
         "    undecided = r + t * push != r\n",
         "    undecided = np.zeros(r.shape, dtype=bool)\n",
         (KERNEL + "test_exact_rounding_midpoints", KERNEL + "test_near_midpoints_of_a_non_dyadic_den"),
     ),
     Mutant(
         "kernel-bound-2^10-too-tight",
-        MI,
+        MI_KERNEL,
         "_PUSH = 1.0 + 2.0**-41 ",
         "_PUSH = 1.0 + 2.0**-51 ",
         (KERNEL + "test_near_midpoints_of_a_non_dyadic_den",),
     ),
     Mutant(
         "kernel-mass-low-word-dropped",
-        MI,
+        MI_KERNEL,
         "    e += hi * g_lo + lo * g_hi\n",
         "    e += hi * g_lo\n",
         (KERNEL + "test_random_tables_match_the_loop[15]", KERNEL + "test_exact_rounding_midpoints"),
     ),
     Mutant(
         "kernel-groups-by-float-value",
-        MI,
+        MI_KERNEL,
         "    top = words.shape[1] - 1\n",
         "    values = words.astype(np.float64) @ 2.0 ** (64 * np.arange(words.shape[1]))\n"
         "    _, first, counts = np.unique(values, return_index=True, return_counts=True)\n"
@@ -107,7 +111,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-den-shift-one-too-far",
-        MI,
+        MI_KERNEL,
         "        den <<= -a\n",
         "        den <<= 1 - a\n",
         tuple(f"{KERNEL}test_dens_below_the_ratio_scale_match_the_fraction_oracle[{n}]" for n in range(1, 5)),
@@ -115,7 +119,7 @@ MUTANTS = (
     # the row grouping on top-aligned uint64 keys
     Mutant(
         "grouping-lower-word-split-skipped",
-        MI,
+        MI_KERNEL,
         "        if (seen[group] == col).all():\n",
         "        if True:\n",
         (HAND_BUILT + "[equal-keys-interleaved]", HAND_BUILT + "[below-the-aligned-key]",
@@ -123,7 +127,7 @@ MUTANTS = (
     ),
     Mutant(
         "grouping-shift-off-by-one",
-        MI,
+        MI_KERNEL,
         "    shift = 64 - high.bit_length()\n",
         "    shift = 65 - high.bit_length()\n",
         # the top word's highest set bit leaves the key, and nothing checks the top word again
@@ -131,7 +135,7 @@ MUTANTS = (
     ),
     Mutant(
         "grouping-fast-exit-on-equal-keys",
-        MI,
+        MI_KERNEL,
         "    if new.all():\n",
         "    if new.any():\n",
         (HAND_BUILT + "[one-word]", KERNEL + "test_equal_floats_of_distinct_rows_stay_apart",
@@ -140,7 +144,7 @@ MUTANTS = (
     ),
     Mutant(
         "grouping-ranks-unpermuted",
-        MI,
+        MI_KERNEL,
         "    group[np.argsort(key)] = ",
         "    group[:] = ",
         # the dense ranks land on the rows in sorted order, not on the rows they rank
@@ -148,7 +152,7 @@ MUTANTS = (
     ),
     Mutant(
         "grouping-pair-unpacked",
-        MI,
+        MI_KERNEL,
         "        pair = group << bits | ",
         "        pair = group | ",
         (HAND_BUILT + "[equal-keys-interleaved]",),
@@ -156,14 +160,14 @@ MUTANTS = (
     # the escapes from the kernel to the exact path, taken per block of distinct rows
     Mutant(
         "mi-den-escape-dropped",
-        MI,
+        MI_KERNEL,
         "    if den.bit_length() > _KERNEL_DEN_BITS:\n",
         "    if False:\n",
         (KERNEL + "test_den_at_the_top_of_the_exponent_range",),
     ),
     Mutant(
         "kernel-decided-rows-inverted",
-        MI,
+        MI_KERNEL,
         "_terms(counts, c1, c2, ~redo)",
         "_terms(counts, c1, c2, redo)",
         # a block of any size keeps only the rows the kernel could not decide
@@ -182,7 +186,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-undecided-rows-dropped",
-        MI,
+        MI_KERNEL,
         "    return chain(_terms(counts, c1, c2, ~redo),\n"
         "                 _exact_terms(_fold_words(rows[redo]), counts[redo].tolist(), den, *scales))\n",
         "    return _terms(counts, c1, c2, ~redo)\n",
@@ -190,7 +194,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-zero-margin-for-inexact-masses",
-        MI,
+        MI_KERNEL,
         "    push = 1.0 if num == den and exact_masses else _PUSH\n",
         "    push = 1.0 if num == den else _PUSH\n",
         (KERNEL + "test_exact_rounding_midpoints",),
@@ -428,8 +432,8 @@ MUTANTS = (
     Mutant(
         "all-gains-a-name",
         INIT,
-        '    "xlog2x",\n]',
-        '    "xlog2x",\n    "marginal_spot_check",\n]',
+        '"xlog2x"),',
+        '"xlog2x", "marginal_spot_check"),',
         (
             "tests/test_public_surface.py::test_all_is_the_pinned_list",
             "tests/test_public_surface.py::test_every_public_name_resolves",
@@ -506,10 +510,25 @@ MUTANTS = (
     Mutant(
         "class-check-builds-mask",
         VERIFY,
-        "        table = make_class(n, class_spec) if hist is None else None\n",
-        "        table = make_class(n, class_spec)\n",
+        "        if hist is None:  # lex, the one class whose joint table is built\n",
+        "        if True:\n",
         ("tests/test_cli.py::TestJointTables::test_class_checks_at_n_24_build_no_mask[verify]",
          "tests/test_cli.py::TestJointTables::test_joint_yz_runs_only_without_a_histogram[verify]"),
+    ),
+    # the exact side imports no array module at module level
+    Mutant(
+        "karamata-imports-numpy",
+        KARAMATA,
+        "from typing import Iterable, Optional\n",
+        "from typing import Iterable, Optional\n\nimport numpy as np  # noqa: F401\n",
+        (EXACT_IMPORTS,),
+    ),
+    Mutant(
+        "verify-imports-pool",
+        VERIFY,
+        "from typing import Iterable, Optional\n",
+        "from multiprocessing import Pool  # noqa: F401\nfrom typing import Iterable, Optional\n",
+        (EXACT_IMPORTS,),
     ),
     Mutant(
         "truth-table-bound-off-by-one",
@@ -703,7 +722,7 @@ MUTANTS = (
     # the symmetry group
     Mutant(
         "lex-min-little-endian-keys",
-        BOOLFN,
+        ORBIT,
         '.view(">u8")',
         '.view("<u8")',
         (
@@ -713,7 +732,7 @@ MUTANTS = (
     ),
     Mutant(
         "index-maps-neg-major",
-        BOOLFN,
+        ORBIT,
         "(moved[:, None, :] ^ flips[None, :, None])",
         "(moved[None, :, :] ^ flips[:, None, None])",
         tuple(f"{INDEX_MAPS}[{n}]" for n in (2, 3, 4)),
@@ -721,7 +740,7 @@ MUTANTS = (
     # the profile codes of the exhaustive scan
     Mutant(
         "doubling-high-half-innermost",
-        VERIFY,
+        SCAN,
         "(codes[y ^ b][:, :, None] + codes[:, None, :])",
         "(codes[y ^ b][:, None, :] + codes[:, :, None])",
         # row y gets the codes of y xor (every doubling's b): MI sums over y, so only code tests see it
@@ -729,7 +748,7 @@ MUTANTS = (
     ),
     Mutant(
         "doubling-xor-flip-dropped",
-        VERIFY,
+        SCAN,
         "codes[y ^ b][:, :, None]",
         "codes[:, :, None]",
         (
@@ -740,7 +759,7 @@ MUTANTS = (
     ),
     Mutant(
         "n5-high-half-unflipped",
-        VERIFY,
+        SCAN,
         "high = low[flip, masks[i] >> 16]",
         "high = low[:, masks[i] >> 16]",
         (EXHAUSTIVE + "test_n5_chunk_across_a_high_half_boundary", EXHAUSTIVE + "test_n5_chunks_are_pinned[chunk37]"),
@@ -748,7 +767,7 @@ MUTANTS = (
     # the scan kernel's term table
     Mutant(
         "scan-empty-column-mask-dropped",
-        VERIFY,
+        SCAN,
         "np.where(live, ",
         "np.where(pc > 0.0, ",
         (
@@ -758,14 +777,14 @@ MUTANTS = (
     ),
     Mutant(
         "scan-np-log2-back",
-        VERIFY,
+        SCAN,
         "np.fromiter(map(math.log2, np.where(pc > 0.0, pc, 1.0).tolist()), float, len(pc))",
         "np.log2(np.where(pc > 0.0, pc, 1.0))",
         (VECTOR + "test_matches_pure_python_bit_for_bit",),
     ),
     Mutant(
         "scan-blas-dot-back",
-        VERIFY,
+        SCAN,
         "    p1 = np.zeros(len(profiles))\n"
         "    for d in range(n + 1):  # int / int rounds h_d correctly\n"
         "        p1 += profiles[:, d] * ((den - t) ** (n - d) * t**d / (den**n * size))\n",
@@ -774,7 +793,7 @@ MUTANTS = (
     ),
     Mutant(
         "n5-filter-bound-off-by-one",
-        VERIFY,
+        SCAN,
         "np.bitwise_count(masks) <= size // 2",
         "np.bitwise_count(masks) < size // 2",
         (EXHAUSTIVE + "test_n5_chunk_across_a_high_half_boundary", EXHAUSTIVE + "test_n5_chunks_are_pinned[chunk0]"),

@@ -24,10 +24,9 @@ from bfmi.boolfn import (
 from bfmi.channel import joint_yz, marginal_sum
 from bfmi.karamata import build_karamata_sequences, check_majorization
 from bfmi.mi import binary_entropy, mi_class1_closed, mutual_information, qlogq_identity_check
+from bfmi._scan import _mi_from_codes, _space_codes
 from bfmi.verify import (
     DEFAULT_P_GRID,
-    _mi_from_codes,
-    _space_codes,
     class3_reduction_check,
     exhaustive_check,
     verify_class,

@@ -11,6 +11,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from bfmi._orbit import _index_maps
 from bfmi.boolfn import (
     Class1,
     Class2,
@@ -19,7 +20,6 @@ from bfmi.boolfn import (
     Dictator,
     Lex,
     TruthTable,
-    _index_maps,
     canonical_form,
     complement,
     format_class_spec,

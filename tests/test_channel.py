@@ -15,11 +15,13 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, _bits, complement, make_class
+from bfmi._kernel import _distinct_rows
+from bfmi._orbit import _bits
+from bfmi.boolfn import MAX_N, Class1, Class3, Dictator, TruthTable, complement, make_class
 import bfmi.channel
 from bfmi.channel import (_DUMP_ROWS, JointYZ, _decimal, _lane_bits, _lowest_terms, _nums, _shift_right,
-                          _trailing_zeros, _wht, as_probability, joint_yz, marginal_sum)
-from bfmi.mi import _distinct_rows
+                          _trailing_zeros, _wht, joint_yz, marginal_sum)
+from bfmi.mi import as_probability
 from test_boolfn import _brute_force_image
 
 P_SET = (Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(3, 8), Fraction(1, 2))

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from bfmi import cli, verify
+from bfmi import _scan, channel, cli, verify
 from bfmi.boolfn import Dictator, canonical_form, make_class
 from bfmi.channel import joint_yz
 from bfmi.cli import main
@@ -162,8 +162,9 @@ class TestJointTables:
                 return fn(*args)
             return call
 
+        # the table branches import joint_yz from channel when they run
+        monkeypatch.setattr(channel, "joint_yz", counted(joint_yz))
         for module in (cli, verify):
-            monkeypatch.setattr(module, "joint_yz", counted(joint_yz))
             monkeypatch.setattr(module, "make_class", counted(make_class))
         code, *_ = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
         assert (code, len(calls[joint_yz]), len(calls[make_class])) == (0, joints, tables)
@@ -184,6 +185,58 @@ class TestJointTables:
             tracemalloc.stop()
         assert code == 0
         assert peak < 1 << 20
+
+
+# runs each argv of the JSON list in argv[1] through cli.main in this one interpreter and prints,
+# per command, its exit code and which of NumPy and multiprocessing are loaded after it
+IMPORTS_AFTER_EACH = """
+import contextlib, io, json, sys
+from bfmi.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    seen.append([code, sorted({"numpy", "multiprocessing"} & sys.modules.keys())])
+print(json.dumps(seen))
+"""
+
+
+def imports_after_each(cwd, *commands):
+    """[exit code, heavy modules loaded] after each command, all run in one new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", IMPORTS_AFTER_EACH, json.dumps(commands)],
+                          capture_output=True, text=True, timeout=120, env=env, cwd=cwd, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestExactPathsImportNoNumpy:
+    """The class checks and certificates start without NumPy; the table commands still load it."""
+
+    def test_exact_commands_load_neither_numpy_nor_multiprocessing(self, tmp_path):
+        commands = [
+            ["karamata", "--n", "12", "--p-den", "64"],
+            ["karamata", "--n", "5", "--p", "3/8"],
+            ["karamata", "--n", "5", "--p", "3/8", "--dump-sums", "sums.csv"],
+            ["verify", "--classes", "all", "--n-min", "2", "--n-max", "6", "--p-den", "8"],
+            ["verify", "--classes", "class1,class4", "--n-max", "5", "--p-den", "8", "--format", "csv"],
+            ["sweep", "--n", "6", "--function", "class2", "--p-den", "8"],
+            ["compute", "--n", "8", "--function", "class3:r=2", "--p", "3/8"],
+            ["reduce-check", "--n", "8", "--r", "3", "--p", "1/3"],
+        ]
+        assert imports_after_each(tmp_path, *commands) == [[0, []]] * len(commands)
+        assert (tmp_path / "sums.csv").stat().st_size > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["compute", "--table", "t.json", "--p", "1/4"],
+         ["compute", "--n", "4", "--function", "lex:n1=3", "--p", "1/4"],
+         ["exhaustive", "--n", "2", "--p-den", "8"]],
+        ids=["table", "lex", "exhaustive"],
+    )
+    def test_table_commands_still_run_and_load_numpy(self, tmp_path, argv):
+        (tmp_path / "t.json").write_text(make_class(4, Dictator(3)).to_json())
+        [[code, loaded]] = imports_after_each(tmp_path, argv)
+        assert code == 0 and "numpy" in loaded
 
 
 class TestKaramata:
@@ -370,7 +423,7 @@ class TestVerdicts:
             return [(stop - start, 1 - binary_entropy(p) + 1e-6, [(0b0011, 1 - binary_entropy(p) + 1e-6)])
                     for p in grid]
 
-        monkeypatch.setattr(verify, "_scan_chunk", stub)
+        monkeypatch.setattr(_scan, "_scan_chunk", stub)
         code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4")
         assert code == 1
         [entry] = json.loads(out)["summaries"]
@@ -482,7 +535,8 @@ USAGE_ERRORS = {
     "empty-classes": (["verify", "--p", "1/4", "--classes", ","], "--classes names no class: ','"),
     "n-max-above-max-n": (["verify", "--p", "1/4", "--n-min", "24", "--n-max", "25"],
                           "--n-max must be at most 24, got 25"),
-    "zero-grid-denominator": (["karamata", "--n", "3", "--p-den", "0"], "p_den must be in 1..4096, got 0"),
+    "zero-grid-denominator": (["karamata", "--n", "3", "--p-den", "0"],
+                              "argument --p-den: grid denominator must be in 1..4096, got 0"),
 }
 
 

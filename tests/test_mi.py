@@ -8,7 +8,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bfmi._kernel
 import bfmi.mi
+from bfmi._kernel import _KERNEL_ROWS, _block_terms, _cell_quotients, _distinct_rows, _mi_bits
 from bfmi.boolfn import (
     Class1,
     Class2,
@@ -24,11 +26,6 @@ from bfmi.boolfn import (
 )
 from bfmi.channel import _fold, joint_yz
 from bfmi.mi import (
-    _KERNEL_ROWS,
-    _block_terms,
-    _cell_quotients,
-    _distinct_rows,
-    _mi_bits,
     _profile_rows,
     _ratio_scales,
     binary_entropy,
@@ -99,7 +96,7 @@ def loop_mi(j):
 def record_exact_rows(monkeypatch):
     """Patch ``_exact_terms`` to log how many rows each call takes; returns the log."""
     log, exact = [], bfmi.mi._exact_terms
-    monkeypatch.setattr(bfmi.mi, "_exact_terms", lambda nums, *args: log.append(len(nums)) or exact(nums, *args))
+    monkeypatch.setattr(bfmi._kernel, "_exact_terms", lambda nums, *args: log.append(len(nums)) or exact(nums, *args))
     return log
 
 
@@ -121,9 +118,9 @@ def kernel_fallbacks(j):
     nums = _fold(rows)
     assert dict(zip(nums, counts.tolist())) == Counter(p1_nums(j))
     want, runs = mutual_information(j).mi_bits, []
-    kernel = bfmi.mi._cell_quotients
+    kernel = bfmi._kernel._cell_quotients
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(bfmi.mi, "_cell_quotients", lambda *args: runs.append(kernel(*args)) or runs[-1])
+        m.setattr(bfmi._kernel, "_cell_quotients", lambda *args: runs.append(kernel(*args)) or runs[-1])
         exact_rows = record_exact_rows(m)
         assert _mi_bits(rows, counts, j.n, j.den, j.pz1) == want
     if not runs:
@@ -182,7 +179,7 @@ def assert_groups_match_the_oracles(words):
 def mi_under_the_byte_sort(j, monkeypatch):
     """MI of ``j`` with the old grouping in place of ``_distinct_rows``."""
     with monkeypatch.context() as m:
-        m.setattr(bfmi.mi, "_distinct_rows", byte_sort_rows)
+        m.setattr(bfmi._kernel, "_distinct_rows", byte_sort_rows)
         return mutual_information(j).mi_bits
 
 
@@ -435,13 +432,13 @@ class TestDoubleDoubleKernel:
     @pytest.mark.parametrize("n", range(8, 13))
     def test_rows_the_kernel_leaves_undecided_match_the_loop(self, n, monkeypatch):
         # every cell flagged: each kernel block sends all of its rows to int / int
-        kernel = bfmi.mi._round_products
+        kernel = bfmi._kernel._round_products
 
         def undecided_everywhere(*args):
             r, undecided = kernel(*args)
             return r, np.ones_like(undecided)
 
-        monkeypatch.setattr(bfmi.mi, "_round_products", undecided_everywhere)
+        monkeypatch.setattr(bfmi._kernel, "_round_products", undecided_everywhere)
         exact_rows = record_exact_rows(monkeypatch)
         table = TruthTable(n, random.Random(300 + n).getrandbits(1 << n))
         for p in (Fraction(13, 64), Fraction(12345, 100003)):
@@ -466,8 +463,8 @@ BLOCK_CASES = {
 
 def record_kernel_rows(monkeypatch):
     """Patch ``_round_products`` to log how many rows each kernel run takes; returns the log."""
-    log, kernel = [], bfmi.mi._round_products
-    monkeypatch.setattr(bfmi.mi, "_round_products", lambda hi, *args: log.append(hi.shape[-1]) or kernel(hi, *args))
+    log, kernel = [], bfmi._kernel._round_products
+    monkeypatch.setattr(bfmi._kernel, "_round_products", lambda hi, *args: log.append(hi.shape[-1]) or kernel(hi, *args))
     return log
 
 
@@ -625,7 +622,7 @@ class TestHistogramPath:
             raise AssertionError("a histogram reached the table path")
 
         for name in ("_mi_bits", "_masses", "_distinct_rows", "_fold_words"):
-            monkeypatch.setattr(bfmi.mi, name, unreachable)
+            monkeypatch.setattr(bfmi._kernel, name, unreachable)
         for n in range(1, 25):
             for c in histogram_classes(n):
                 h = profile_histogram(n, c)

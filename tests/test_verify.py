@@ -3,6 +3,7 @@
 import json
 import math
 import enum
+import multiprocessing
 import os
 import random
 import struct
@@ -11,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bfmi import cli, verify
+from bfmi import _scan, cli, verify
+from bfmi._scan import _mi_from_codes, _scan_chunk, _space_codes
 from bfmi.boolfn import (
     Class1,
     Class2,
@@ -31,9 +33,6 @@ from bfmi.verify import (
     ATTAINMENT_TOLERANCE,
     PASS_MARGIN_TOLERANCE,
     VerifyReport,
-    _mi_from_codes,
-    _scan_chunk,
-    _space_codes,
     class3_reduction_check,
     exhaustive_check,
     p_grid,
@@ -277,7 +276,7 @@ class TestExhaustive:
             value = values.get(start >> 20, 1 / 16)
             return [(3, value, [(start, value)])]
 
-        monkeypatch.setattr(verify, "_scan_chunk", stub)
+        monkeypatch.setattr(_scan, "_scan_chunk", stub)
         expected = sorted(canonical_form(TruthTable(5, k << 20)).mask for k in (7, 4000))
         [s] = exhaustive_check(5, (Fraction(1, 4),))
         assert s.num_functions_scanned == 3 * 4096
@@ -299,7 +298,7 @@ class TestExhaustive:
             seen.append(args[2:])
             return _scan_chunk(args)
 
-        monkeypatch.setattr(verify, "_scan_chunk", spy)
+        monkeypatch.setattr(_scan, "_scan_chunk", spy)
         [s] = exhaustive_check(4, (Fraction(1, 4),), jobs=4)
         assert seen == [(0, 1 << 16)]
         assert s.num_functions_scanned == 1 << 16
@@ -322,8 +321,8 @@ class TestExhaustive:
             def map(self, fn, args, chunksize):
                 return [fn(a) for a in args]
 
-        monkeypatch.setattr(verify, "Pool", FakePool)
-        monkeypatch.setattr(verify, "_scan_chunk", lambda args: [(1, 0.0, [(0, 0.0)]) for _ in args[1]])
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(_scan, "_scan_chunk", lambda args: [(1, 0.0, [(0, 0.0)]) for _ in args[1]])
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         [s] = exhaustive_check(5, (Fraction(1, 4),), jobs=64)
         assert sizes == [2]
@@ -368,7 +367,7 @@ class TestExhaustive:
             value = top if start >> 20 == 7 else 1 / 16
             return [(3, value, [(start, value)])]
 
-        monkeypatch.setattr(verify, "_scan_chunk", stub)
+        monkeypatch.setattr(_scan, "_scan_chunk", stub)
         [s] = exhaustive_check(5, (Fraction(1, 4),))
         assert s.num_functions_scanned == 3 * 4093
         assert s.max_mi_bits == top
@@ -419,8 +418,8 @@ class TestExhaustive:
         # at n = 4, p = 13/64 the 8 dictator tables x_j, 1 - x_j tie; they
         # form one orbit, which the dedupe walks once
         calls = []
-        real = verify._orbit_images
-        monkeypatch.setattr(verify, "_orbit_images", lambda f: calls.append(f) or real(f))
+        real = _scan._orbit_images
+        monkeypatch.setattr(_scan, "_orbit_images", lambda f: calls.append(f) or real(f))
         [s] = exhaustive_check(4, (Fraction(13, 64),))
         assert len(calls) == 1
         assert s.argmax_canonical_tables == (canonical_form(make_class(4, Dictator(1))),)
