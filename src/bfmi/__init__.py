@@ -24,8 +24,7 @@ _EXPORTS = {
                    "parse_class_spec"),
         "channel": ("JointYZ", "joint_yz", "marginal_sum"),
         "karamata": ("DescendingSeq", "KaramataInstance", "MajorizationCertificate", "bound_equivalence_check",
-                     "build_karamata_sequences", "certify", "certify_instance", "check_majorization",
-                     "karamata_conclusion"),
+                     "build_karamata_sequences", "certify", "certify_instance"),
         "mi": ("MIResult", "binary_entropy", "mi_class1_closed", "mutual_information", "qlogq_identity_check",
                "xlog2x"),
         "verify": ("DEFAULT_P_GRID", "PASS_MARGIN_TOLERANCE", "ExhaustiveSummary", "VerifyReport",

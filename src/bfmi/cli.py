@@ -25,7 +25,7 @@ from .boolfn import (
     parse_class_spec,
     profile_histogram,
 )
-from .karamata import build_karamata_sequences, certify
+from .karamata import certify, write_prefix_sums
 from .mi import histogram_mutual_information, mutual_information
 from .verify import (
     DEFAULT_P_GRID,
@@ -154,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", parents=[common, point], help="MI, bound and margin for one function")
-    p_compute.add_argument("--n", type=int)
+    p_compute.add_argument("--n", type=_integer)
     source = p_compute.add_mutually_exclusive_group(required=True)
     source.add_argument("--function", help="class spec, e.g. class1:i=0 or class3:r=2:prefix=1")
     source.add_argument("--table", help="truth-table JSON file")
@@ -163,26 +163,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common, grid, fmt], help="bound checks over an (n, p) grid")
     p_verify.add_argument("--classes", default="class1,class2,class3,class4")
     p_verify.add_argument("--n-min", type=_positive_int, default=2)
-    p_verify.add_argument("--n-max", type=int, default=6)
+    p_verify.add_argument("--n-max", type=_integer, default=6)
 
     p_karamata = sub.add_parser("karamata", parents=[common, grid], help="exact majorization certificate")
-    p_karamata.add_argument("--n", type=int, required=True)
+    p_karamata.add_argument("--n", type=_integer, required=True)
     p_karamata.add_argument("--dump-sums", help="write per-prefix partial sums as CSV")
 
     p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
-    p_exh.add_argument("--n", type=int, required=True)
+    p_exh.add_argument("--n", type=_integer, required=True)
     p_exh.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker processes, capped at the CPU count and at the number of "
                             "2^20-table chunks (n <= 4 is one chunk and runs in-process; n = 5 has 4096)")
 
     p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
-    p_sweep.add_argument("--n", type=int, required=True)
+    p_sweep.add_argument("--n", type=_integer, required=True)
     p_sweep.add_argument("--function", required=True)
 
     p_red = sub.add_parser("reduce-check", parents=[common, point],
                            help="subcube MI on n variables vs single-one MI on r")
-    p_red.add_argument("--n", type=int, required=True)
-    p_red.add_argument("--r", type=int, required=True)
+    p_red.add_argument("--n", type=_integer, required=True)
+    p_red.add_argument("--r", type=_integer, required=True)
 
     return parser
 
@@ -232,8 +232,8 @@ def _cmd_karamata(args) -> tuple[str, bool]:
     entries = []
     for p in _grid(args):
         cert = certify(args.n, p)
-        if args.dump_sums:  # the one caller that needs the sequences themselves
-            build_karamata_sequences(args.n, p).write_prefix_sums(args.dump_sums)
+        if args.dump_sums:
+            write_prefix_sums(args.n, p, args.dump_sums)
         entries.append({"n": args.n, "p": str(p), **vars(cert)})
     doc = entries[0] if args.p is not None else {"version": 1, "certificates": entries}
     return _json_text(doc), all(e["holds"] for e in entries)

@@ -21,9 +21,8 @@ D = 2^n * d^n * (2^n - 1):
 
 and both sequence totals are (2^n - 1) * D.  The construction, the
 run walk, the scalar ledger and the prefix-sum dump do integer
-arithmetic only; a ``Fraction`` is built only where a caller reads a
-value as a rational (``p``, ``a``/``b``/``c``, ``total()``).  Sequences
-are stored run-length encoded: the prefix-sum gap between the two sides
+arithmetic only.  Sequences are stored run-length encoded as plain
+``(numerator, count)`` lists: the prefix-sum gap between the two sides
 is affine in the prefix length wherever both runs are constant, so its
 maximum over a run segment is attained at a segment endpoint, and
 checking every merged run boundary certifies every prefix exactly.
@@ -34,17 +33,20 @@ descending order, positive counts, equal lengths and totals checked),
 ``_first_violation`` walks their common refinement, and ``_ledger``
 makes the scalar comparisons.  :func:`certify` chains them and is what
 ``mi karamata`` and the class 1/2 checks of ``mi verify`` call for every
-p.  The :class:`DescendingSeq` and :class:`KaramataInstance` objects are
-built only for API callers and for ``mi karamata --dump-sums``, which
-writes from them; :func:`build_karamata_sequences`,
-:func:`certify_instance` and :func:`check_majorization` are thin
-wrappers over the same steps.
+p; :func:`write_prefix_sums` writes ``--dump-sums`` from the same run
+lists.
+
+:func:`build_karamata_sequences`, :func:`certify_instance` and the bare
+:class:`KaramataInstance` and :class:`DescendingSeq` they pass between
+them build no second path: they wrap the same steps, and stay only
+because the benchmark's span counter (``perfbench/spans.py``) counts
+certificates on ``certify_instance`` and reads its instance's runs.
 
 A dense elementwise scan is kept as an independent oracle in the test
-suite.  Only :func:`karamata_conclusion` and
-:func:`bound_equivalence_check` touch floating point (they involve
-logarithms); each value enters them as one correctly rounded division
-``num / den``, the same float that ``float(Fraction(num, den))`` gives.
+suite.  Only :func:`bound_equivalence_check` touches floating point (it
+involves logarithms, and its ``karamata_gap`` is the convexity step);
+each value enters it as one correctly rounded division ``num / den``,
+the same float that ``float(Fraction(num, den))`` gives.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
-from operator import index
 from typing import Iterable, Optional
 
 from .boolfn import MAX_N, Class1, profile_histogram
@@ -100,41 +101,19 @@ def _dense(runs):
 
 
 class DescendingSeq:
-    """A nonincreasing sequence of rationals num/den, run-length encoded.
+    """A run list as ``_merge`` returns it: ``runs``, ``length`` and ``total_num``.
 
-    ``runs`` is a tuple of (integer numerator, count) pairs with
-    strictly decreasing numerators and positive counts, all over the one
-    positive denominator ``den``; equal neighbours supplied by the
-    caller are merged.  Ties inside the underlying sequence are
-    therefore permitted (p in {0, 1/2} produces them).  ``length`` is
-    the number of elements and ``total_num`` the numerator of their sum
-    over ``den``.  ``length`` is an attribute, not ``len()``, because
-    from n = 32 on it exceeds ``sys.maxsize``.  Two sequences are equal
-    when their ``den`` and ``runs`` are.
+    ``runs`` is a tuple of (integer numerator, count) pairs over the
+    instance denominator, ties merged and validated by ``_merge``.
+    ``length`` is an attribute, not ``len()``, because from n = 32 on it
+    exceeds ``sys.maxsize``.
     """
 
-    __slots__ = ("runs", "den", "length", "total_num")
+    __slots__ = ("runs", "length", "total_num")
 
-    def __init__(self, runs: Iterable[tuple[int, int]], den: int = 1):
-        den = index(den)
-        if den <= 0:
-            raise ValueError(f"denominator must be positive, got {den}")
-        merged, self.length, self.total_num = _merge((index(num), index(count)) for num, count in runs)
+    def __init__(self, runs: Iterable[tuple[int, int]]):
+        merged, self.length, self.total_num = _merge(runs)
         self.runs = tuple(merged)
-        self.den = den
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DescendingSeq) and (self.den, self.runs) == (other.den, other.runs)
-
-    def __hash__(self):
-        return hash((self.den, self.runs))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{Fraction(num, self.den)}x{count}" for num, count in self.runs)
-        return f"DescendingSeq({inner})"
-
-    def total(self) -> Fraction:
-        return Fraction(self.total_num, self.den)
 
 
 @dataclass(frozen=True)
@@ -186,30 +165,6 @@ def _first_violation(x_runs, y_runs) -> Optional[int]:
     return None
 
 
-def check_majorization(xs: DescendingSeq, ys: DescendingSeq) -> MajorizationCertificate:
-    """Does ``xs`` majorize ``ys``?  Exact, zero tolerance.
-
-    Certifies sum_{j<=k} y_j <= sum_{j<=k} x_j for every prefix length
-    k, plus equality of the grand totals, by comparing integer
-    numerators over the denominator both sequences share.
-
-    Raises
-    ------
-    ValueError
-        On length mismatch or on two different denominators.
-    """
-    _check_lengths(xs.length, ys.length)
-    if xs.den != ys.den:
-        raise ValueError(f"denominator mismatch: {xs.den} vs {ys.den}")
-    first_violation = _first_violation(xs.runs, ys.runs)
-    totals_equal = xs.total_num == ys.total_num
-    return MajorizationCertificate(
-        holds=first_violation is None and totals_equal,
-        first_violation=first_violation,
-        totals_equal=totals_equal,
-    )
-
-
 # ---------------------------------------------------------------------------
 # The channel-specific sequence construction
 # ---------------------------------------------------------------------------
@@ -223,10 +178,9 @@ class KaramataInstance:
     2^n*(n-1), b repeated K] and ``y_seq`` the majorized side: shell k's
     value w_k repeated C(n, k)*(2^n - 1) times, both nonincreasing.
     K = 2^(n-1) * (2^n - n).  Every value is an integer numerator over
-    the shared denominator ``den`` (D in the module docstring), which
-    both sequences carry; ``a_num``, ``b_num`` and ``c_num`` are those
-    of a, b and c, read as rationals through ``a``, ``b`` and ``c``.
-    Both sequence totals equal 2^n - 1 exactly.
+    the shared denominator ``den`` (D in the module docstring);
+    ``a_num``, ``b_num`` and ``c_num`` are those of a, b and c.  Both
+    sequence totals equal 2^n - 1 exactly.
     """
 
     n: int
@@ -238,53 +192,6 @@ class KaramataInstance:
     c_num: int
     x_seq: DescendingSeq
     y_seq: DescendingSeq
-
-    def __post_init__(self):
-        if not self.x_seq.den == self.y_seq.den == self.den:
-            raise ValueError("both sequences must share the instance denominator")
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.a_num, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.b_num, self.den)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self.c_num, self.den)
-
-    def write_prefix_sums(self, path) -> None:
-        """Dump every prefix sum as CSV rows: k, SL_num, SL_den, SR_num, SR_den, ok.
-
-        SL is the sum of the first k entries of ``y_seq`` (the majorized
-        side), SR that of ``x_seq``, each in lowest terms, and ``ok`` is
-        SL <= SR.  The sums are kept as integer numerators over ``den``
-        and reduced only on output.
-
-        Raises
-        ------
-        ValueError
-            If there are more than 2^MAX_N prefixes (n >= 13), the joint
-            table dump's ceiling, checked before the file is opened.
-        """
-        if self.x_seq.length > 1 << MAX_N:
-            raise ValueError(f"the prefix-sum dump would write {self.x_seq.length} rows, more than 2^{MAX_N}")
-        den = self.den
-
-        def lines():
-            yield "k,SL_num,SL_den,SR_num,SR_den,ok\r\n"
-            sl = sr = 0
-            for k, (xv, yv) in enumerate(zip(_dense(self.x_seq.runs), _dense(self.y_seq.runs)), start=1):
-                sl += yv
-                sr += xv
-                gl = math.gcd(sl, den)
-                gr = math.gcd(sr, den)
-                yield f"{k},{sl // gl},{den // gl},{sr // gr},{den // gr},{sl <= sr}\r\n"
-
-        with open(path, "w", newline="") as fh:
-            fh.writelines(lines())
 
 
 def _runs(n: int, p: Rational):
@@ -373,7 +280,7 @@ def build_karamata_sequences(n: int, p: Rational) -> KaramataInstance:
     q, den, a_num, b_num, c_num, big_k, x_runs, y_runs = _runs(n, p)
     return KaramataInstance(
         n=n, p=q, K=big_k, den=den, a_num=a_num, b_num=b_num, c_num=c_num,
-        x_seq=DescendingSeq(x_runs, den), y_seq=DescendingSeq(y_runs, den),
+        x_seq=DescendingSeq(x_runs), y_seq=DescendingSeq(y_runs),
     )
 
 
@@ -399,18 +306,37 @@ def certify(n: int, p: Rational) -> MajorizationCertificate:
     return _certificate(n, den, a_num, b_num, c_num, x_runs, y_runs, total, total)
 
 
-def karamata_conclusion(xs: DescendingSeq, ys: DescendingSeq) -> tuple[float, float]:
-    """Evaluate (sum g(y_i), sum g(x_i)) with g(t) = t * log2(t).
+def write_prefix_sums(n: int, p: Rational, path) -> None:
+    """Dump every prefix sum of (n, p) as CSV rows: k, SL_num, SL_den, SR_num, SR_den, ok.
 
-    Requires that ``xs`` majorizes ``ys`` (checked; ValueError otherwise).
-    By convexity of g the left component never exceeds the right beyond
-    float rounding.
+    SL is the sum of the first k w values (the majorized side), SR that
+    of the (a, c, b) side, each in lowest terms, and ``ok`` is SL <= SR.
+    The sums are kept as integer numerators over D and reduced only on
+    output.
+
+    Raises
+    ------
+    ValueError
+        If there are more than 2^MAX_N prefixes (n >= 13), the joint
+        table dump's ceiling, checked before the file is opened.
     """
-    if not check_majorization(xs, ys).holds:
-        raise ValueError("karamata_conclusion called on a non-majorizing pair")
-    lhs = math.fsum(count * xlog2x(num / ys.den) for num, count in ys.runs)
-    rhs = math.fsum(count * xlog2x(num / xs.den) for num, count in xs.runs)
-    return lhs, rhs
+    _, den, _, _, _, _, x_runs, y_runs = _runs(n, p)
+    rows = (1 << n) * ((1 << n) - 1)
+    if rows > 1 << MAX_N:
+        raise ValueError(f"the prefix-sum dump would write {rows} rows, more than 2^{MAX_N}")
+
+    def lines():
+        yield "k,SL_num,SL_den,SR_num,SR_den,ok\r\n"
+        sl = sr = 0
+        for k, (xv, yv) in enumerate(zip(_dense(x_runs), _dense(y_runs)), start=1):
+            sl += yv
+            sr += xv
+            gl = math.gcd(sl, den)
+            gr = math.gcd(sr, den)
+            yield f"{k},{sl // gl},{den // gl},{sr // gr},{den // gr},{sl <= sr}\r\n"
+
+    with open(path, "w", newline="") as fh:
+        fh.writelines(lines())
 
 
 def bound_equivalence_check(n: int, p: Rational) -> tuple[float, float]:

@@ -62,10 +62,11 @@ CLOSED_PIPE = VERDICTS + "test_a_fresh_process_on_a_closed_pipe_exits_2"
 RECORDS = "tests/test_cli.py::TestRecordsAreTheirFields::test_json_keys_are_the_field_names_in_order"
 HISTOGRAMS = "tests/test_boolfn.py::TestProfileHistograms::"
 HISTOGRAM_PATH = "tests/test_mi.py::TestHistogramPath::"
-MAJORIZATION = "tests/test_karamata.py::TestCheckMajorization::"
+RUN_WALK = "tests/test_karamata.py::TestRunWalk::"
 CONSTRUCTION = "tests/test_karamata.py::TestSequenceConstruction::"
 CERTIFICATES = "tests/test_karamata.py::TestCertificates::"
 CERTIFY = "tests/test_karamata.py::TestCertify::"
+BOUND = "tests/test_karamata.py::TestBoundEquivalence::"
 
 
 @dataclass(frozen=True)
@@ -377,6 +378,14 @@ MUTANTS = (
         'yield "K,SL_num,',
         (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
     ),
+    # a refused dump must leave no file behind
+    Mutant(
+        "karamata-dump-opens-before-ceiling",
+        KARAMATA,
+        "    if rows > 1 << MAX_N:\n",
+        "    open(path, \"w\").close()\n    if rows > 1 << MAX_N:\n",
+        ("tests/test_cli.py::TestKaramata::test_dump_sums_past_2_to_the_24_rows_exits_2_and_writes_nothing",),
+    ),
     Mutant(
         "karamata-p-string-trailing-space",
         CLI,
@@ -385,29 +394,22 @@ MUTANTS = (
         tuple(f"{GOLDEN}[karamata-n{n}]" for n in range(2, 21))
         + (GOLDEN + "[karamata-dump-n5]", GOLDEN + "[karamata-dump-n6]"),
     ),
-    # the run walk, run merging and scalar ledger that certify and the sequence objects share
+    # the run walk, run merging and scalar ledger of certify
     Mutant(
         "karamata-walk-tie-is-a-violation",
         KARAMATA,
         "            if new_gap > 0:\n",
         "            if new_gap >= 0:\n",
-        (MAJORIZATION + "test_identical_sequences_hold", CERTIFICATES + "test_instances_majorize_exactly",
+        (RUN_WALK + "test_identical_sequences_hold", RUN_WALK + "test_equal_prefix_sums_are_no_violation",
+         CERTIFICATES + "test_instances_majorize_exactly",
          CERTIFY + "test_equals_the_certificate_of_the_instance[2]", GOLDEN + "[karamata-n2]"),
-    ),
-    # a pair over two denominators would be walked as if it shared one
-    Mutant(
-        "karamata-den-check-dropped",
-        KARAMATA,
-        "    if xs.den != ys.den:\n",
-        "    if False:\n",
-        (MAJORIZATION + "test_different_denominators_raise",),
     ),
     Mutant(
         "karamata-tie-merge-dropped",
         KARAMATA,
         "        elif num == last:\n",
         "        elif False:\n",
-        ("tests/test_karamata.py::TestDescendingSeq::test_adjacent_equal_runs_merge",
+        ("tests/test_karamata.py::TestMerge::test_adjacent_equal_runs_merge",
          CONSTRUCTION + "test_symmetric_point_collapses_everything",
          CONSTRUCTION + "test_integer_runs_match_the_fraction_reference[2]"),
     ),
@@ -419,6 +421,15 @@ MUTANTS = (
         (CERTIFICATES + "test_ledger_values_n2",
          "tests/test_karamata.py::TestMutations::test_n2_pairing_lemma_false_inside_the_quarter_to_half_interval",
          GOLDEN + "[karamata-n2]"),
+    ),
+    # the convexity step: sum g(X) counts the 2^n (n-1) middle values c, each g(c) = -n/2^n
+    Mutant(
+        "karamata-convexity-middle-term-dropped",
+        KARAMATA,
+        "    rhs_w = -n * (n - 1) + big_k * ",
+        "    rhs_w = big_k * ",
+        tuple(f"{BOUND}test_convexity_gap_is_nonnegative_and_vanishes_at_half[{n}]" for n in range(2, 7))
+        + (BOUND + "test_scaling_identity[2-p0]", BOUND + "test_both_vanish_at_half"),
     ),
     # the public surface and the report writers
     # sweep's make_class pre-check is gone; verify_class's raise keeps its behaviour
@@ -601,6 +612,13 @@ MUTANTS = (
         "            if n_max < 2:  # a subcube needs 1 <= r <= n-1\n",
         "            if n_max < 3:\n",
         tuple(f"{USAGE}test_a_bare_family_at_n_max_2_reports_its_r1_member[{f}]" for f in ("class3", "class4")),
+    ),
+    Mutant(
+        "r-parsed-by-int",
+        CLI,
+        'p_red.add_argument("--r", type=_integer,',
+        'p_red.add_argument("--r", type=int,',
+        (BAD_INPUT + "[r-not-an-integer]",),
     ),
     Mutant(
         "one-job-refused",

@@ -514,6 +514,10 @@ USAGE_ERRORS = {
                              ("x", "not an integer: 'x'")]},
     "n-min-below-1": (["verify", "--p", "1/4", "--n-min", "0", "--n-max", "1"],
                       "argument --n-min: must be at least 1, got 0"),
+    # every integer option has the one parser and the one message
+    **{f"{option[2:]}-not-an-integer": ([*argv, option, "x"], f"argument {option}: not an integer: 'x'")
+       for argv, option in [(["karamata", "--p", "1/4"], "--n"), (["verify", "--p", "1/4"], "--n-max"),
+                            (["reduce-check", "--n", "4", "--p", "1/4"], "--r")]},
     "option-not-read": (["compute", "--n", "2", "--function", "class1", "--p", "1/4", "--format", "csv"],
                         "unrecognized arguments: --format csv"),
     **{f"removed{option}": (["verify", "--p", "1/4", option, "1"], f"unrecognized arguments: {option} 1")

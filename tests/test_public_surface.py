@@ -26,13 +26,11 @@ PUBLIC_NAMES = [
     "canonical_form",
     "certify",
     "certify_instance",
-    "check_majorization",
     "class3_reduction_check",
     "complement",
     "exhaustive_check",
     "format_class_spec",
     "joint_yz",
-    "karamata_conclusion",
     "make_class",
     "marginal_sum",
     "mi_class1_closed",
