@@ -55,6 +55,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
+from operator import index
 from typing import Iterable, Optional
 
 from .boolfn import MAX_N, Class1, profile_histogram
@@ -104,7 +105,8 @@ class DescendingSeq:
     """A run list as ``_merge`` returns it: ``runs``, ``length`` and ``total_num``.
 
     ``runs`` is a tuple of (integer numerator, count) pairs over the
-    instance denominator, ties merged and validated by ``_merge``.
+    instance denominator, ties merged and validated by ``_merge``;
+    numerators and counts that are not integers raise TypeError.
     ``length`` is an attribute, not ``len()``, because from n = 32 on it
     exceeds ``sys.maxsize``.
     """
@@ -112,7 +114,7 @@ class DescendingSeq:
     __slots__ = ("runs", "length", "total_num")
 
     def __init__(self, runs: Iterable[tuple[int, int]]):
-        merged, self.length, self.total_num = _merge(runs)
+        merged, self.length, self.total_num = _merge((index(num), index(count)) for num, count in runs)
         self.runs = tuple(merged)
 
 
@@ -321,7 +323,7 @@ def write_prefix_sums(n: int, p: Rational, path) -> None:
         table dump's ceiling, checked before the file is opened.
     """
     _, den, _, _, _, _, x_runs, y_runs = _runs(n, p)
-    rows = (1 << n) * ((1 << n) - 1)
+    rows = sum(count for _, count in x_runs)  # the length _runs checked on both sides
     if rows > 1 << MAX_N:
         raise ValueError(f"the prefix-sum dump would write {rows} rows, more than 2^{MAX_N}")
 

@@ -414,6 +414,21 @@ MUTANTS = (
          CONSTRUCTION + "test_integer_runs_match_the_fraction_reference[2]"),
     ),
     Mutant(
+        "karamata-length-check-dropped",
+        KARAMATA,
+        "    if x_length != y_length:\n",
+        "    if False:\n",
+        ("tests/test_karamata.py::TestMutations::test_length_mismatch_raises[2-p0]",
+         "tests/test_karamata.py::TestMutations::test_length_mismatch_raises[5-p1]"),
+    ),
+    Mutant(
+        "karamata-seq-coercion-dropped",
+        KARAMATA,
+        "_merge((index(num), index(count)) for num, count in runs)",
+        "_merge(runs)",
+        ("tests/test_karamata.py::TestMerge::test_sequence_rejects_non_integers",),
+    ),
+    Mutant(
         "karamata-n2-direct-middle-prefixes-dropped",
         KARAMATA,
         "    if n == 2:\n",

@@ -116,6 +116,12 @@ class TestMerge:
         with pytest.raises(ValueError):
             DescendingSeq(runs)
 
+    def test_sequence_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            DescendingSeq([(Fraction(1, 2), 1)])
+        with pytest.raises(TypeError):
+            DescendingSeq([(1, 1.0)])
+
 
 class TestRunWalk:
     def test_identical_sequences_hold(self):
@@ -325,6 +331,17 @@ class TestMutations:
         cert = certify_instance(dataclasses.replace(inst, y_seq=bumped))
         assert not cert.totals_equal and not cert.holds
         assert not cert.sub_inequalities["totals"]
+
+    @pytest.mark.parametrize("n, p", [(2, Fraction(1, 4)), (5, Fraction(13, 64))])
+    def test_length_mismatch_raises(self, n, p):
+        inst = build_karamata_sequences(n, p)
+        for side in ("x_seq", "y_seq"):
+            *head, (last, count) = runs = getattr(inst, side).runs
+            longer = DescendingSeq([*runs, (0, 1)])
+            shorter = DescendingSeq([*head, (last, count - 1)])
+            for doctored in (longer, shorter):
+                with pytest.raises(ValueError, match="^length mismatch"):
+                    certify_instance(dataclasses.replace(inst, **{side: doctored}))
 
     def test_mass_moved_between_y_runs_matches_the_dense_oracle(self):
         seen = set()
