@@ -142,6 +142,17 @@ def _profile_rows(h: ProfileHistogram, p: Fraction) -> tuple[dict[int, int], int
     return merged, 4**n * d**n
 
 
+def _conditional_rows(h: ProfileHistogram, p: Fraction) -> dict[Fraction, Fraction]:
+    """{P(Z = 1 | y): share of y} of ``h``'s table, exactly: num·2^n/den and count/2^n.
+
+    MI depends on a table only through this map (P(Z = 1) is its mean),
+    so two tables with equal maps have equal MI, whatever their n.
+    """
+    merged, den = _profile_rows(h, p)
+    size = 1 << h.n
+    return {Fraction(num * size, den): Fraction(count, size) for num, count in merged.items()}
+
+
 def _exact_terms(nums: Iterable[int], counts: Iterable[float], den: int, py_num: int, up: int,
                  down: tuple[int, int]) -> Iterator[float]:
     """``_kernel._terms`` of the rows with p1 numerators ``nums``, each quotient ``int / int``: the same floats."""

@@ -50,7 +50,8 @@ from .boolfn import (
     profile_histogram,
 )
 from .karamata import MajorizationCertificate, certify
-from .mi import Rational, as_probability, binary_entropy, histogram_mutual_information, mutual_information
+from .mi import (Rational, _conditional_rows, as_probability, binary_entropy, histogram_mutual_information,
+                 mutual_information)
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +75,6 @@ DEFAULT_P_GRID: tuple[Fraction, ...] = p_grid(64)
 # accumulated rounding; 1e-9 sits three orders above the error observed
 # at n <= 12 and well below any meaningful violation.
 PASS_MARGIN_TOLERANCE = 1e-9
-
-# Both sides of an exact identity (the subcube reduction), each evaluated
-# in float, must agree within this.
-IDENTITY_TOLERANCE = 1e-12
 
 ATTAINMENT_TOLERANCE = 1e-12
 
@@ -183,17 +180,18 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
     return reports
 
 
-def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
-    """MI of the r-subcube indicator on n variables vs the single-one MI on r.
+def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float, bool]:
+    """(mi_full, mi_reduced, identical): the r-subcube indicator on n variables vs a single one on r.
 
-    Both sides come from profile histograms, with no truth table, and
-    the two histograms agree up to exact scalings.  For p = s/d the
-    subcube's distinct rows are the single one's times (2d)^(n - r), over
-    a den larger by (2d)^(n - r)*2^(n - r), and its counts are theirs
-    times 2^(n - r).  So each count*c1 product is the same float and the
-    two MI values agree bit for bit (pinned for n <= 10 by the test
-    suite); callers still compare them within ``IDENTITY_TOLERANCE``.
-    For r = 1 both equal 1 - H(p).
+    Both MI values come from profile histograms, with no truth table.
+    ``identical`` is the exact verdict: the two tables' maps
+    {P(Z = 1 | y): share of y} are equal as Fractions, which proves the
+    two MI values equal with no float compared.  The floats agree too:
+    for p = s/d the subcube's distinct rows are the single one's times
+    (2d)^(n - r), over a den larger by (2d)^(n - r)*2^(n - r), and its
+    counts are theirs times 2^(n - r), so the two MI values agree bit for
+    bit (pinned for n <= 10 by the test suite).  For r = 1 both equal
+    1 - H(p).
 
     Raises
     ------
@@ -201,9 +199,11 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float]:
         Where :func:`profile_histogram` finds the subcube absent: r
         outside 1..n-1, or n outside 1..MAX_N.
     """
-    full = histogram_mutual_information(profile_histogram(n, Class3(r)), p).mi_bits
-    reduced = histogram_mutual_information(profile_histogram(r, Class1()), p).mi_bits
-    return full, reduced
+    full_h, reduced_h = profile_histogram(n, Class3(r)), profile_histogram(r, Class1())
+    q = as_probability(p, Fraction(1, 2))
+    full, reduced = (histogram_mutual_information(h, q).mi_bits for h in (full_h, reduced_h))
+    identical = _conditional_rows(full_h, q) == _conditional_rows(reduced_h, q)
+    return full, reduced, identical
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def _json_float(x: float) -> str:
     return float.__repr__(x)
 
 
-# the text of each exact scalar type; containers and subclasses take the slow path
+# the text of each scalar type a report holds, by exact type; any other non-container is a TypeError
 _JSON_SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -308,33 +308,14 @@ _JSON_SCALARS = {
 }
 
 
-def _json_scalar(value) -> str:
-    """A non-container value's text; a subclass of str, int or float is written as its base."""
-    fmt = _JSON_SCALARS.get(type(value))
-    if fmt is None:  # the json encoder's order of isinstance checks
-        base = next((t for t in (str, int, float) if isinstance(value, t)), None)
-        if base is None:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        fmt = _JSON_SCALARS[base]
-    return fmt(value)
-
-
-def _json_key(key) -> str:
-    """A quoted dict key; int, float, bool and None keys are quoted as their text, as in ``json``."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = _json_scalar(key)
-    return encode_basestring_ascii(key)
-
-
 def _json_parts(value, nl: str, parts: list[str]) -> None:
     """Append ``value``'s text to ``parts``; ``nl`` is a newline and the indent of ``value``'s line.
 
     A non-empty container opens, puts each item on its own line two
     spaces deeper, and closes on a line at ``nl``; an empty one is ``{}``
     or ``[]``.  A scalar item of an exact built-in type is written in the
-    loop itself, without recursing.
+    loop itself, without recursing.  A key that is not a str raises
+    ``TypeError`` in ``encode_basestring_ascii``; no report has one.
     """
     inner = nl + "  "
     if isinstance(value, dict):
@@ -345,9 +326,9 @@ def _json_parts(value, nl: str, parts: list[str]) -> None:
         for key, item in value.items():
             fmt = _JSON_SCALARS.get(type(item))
             if fmt is not None:
-                parts.append(f"{sep}{_json_key(key)}: {fmt(item)}")
+                parts.append(f"{sep}{encode_basestring_ascii(key)}: {fmt(item)}")
             else:
-                parts.append(f"{sep}{_json_key(key)}: ")
+                parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
                 _json_parts(item, inner, parts)
             sep = "," + inner
         parts.append(nl + "}")
@@ -366,7 +347,10 @@ def _json_parts(value, nl: str, parts: list[str]) -> None:
             sep = "," + inner
         parts.append(nl + "]")
     else:
-        parts.append(_json_scalar(value))
+        fmt = _JSON_SCALARS.get(type(value))
+        if fmt is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        parts.append(fmt(value))
 
 
 def _csv_text(header: list[str], rows: Iterable[dict]) -> str:

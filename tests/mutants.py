@@ -67,6 +67,7 @@ CONSTRUCTION = "tests/test_karamata.py::TestSequenceConstruction::"
 CERTIFICATES = "tests/test_karamata.py::TestCertificates::"
 CERTIFY = "tests/test_karamata.py::TestCertify::"
 BOUND = "tests/test_karamata.py::TestBoundEquivalence::"
+REDUCTION = "tests/test_verify.py::TestReduction::"
 
 
 @dataclass(frozen=True)
@@ -264,6 +265,14 @@ MUTANTS = (
         (LANES + "[12]", LANES + "[16]"),
     ),
     Mutant(
+        "lanes-top-lane-check-dropped",
+        CHANNEL,
+        "    if lane.min() < 0 or int(lane.max()) >> (8 * top_bytes):",
+        "    if False:",
+        # the wrapped bytes still fail JointYZ's invariants, but under the wrapper's message
+        (WRITER + "test_a_negative_top_lane_is_caught_before_the_packing",),
+    ),
+    Mutant(
         "fold-bytes-read-big-endian",
         CHANNEL,
         'repeat("little")',
@@ -445,6 +454,13 @@ MUTANTS = (
         "    rhs_w = big_k * ",
         tuple(f"{BOUND}test_convexity_gap_is_nonnegative_and_vanishes_at_half[{n}]" for n in range(2, 7))
         + (BOUND + "test_scaling_identity[2-p0]", BOUND + "test_both_vanish_at_half"),
+    ),
+    Mutant(
+        "karamata-reconstruction-check-dropped",
+        KARAMATA,
+        "    if abs(reconstructed - result.mi_bits) > 1e-9:\n",
+        "    if False:\n",
+        (BOUND + "test_a_reconstruction_mismatch_is_an_assertion",),
     ),
     # the public surface and the report writers
     # sweep's make_class pre-check is gone; verify_class's raise keeps its behaviour
@@ -751,6 +767,30 @@ MUTANTS = (
         "        merged[num] = count\n",
         # at p = 1/2 every cell's log is 0, so only the merged counts themselves show the loss
         (HISTOGRAM_PATH + "test_rows_and_counts_are_the_grouped_table_rows[1_2]",),
+    ),
+    # the exact verdict of the subcube reduction: equal maps {P(Z = 1 | y): share of y}
+    Mutant(
+        "reduction-verdict-always-true",
+        VERIFY,
+        "    identical = _conditional_rows(full_h, q) == _conditional_rows(reduced_h, q)\n",
+        "    identical = True\n",
+        (REDUCTION + "test_one_moved_y_is_not_identical_though_mi_moves_by_2e_13",),
+    ),
+    Mutant(
+        "reduction-shares-are-raw-counts",
+        MI,
+        "Fraction(count, size)",
+        "count",
+        tuple(f"{REDUCTION}test_the_conditional_rows_are_identical[p{i}]" for i in range(6))
+        + (GOLDEN + "[reduce-check]",),
+    ),
+    Mutant(
+        "reduction-key-without-2^n",
+        MI,
+        "Fraction(num * size, den)",
+        "Fraction(num, den)",
+        tuple(f"{REDUCTION}test_the_conditional_rows_are_identical[p{i}]" for i in range(6))
+        + (GOLDEN + "[reduce-check]",),
     ),
     # the symmetry group
     Mutant(

@@ -173,14 +173,14 @@ def test_criterion_7_subcube_reduction():
                         joint_yz(make_class(r, Class1(0)), p)
                     ).mi_bits
                 worst = max(worst, abs(full - reduced_cache[key]))
-    # the public entry point agrees with the cached sweep
-    full, reduced = class3_reduction_check(5, 2, Fraction(1, 4))
+    # the public entry point agrees with the cached sweep, and its exact verdict holds
+    full, reduced, identical = class3_reduction_check(5, 2, Fraction(1, 4))
     worst = max(worst, abs(full - reduced))
     _conclude(
         7,
         f"subcube MI on n reduces to single-one MI on r, n<=10, all r, 33 grid p "
-        f"(worst |diff| {worst:.2e} <= 1e-12)",
-        worst <= 1e-12,
+        f"(worst |diff| {worst:.2e} <= 1e-12; exact rows identical at n=5, r=2: {identical})",
+        worst <= 1e-12 and identical,
         started,
     )
 

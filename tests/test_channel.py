@@ -437,6 +437,22 @@ class TestJointYZContainer:
         with pytest.raises(AssertionError, match="transform bug: pz1"):
             joint_yz(TruthTable(3, 0b1011_0001), Fraction(1, 4))
 
+    def test_a_negative_top_lane_is_caught_before_the_packing(self, monkeypatch):
+        # n = 3 at p = 1/4 runs one inverse lane, the top one; a negative cell there would wrap
+        # in its bytes, so joint_yz names it itself, not through JointYZ's invariants
+        real, calls = bfmi.channel._wht, []
+
+        def wht(v):
+            real(v)
+            calls.append(len(v))
+            if len(calls) > 1:
+                v[5] = -1
+
+        monkeypatch.setattr(bfmi.channel, "_wht", wht)
+        with pytest.raises(AssertionError, match=r"^joint mass outside \[0, 1/2\^n\]; transform bug$"):
+            joint_yz(TruthTable(3, 0b1011_0001), Fraction(1, 4))
+        assert calls == [8, 8]
+
     def test_distinct_rows_compresses_structured_tables(self):
         j = joint_yz(make_class(3, Class3(1)), Fraction(1, 4))
         assert sorted(_distinct_rows(j.words)[1].tolist()) == [4, 4]

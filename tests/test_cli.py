@@ -449,11 +449,12 @@ class TestVerdicts:
         assert code == 1
         assert out.startswith("p,mi_bits,bound_bits,margin_bits")
 
-    def test_reduce_check_past_the_identity_tolerance_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "class3_reduction_check", lambda n, r, p: (0.5, 0.5 + 1e-9))
+    def test_reduce_check_of_unequal_conditional_rows_exits_1(self, capsys, monkeypatch):
+        # the exact verdict decides, even where the two floats agree
+        monkeypatch.setattr(cli, "class3_reduction_check", lambda n, r, p: (0.5, 0.5, False))
         code, out, _ = run(capsys, "reduce-check", "--n", "4", "--r", "2", "--p", "1/8")
         assert code == 1
-        assert json.loads(out)["abs_diff"] > verify.IDENTITY_TOLERANCE
+        assert json.loads(out) == {"mi_full": 0.5, "mi_reduced": 0.5, "abs_diff": 0.0}
 
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(

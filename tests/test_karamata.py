@@ -442,6 +442,18 @@ class TestBoundEquivalence:
         with pytest.raises(ValueError, match="^the construction needs n >= 2, got n=1$"):
             bound_equivalence_check(1, Fraction(1, 4))
 
+    def test_a_reconstruction_mismatch_is_an_assertion(self, monkeypatch):
+        # MI rebuilt from the w-decomposition must agree with the histogram MI within 1e-9
+        real = karamata.histogram_mutual_information
+
+        def shifted(h, p):
+            result = real(h, p)
+            return dataclasses.replace(result, mi_bits=result.mi_bits + 1e-6)
+
+        monkeypatch.setattr(karamata, "histogram_mutual_information", shifted)
+        with pytest.raises(AssertionError, match="^MI reconstructed from the w-decomposition disagrees"):
+            bound_equivalence_check(4, Fraction(1, 4))
+
     def test_sign_agreement_across_grid(self):
         for n in (2, 4):
             for p in GRID[::4]:

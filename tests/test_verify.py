@@ -113,17 +113,17 @@ class TestVerifyClass:
 
 class TestReduction:
     def test_equal_within_tolerance(self):
-        full, reduced = class3_reduction_check(5, 2, Fraction(1, 4))
+        full, reduced, _ = class3_reduction_check(5, 2, Fraction(1, 4))
         assert abs(full - reduced) <= 1e-12
 
     def test_r1_is_the_capacity_case(self):
-        full, reduced = class3_reduction_check(4, 1, Fraction(3, 8))
+        full, reduced, _ = class3_reduction_check(4, 1, Fraction(3, 8))
         target = 1 - binary_entropy(Fraction(3, 8))
         assert abs(full - target) <= 1e-12
         assert abs(reduced - target) <= 1e-12
 
     def test_noiseless_case(self):
-        full, reduced = class3_reduction_check(3, 2, Fraction(0))
+        full, reduced, _ = class3_reduction_check(3, 2, Fraction(0))
         target = binary_entropy(Fraction(1, 4))
         assert abs(full - target) <= 1e-12
         assert abs(reduced - target) <= 1e-12
@@ -144,8 +144,34 @@ class TestReduction:
                 scale = (2 * p.denominator) ** (n - r)
                 assert den == den_r * scale << (n - r)
                 assert merged == {num * scale: k << (n - r) for num, k in merged_r.items()}
-                full, reduced = class3_reduction_check(n, r, p)
+                full, reduced, _ = class3_reduction_check(n, r, p)
                 assert full.hex() == reduced.hex(), (n, r)
+
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 2), Fraction(13, 64), Fraction(1, 3),
+                                   Fraction(12345, 100003), Fraction(2047, 4096)])
+    def test_the_conditional_rows_are_identical(self, p):
+        for n in range(2, 13):
+            for r in range(1, n):
+                assert class3_reduction_check(n, r, p)[2] is True, (n, r)
+
+    def test_one_moved_y_is_not_identical_though_mi_moves_by_2e_13(self, monkeypatch, capsys):
+        # one y moves between the first two profiles of class3:r=3 at n = 20: MI moves by about
+        # 1.9e-13, inside a 1e-12 float window, and the exact comparison still sees it
+        real = verify.profile_histogram
+
+        def planted(n, c):
+            h = real(n, c)
+            if isinstance(c, Class3):
+                h = h._replace(counts=(h.counts[0] - 1, h.counts[1] + 1, *h.counts[2:]))
+            return h
+
+        monkeypatch.setattr(verify, "profile_histogram", planted)
+        p = Fraction(2047, 4096)
+        full, reduced, identical = class3_reduction_check(20, 3, p)
+        assert identical is False
+        assert 0 < abs(full - reduced) <= 1e-12
+        assert main(["reduce-check", "--n", "20", "--r", "3", "--p", str(p)]) == 1
+        assert json.loads(capsys.readouterr().out)["abs_diff"] == abs(full - reduced)
 
 
 class TestVectorEngine:
@@ -523,6 +549,10 @@ def _random_json(rng, depth=0):
     return values if kind == 9 else tuple(values)
 
 
+class _Text(str):
+    pass
+
+
 # the golden cases whose report is JSON (CSV reports and ``sweep`` never reach the JSON writer)
 JSON_GOLDEN_CASES = [c for c in GOLDEN_CASES if c[1][0] != "sweep" and c[1][-1] != "csv"]
 
@@ -565,16 +595,14 @@ class TestJsonText:
             doc = _random_json(rng)
             assert verify._json_text(doc) == json.dumps(doc, indent=2), doc
 
-    def test_non_string_keys_and_subclasses_are_written_as_the_json_encoder_writes_them(self):
-        class Text(str):
-            pass
-
-        doc = [
-            {1: "int", -0.0: "zero", math.nan: "nan", math.inf: "inf", None: "none"},
-            {True: "bool", 2**70: "big"},  # one dict cannot hold both 1 and True
-            {Text("k"): [Text("v"), enum.IntEnum("E", "A")(1), np.float64(0.25)]},
-        ]
-        assert verify._json_text(doc) == json.dumps(doc, indent=2)
+    @pytest.mark.parametrize("doc", [{1: "int"}, {-0.0: "zero"}, {None: "none"}, {True: "bool"},
+                                     [_Text("v")], [enum.IntEnum("E", "A")(1)], [np.float64(0.25)]],
+                             ids=["int-key", "float-key", "none-key", "bool-key", "str-subclass",
+                                  "int-subclass", "float-subclass"])
+    def test_non_string_keys_and_scalar_subclasses_raise_type_error(self, doc):
+        # no report holds them, so the writer does not take the json encoder's coercions
+        with pytest.raises(TypeError):
+            verify._json_text(doc)
 
     @pytest.mark.parametrize("value", [Fraction(1, 3), np.int64(1), b"x", object()])
     @pytest.mark.parametrize("where", ["top", "in a list", "in a dict", "as a key"])
