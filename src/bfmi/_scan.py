@@ -1,8 +1,9 @@
 """The exhaustive scan's float kernel: every truth table of a small n, coded by distance profile.
 
-:func:`bfmi.verify.exhaustive_check` imports this module when it is
-called, and its pool's worker processes import it to run
-:func:`_scan_chunk`.  p_YZ(y, 1) depends on f only through the distance
+:func:`bfmi.verify.exhaustive_check` imports this module and the scan's
+tuning constants when it is called, and its pool's worker processes
+import it to run :func:`_scan_chunk`; of the exact side it loads only
+``boolfn``.  p_YZ(y, 1) depends on f only through the distance
 profile (N_0(y), ..., N_n(y)), N_d(y) counting the ones of f at Hamming
 distance d from y.  Because the channel depends on x and y only through
 |x xor y|, the code of a mask's high half at y is the code of the same
@@ -23,7 +24,14 @@ import numpy as np
 
 from ._orbit import _lex_min, _orbit_images
 from .boolfn import TruthTable
-from .verify import ARGMAX_CAP, ATTAINMENT_TOLERANCE, CHUNK_BITS
+
+ATTAINMENT_TOLERANCE = 1e-12
+
+# Exhaustive scans list at most this many argmax orbits (ties are
+# combinatorially large at p in {0, 1/2}) and cut the table space into
+# chunks of 2^CHUNK_BITS masks, which keeps per-chunk arrays modest.
+ARGMAX_CAP = 16
+CHUNK_BITS = 20
 
 
 def _profile_strides(n: int) -> np.ndarray:

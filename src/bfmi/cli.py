@@ -169,10 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_karamata.add_argument("--dump-sums", help="write per-prefix partial sums as CSV")
 
     p_exh = sub.add_parser("exhaustive", parents=[common, grid, fmt], help="scan all truth tables of a small n")
-    p_exh.add_argument("--n", type=_integer, required=True)
-    p_exh.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker processes, capped at the CPU count and at the number of "
-                            "2^20-table chunks (n <= 4 is one chunk and runs in-process; n = 5 has 4096)")
+    p_exh.add_argument("--n", type=_integer, required=True,
+                       help="at most 5; n = 5 runs one worker process per usable CPU (taskset limits them)")
 
     p_sweep = sub.add_parser("sweep", parents=[common, grid], help="margin curve over p = k/p_den")
     p_sweep.add_argument("--n", type=_integer, required=True)
@@ -239,7 +237,7 @@ def _cmd_karamata(args) -> tuple[str, bool]:
 
 
 def _cmd_exhaustive(args) -> tuple[str, bool]:
-    summaries = exhaustive_check(args.n, _grid(args), jobs=args.jobs)
+    summaries = exhaustive_check(args.n, _grid(args))
     text = summaries_to_json(summaries) if args.format == "json" else summaries_to_csv(summaries)
     return text, all(margin_passes(s.max_margin) for s in summaries)
 

@@ -76,14 +76,6 @@ DEFAULT_P_GRID: tuple[Fraction, ...] = p_grid(64)
 # at n <= 12 and well below any meaningful violation.
 PASS_MARGIN_TOLERANCE = 1e-9
 
-ATTAINMENT_TOLERANCE = 1e-12
-
-# Exhaustive scans list at most this many argmax orbits (ties are
-# combinatorially large at p in {0, 1/2}) and cut the table space into
-# chunks of 2^CHUNK_BITS masks, which keeps per-chunk arrays modest.
-ARGMAX_CAP = 16
-CHUNK_BITS = 20
-
 
 def margin_passes(margin_bits: float) -> bool:
     """The one margin rule: MI <= 1 - H(p) up to float rounding."""
@@ -211,18 +203,19 @@ def class3_reduction_check(n: int, r: int, p: Rational) -> tuple[float, float, b
 # ---------------------------------------------------------------------------
 
 
-def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[ExhaustiveSummary]:
+def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID) -> list[ExhaustiveSummary]:
     """Scan all 2^(2^n) truth tables for each grid p; one summary per p.
 
     The table space is cut into chunks of 2^CHUNK_BITS masks, each
     scanned once for the whole grid by :func:`_scan_chunk`: n <= 4 is a
     single unfiltered chunk run in-process; n = 5 is 4096
-    symmetry-filtered chunks, fanned out over min(``jobs``, CPU count,
-    4096) worker processes when that is more than one.
+    symmetry-filtered chunks, fanned out over min(usable CPUs, 4096)
+    worker processes when that is two or more; ``os.sched_getaffinity``
+    gives the usable CPUs (``taskset`` limits them), else ``os.cpu_count()``.
     ``argmax_canonical_tables`` lists up to ``ARGMAX_CAP`` distinct
     canonical forms attaining the maximum within 1e-12.
     """
-    from ._scan import _canonical_dedupe, _scan_chunk
+    from ._scan import ATTAINMENT_TOLERANCE, CHUNK_BITS, _canonical_dedupe, _scan_chunk
 
     grid = tuple(as_probability(p, Fraction(1, 2)) for p in p_grid)
     if n <= 0:
@@ -232,7 +225,8 @@ def exhaustive_check(n: int, p_grid=DEFAULT_P_GRID, jobs: int = 1) -> list[Exhau
     total = 1 << (1 << n)
     step = 1 << CHUNK_BITS
     args = [(n, grid, start, min(start + step, total)) for start in range(0, total, step)]
-    workers = min(jobs, os.cpu_count() or 1, len(args))
+    workers = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+                  len(args))
     if workers > 1:
         from multiprocessing import Pool
 

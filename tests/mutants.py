@@ -49,6 +49,7 @@ GOLDEN = "tests/test_golden.py::test_report_bytes_are_pinned"
 WRITER = "tests/test_channel.py::TestJointYZContainer::"
 VECTOR = "tests/test_verify.py::TestVectorEngine::"
 EXHAUSTIVE = "tests/test_verify.py::TestExhaustive::"
+WORKERS = EXHAUSTIVE + "test_n5_starts_one_worker_per_usable_cpu"
 JSON_TEXT = "tests/test_verify.py::TestJsonText::"
 INDEX_MAPS = "tests/test_boolfn.py::TestIndexMaps::test_input_index_map_matches_per_index_loop"
 SPECS = "tests/test_boolfn.py::TestClassSpecs::"
@@ -652,11 +653,12 @@ MUTANTS = (
         (BAD_INPUT + "[r-not-an-integer]",),
     ),
     Mutant(
-        "one-job-refused",
+        "n-min-of-1-refused",
         CLI,
         "    if value < 1:\n",
         "    if value < 2:\n",
-        (USAGE + "test_one_job_is_accepted",),
+        (USAGE + "test_a_bare_family_needs_a_member_but_all_keeps_class1_and_class2",
+         "tests/test_cli.py::TestJointTables::test_joint_yz_runs_only_without_a_histogram[verify]"),
     ),
     # the option rules argparse declares, and its usage errors routed to main's one error line
     Mutant(
@@ -701,8 +703,8 @@ MUTANTS = (
         "    def error(self, message):\n"
         "        raise ValueError(message)\n",
         "",
-        tuple(f"{BAD_INPUT}[{case}]" for case in ("no-arguments", "unknown-command", "jobs-0", "compute-no-p",
-                                                  "function-and-table", "option-not-read"))
+        tuple(f"{BAD_INPUT}[{case}]" for case in ("no-arguments", "unknown-command", "n-min-below-1",
+                                                  "compute-no-p", "function-and-table", "option-not-read"))
         + (FRESH_BAD_INPUT + "[no-arguments]",),
     ),
     # a closed stdout pipe exits 2, with stderr on the same pipe too, and not 120 from the flush at exit
@@ -731,12 +733,21 @@ MUTANTS = (
         "",
         (CLOSED_PIPE + "[verify-stderr-open]", CLOSED_PIPE + "[compute-stderr-open]"),
     ),
+    # the n = 5 scan starts one worker per CPU the process may use, at most one per chunk
     Mutant(
         "pool-cpu-cap-removed",
         VERIFY,
-        "min(jobs, os.cpu_count() or 1, len(args))",
-        "min(jobs, len(args))",
-        (EXHAUSTIVE + "test_n5_pool_is_capped_at_the_cpu_count",),
+        "min(len(os.sched_getaffinity(0)) if hasattr(os, \"sched_getaffinity\") else os.cpu_count() or 1,\n"
+        "                  len(args))",
+        "len(args)",
+        (WORKERS + "[one-usable-cpu]", WORKERS + "[two-usable-cpus]", WORKERS + "[no-affinity-call]"),
+    ),
+    Mutant(
+        "pool-affinity-ignored",
+        VERIFY,
+        "len(os.sched_getaffinity(0))",
+        "os.cpu_count()",
+        (WORKERS + "[one-usable-cpu]", WORKERS + "[two-usable-cpus]"),
     ),
     # the closed-form profile histograms of the class checks, and the producer of their rows
     Mutant(
@@ -863,6 +874,14 @@ MUTANTS = (
         "        p1 += profiles[:, d] * ((den - t) ** (n - d) * t**d / (den**n * size))\n",
         "    p1 = profiles @ np.array([(den - t) ** (n - d) * t**d / (den**n * size) for d in range(n + 1)])\n",
         (VECTOR + "test_matches_pure_python_bit_for_bit",),
+    ),
+    # a scan worker loads the kernel alone, not the exact side that calls it
+    Mutant(
+        "scan-imports-verify",
+        SCAN,
+        "from .boolfn import TruthTable\n",
+        "from .boolfn import TruthTable\nfrom .verify import PASS_MARGIN_TOLERANCE\n",
+        ("tests/test_cli.py::TestExactPathsImportNoNumpy::test_a_scan_worker_loads_no_exact_side_module_but_boolfn",),
     ),
     Mutant(
         "n5-filter-bound-off-by-one",

@@ -210,7 +210,7 @@ def imports_after_each(cwd, *commands):
 
 
 class TestExactPathsImportNoNumpy:
-    """The class checks and certificates start without NumPy; the table commands still load it."""
+    """The class checks and certificates start without NumPy; the table commands and the scan load what they need."""
 
     def test_exact_commands_load_neither_numpy_nor_multiprocessing(self, tmp_path):
         commands = [
@@ -236,7 +236,14 @@ class TestExactPathsImportNoNumpy:
     def test_table_commands_still_run_and_load_numpy(self, tmp_path, argv):
         (tmp_path / "t.json").write_text(make_class(4, Dictator(3)).to_json())
         [[code, loaded]] = imports_after_each(tmp_path, argv)
-        assert code == 0 and "numpy" in loaded
+        assert code == 0 and loaded == ["numpy"]  # an n <= 4 scan is one in-process chunk: no multiprocessing
+
+    def test_a_scan_worker_loads_no_exact_side_module_but_boolfn(self):
+        # a worker started by spawn imports bfmi._scan to run its chunks
+        code = "import sys, bfmi._scan; print(sorted(m for m in sys.modules if m.startswith('bfmi')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+        assert proc.stdout == "['bfmi', 'bfmi._orbit', 'bfmi._scan', 'bfmi.boolfn']\n"
 
 
 class TestKaramata:
@@ -510,9 +517,6 @@ USAGE_ERRORS = {
                      "argument --p: p must be in [0, 1/2], got 7/10"),
     "p-not-a-rational": (["compute", "--n", "2", "--function", "class1", "--p", "abc"],
                          "argument --p: not a rational: 'abc'"),
-    **{f"jobs-{jobs}": (["exhaustive", "--n", "2", "--p", "1/4", "--jobs", jobs], f"argument --jobs: {message}")
-       for jobs, message in [("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
-                             ("x", "not an integer: 'x'")]},
     "n-min-below-1": (["verify", "--p", "1/4", "--n-min", "0", "--n-max", "1"],
                       "argument --n-min: must be at least 1, got 0"),
     # every integer option has the one parser and the one message
@@ -523,6 +527,8 @@ USAGE_ERRORS = {
                         "unrecognized arguments: --format csv"),
     **{f"removed{option}": (["verify", "--p", "1/4", option, "1"], f"unrecognized arguments: {option} 1")
        for option in ("--lemma-samples", "--seed")},
+    "exhaustive-removed--jobs": (["exhaustive", "--n", "2", "--p", "1/4", "--jobs", "2"],
+                                 "unrecognized arguments: --jobs 2"),
     # 64 is the default grid, so it must be told apart from an absent --p-den
     **{f"{argv[0]}-p-with-p-den-{den}": ([*argv, "--p", "1/4", "--p-den", den],
                                          "argument --p-den: not allowed with argument --p")
@@ -550,7 +556,7 @@ class TestUsageErrors:
     def test_bad_input_is_one_error_line(self, capsys, argv, message):
         assert run(capsys, *argv) == (2, "", f"mi: error: {message}\n")
 
-    @pytest.mark.parametrize("case", ["no-arguments", "jobs-0", "function-and-table", "compute-function-no-n"])
+    @pytest.mark.parametrize("case", ["no-arguments", "n-min-below-1", "function-and-table", "compute-function-no-n"])
     def test_a_fresh_process_prints_the_same_line(self, case):
         argv, message = USAGE_ERRORS[case]
         assert fresh_process(*argv) == (2, "", f"mi: error: {message}\n")
@@ -565,11 +571,6 @@ class TestUsageErrors:
         assert exc.value.code == 0
         assert out.out.startswith(" ".join(["usage: mi", *argv[:-1]]) + " ")
         assert not out.err
-
-    def test_one_job_is_accepted(self, capsys):
-        code, out, _ = run(capsys, "exhaustive", "--n", "2", "--p", "1/4", "--jobs", "1")
-        assert code == 0
-        assert json.loads(out)["summaries"][0]["num_functions_scanned"] == 16
 
     @pytest.mark.parametrize(
         "argv",
@@ -714,9 +715,9 @@ class TestRepeatedCalls:
     @pytest.mark.parametrize(
         "calls, codes",
         [
-            ([["exhaustive", "--n", "2", "--p", "1/4", "--jobs", "0"],
-              ["exhaustive", "--n", "2", "--p", "1/4"]], [2, 0]),
             ([["verify", "--p", "1/4", "--n-min", "0", "--n-max", "1"],
+              ["exhaustive", "--n", "2", "--p", "1/4"]], [2, 0]),
+            ([["verify", "--p", "1/4", "--n-min", "5", "--n-max", "3"],
               ["verify", "--p", "1/4", "--n-max", "3"]], [2, 0]),
             ([["karamata", "--n", "3", "--p", "1/4"],
               ["compute", "--n", "3", "--function", "dictator:j=2", "--p", "1/4"]], [0, 0]),

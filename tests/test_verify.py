@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from bfmi import _scan, cli, verify
-from bfmi._scan import _mi_from_codes, _scan_chunk, _space_codes
+from bfmi._scan import ARGMAX_CAP, ATTAINMENT_TOLERANCE, _mi_from_codes, _scan_chunk, _space_codes
 from bfmi.boolfn import (
     Class1,
     Class2,
@@ -30,7 +30,6 @@ from bfmi.cli import main
 from bfmi.karamata import MajorizationCertificate
 from bfmi.mi import _profile_rows, binary_entropy, mutual_information
 from bfmi.verify import (
-    ATTAINMENT_TOLERANCE,
     PASS_MARGIN_TOLERANCE,
     VerifyReport,
     class3_reduction_check,
@@ -256,6 +255,32 @@ class TestVectorEngine:
                 assert codes[y, mask] == sum(strides[(x ^ y).bit_count()] for x in ones)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The sizes of the worker pools the scan builds, in order.
+
+    The scan gets a stand-in ``Pool`` that records its size and maps
+    in-process, so no worker process is ever started.
+    """
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args, chunksize):
+            return [fn(a) for a in args]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return sizes
+
+
 class TestExhaustive:
     def test_n2_max_is_the_dictator_value(self):
         summaries = exhaustive_check(2, (Fraction(1, 4),))
@@ -289,7 +314,8 @@ class TestExhaustive:
         with pytest.raises(ValueError):
             exhaustive_check(0, (Fraction(1, 4),))
 
-    def test_n5_dispatches_to_the_chunked_tier(self, monkeypatch, capsys):
+    def test_n5_dispatches_to_the_chunked_tier(self, monkeypatch, capsys, pool_sizes):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU: in-process
         # a cheap stand-in for the chunk worker: every chunk reports 3
         # tables; chunks 7 and 4000 attain the maximum (4000 within the
         # tie tolerance), chunk 9 falls just short of it
@@ -316,8 +342,9 @@ class TestExhaustive:
         assert entry["argmax_canonical_tables"] == [
             json.loads(TruthTable(5, m).to_json()) for m in expected
         ]
+        assert pool_sizes == []
 
-    def test_n4_is_one_unfiltered_chunk(self, monkeypatch):
+    def test_n4_is_one_unfiltered_chunk(self, monkeypatch, pool_sizes):
         seen = []
 
         def spy(args):
@@ -325,37 +352,29 @@ class TestExhaustive:
             return _scan_chunk(args)
 
         monkeypatch.setattr(_scan, "_scan_chunk", spy)
-        [s] = exhaustive_check(4, (Fraction(1, 4),), jobs=4)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        [s] = exhaustive_check(4, (Fraction(1, 4),))
         assert seen == [(0, 1 << 16)]
         assert s.num_functions_scanned == 1 << 16
+        assert pool_sizes == []  # one chunk runs in-process, however many CPUs
 
-    def test_n5_pool_is_capped_at_the_cpu_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps in-process, over a
-        # stand-in chunk worker: no process is started
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args, chunksize):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    @pytest.mark.parametrize(
+        "affinity, cpu_count, pools",
+        [({0}, 4, []), ({0, 1}, 4, [2]), (None, 2, [2]), (None, None, [])],
+        ids=["one-usable-cpu", "two-usable-cpus", "no-affinity-call", "no-affinity-call-no-count"],
+    )
+    def test_n5_starts_one_worker_per_usable_cpu(self, monkeypatch, pool_sizes, affinity, cpu_count, pools):
+        # min(usable CPUs, 4096 chunks) workers over a stand-in chunk worker;
+        # the CPU count decides only where the platform has no affinity call
         monkeypatch.setattr(_scan, "_scan_chunk", lambda args: [(1, 0.0, [(0, 0.0)]) for _ in args[1]])
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        [s] = exhaustive_check(5, (Fraction(1, 4),), jobs=64)
-        assert sizes == [2]
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity")
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        [s] = exhaustive_check(5, (Fraction(1, 4),))
+        assert pool_sizes == pools
         assert s.num_functions_scanned == 4096
-        monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one in-process worker
-        exhaustive_check(5, (Fraction(1, 4),), jobs=64)
-        assert sizes == [2]
 
     def test_n5_chunk_worker(self):
         # tiny index slice; the filter keeps even masks with <= 16 ones
@@ -367,7 +386,7 @@ class TestExhaustive:
             assert local_max <= 1 - binary_entropy(p) + 1e-9
             assert top and all(v <= local_max for _, v in top)
             assert all(m % 2 == 0 and m.bit_count() <= 16 for m, _ in top)
-        assert len(results[1][2]) == 8 * verify.ARGMAX_CAP  # p = 1/2: every table ties
+        assert len(results[1][2]) == 8 * ARGMAX_CAP  # p = 1/2: every table ties
 
     def test_n5_chunk_across_a_high_half_boundary(self):
         # an unaligned range over masks whose high 16 bits are 2, then 3
@@ -378,9 +397,9 @@ class TestExhaustive:
         for p, result in zip(grid, _scan_chunk((5, grid, start, stop)), strict=True):
             mi = _mi_from_codes(codes, 5, p)
             top = [(m, float(v)) for m, v in zip(kept, mi) if v >= mi.max() - ATTAINMENT_TOLERANCE]
-            assert result == (len(kept), float(mi.max()), top[: 8 * verify.ARGMAX_CAP])
+            assert result == (len(kept), float(mi.max()), top[: 8 * ARGMAX_CAP])
 
-    def test_a_chunk_that_keeps_nothing_is_empty_and_skipped_by_the_merge(self, monkeypatch):
+    def test_a_chunk_that_keeps_nothing_is_empty_and_skipped_by_the_merge(self, monkeypatch, pool_sizes):
         # masks 2^32 - 2 and 2^32 - 1 have more than 16 ones, so the filter keeps neither
         grid = (Fraction(1, 4), Fraction(1, 3))
         assert _scan_chunk((5, grid, 2**32 - 2, 2**32)) == [(0, -math.inf, [])] * len(grid)
@@ -394,7 +413,9 @@ class TestExhaustive:
             return [(3, value, [(start, value)])]
 
         monkeypatch.setattr(_scan, "_scan_chunk", stub)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # one CPU: in-process
         [s] = exhaustive_check(5, (Fraction(1, 4),))
+        assert pool_sizes == []
         assert s.num_functions_scanned == 3 * 4093
         assert s.max_mi_bits == top
         assert [t.mask for t in s.argmax_canonical_tables] == [canonical_form(TruthTable(5, 7 << 20)).mask]
