@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, repeat
@@ -57,7 +56,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from ._orbit import _bits
-from .boolfn import MAX_N, TruthTable
+from .boolfn import MAX_N, TruthTable, _Record
 from .mi import Rational, as_probability
 
 # rows per block of the passes that would otherwise hold a whole-table temporary: the
@@ -112,8 +111,7 @@ def marginal_sum(y_index: int, k: int, p: Rational) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class JointYZ:
+class JointYZ(_Record):
     """Exact table of p_YZ(y, z) for all y in {0,1}^n and z in {0,1}.
 
     The table is stored as integers over one shared denominator:
@@ -138,6 +136,10 @@ class JointYZ:
     den: int
     words: np.ndarray
     pz1: Fraction
+
+    # equal only to itself: equality by fields would compare the words arrays
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __post_init__(self):
         size = 1 << self.n

@@ -52,13 +52,12 @@ the same float that ``float(Fraction(num, den))`` gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import index
 from typing import Iterable, Optional
 
-from .boolfn import MAX_N, Class1, profile_histogram
+from .boolfn import MAX_N, Class1, _Record, profile_histogram
 from .mi import Rational, as_probability, binary_entropy, histogram_mutual_information, xlog2x
 
 
@@ -118,8 +117,7 @@ class DescendingSeq:
         self.runs = tuple(merged)
 
 
-@dataclass(frozen=True)
-class MajorizationCertificate:
+class MajorizationCertificate(_Record):
     """Outcome of an exact majorization check.
 
     ``holds`` requires every prefix-sum comparison to pass and the
@@ -132,7 +130,7 @@ class MajorizationCertificate:
     holds: bool
     first_violation: Optional[int] = None
     totals_equal: bool = False
-    sub_inequalities: dict = field(default_factory=dict)
+    sub_inequalities: dict = {}  # a fresh dict per certificate
 
     def __post_init__(self):
         if self.holds and (self.first_violation is not None or not self.totals_equal):
@@ -172,8 +170,7 @@ def _first_violation(x_runs, y_runs) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KaramataInstance:
+class KaramataInstance(_Record):
     """The exact sequence pair for dimension n and error probability p.
 
     ``x_seq`` is the majorizing side [a repeated K, c repeated

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator
 
-from .boolfn import ProfileHistogram
+from .boolfn import ProfileHistogram, _Record
 
 if TYPE_CHECKING:
     from .channel import JointYZ
@@ -76,8 +75,7 @@ def binary_entropy(p: Rational) -> float:
     return -(xlog2x(s / d) + xlog2x((d - s) / d))
 
 
-@dataclass(frozen=True)
-class MIResult:
+class MIResult(_Record):
     """Mutual information together with the channel bound 1 - H(p)."""
 
     mi_bits: float

@@ -11,10 +11,11 @@ kernel is in ``bfmi._scan`` and the joint table in ``bfmi.channel``:
 them when they run, so this module imports neither NumPy nor
 ``multiprocessing``, which only the n = 5 pool needs.
 
-Each output format is declared once, by its record's dataclass.  A JSON
-record is the record's fields in field order; only derived values are
-spelled out: ``p`` as an exact string, the verify ``status`` (appended),
-and the argmax tables as the truth-table file's ``{n, bits_hex}`` dicts.
+Each output format is declared once, by its record's fields: the
+annotations of a ``bfmi.boolfn._Record`` subclass.  A JSON record is the
+record's fields in field order; only derived values are spelled out:
+``p`` as an exact string, the verify ``status`` (appended), and the
+argmax tables as the truth-table file's ``{n, bits_hex}`` dicts.
 A CSV report has the same columns, its one nested value flattened in
 place.  One writer lays out each format, ``_json_text`` and
 ``_csv_text``; ``mi`` passes the documents it builds itself
@@ -31,10 +32,8 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 import os
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Optional
@@ -44,6 +43,7 @@ from .boolfn import (
     Class2,
     Class3,
     TruthTable,
+    _Record,
     _table_dict,
     format_class_spec,
     make_class,
@@ -52,8 +52,6 @@ from .boolfn import (
 from .karamata import MajorizationCertificate, certify
 from .mi import (Rational, _conditional_rows, as_probability, binary_entropy, histogram_mutual_information,
                  mutual_information)
-
-logger = logging.getLogger(__name__)
 
 
 def p_grid(den: int) -> tuple[Fraction, ...]:
@@ -82,8 +80,7 @@ def margin_passes(margin_bits: float) -> bool:
     return margin_bits >= -PASS_MARGIN_TOLERANCE
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(_Record):
     """Per (class, n, p) outcome of a bound check.
 
     ``status`` is derived from the other fields: "pass" when
@@ -107,8 +104,7 @@ class VerifyReport:
         return "pass" if passed else "fail"
 
 
-@dataclass(frozen=True)
-class ExhaustiveSummary:
+class ExhaustiveSummary(_Record):
     """Outcome of scanning every truth table of one dimension at one p."""
 
     n: int
@@ -141,8 +137,10 @@ def verify_class(class_spec, n_range: Iterable[int], p_grid=DEFAULT_P_GRID) -> l
     if skipped and not hists:
         raise skipped[0][1]
     if skipped:
+        import logging  # only a skip needs it: imported here, it stays off every start-up
+
         ns = ", ".join(str(n) for n, _ in skipped)
-        logger.warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
+        logging.getLogger(__name__).warning("skipping %s at n=%s: %s", spec_str, ns, skipped[0][1])
     reports = []
     for n, hist in hists.items():
         attach_certificate = isinstance(class_spec, (Class1, Class2)) and n >= 2
@@ -358,7 +356,7 @@ def _csv_text(header: list[str], rows: Iterable[dict]) -> str:
 
 def _columns(record_type, nested: str, column: str, *derived: str) -> list[str]:
     """A record type's CSV header: its fields in order, ``nested`` renamed ``column``, then ``derived``."""
-    return [column if f.name == nested else f.name for f in fields(record_type)] + list(derived)
+    return [column if name == nested else name for name in record_type._fields] + list(derived)
 
 
 def reports_to_csv(reports: Iterable[VerifyReport]) -> str:

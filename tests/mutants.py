@@ -69,6 +69,7 @@ CERTIFICATES = "tests/test_karamata.py::TestCertificates::"
 CERTIFY = "tests/test_karamata.py::TestCertify::"
 BOUND = "tests/test_karamata.py::TestBoundEquivalence::"
 REDUCTION = "tests/test_verify.py::TestReduction::"
+RECORD_BASE = "tests/test_records.py::"
 
 
 @dataclass(frozen=True)
@@ -574,6 +575,13 @@ MUTANTS = (
         (EXACT_IMPORTS,),
     ),
     Mutant(
+        "verify-logging-at-import",
+        VERIFY,
+        "import io\nimport math\n",
+        "import io\nimport logging  # noqa: F401\nimport math\n",
+        (EXACT_IMPORTS,),
+    ),
+    Mutant(
         "truth-table-bound-off-by-one",
         BOOLFN,
         "self.mask.bit_length() > 1 << self.n:",
@@ -616,6 +624,29 @@ MUTANTS = (
         '"p": str(report.p), "status": report.status}',
         '"p": str(report.p)}',
         (RECORDS, GOLDEN + "[verify-json]", "tests/test_cli.py::TestVerify::test_small_grid_passes"),
+    ),
+    # the frozen record base: equality by class, no assignment, no dict shared between instances
+    Mutant(
+        "record-eq-ignores-class",
+        BOOLFN,
+        "        if type(other) is not type(self):\n",
+        "        if not isinstance(other, _Record):\n",
+        (RECORD_BASE + "test_equality_across_classes_and_defaults",),
+    ),
+    Mutant(
+        "record-not-frozen",
+        BOOLFN,
+        '        raise AttributeError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        tuple(f"{RECORD_BASE}TestEveryRecord::test_assigning_or_deleting_raises_attribute_error[{name}]"
+              for name in ("TruthTable", "MajorizationCertificate", "JointYZ")),
+    ),
+    Mutant(
+        "record-shared-default",
+        BOOLFN,
+        '                    defaults[name], value = _FRESH, f"{{}} if {name} is _FRESH else {name}"\n',
+        "",
+        (RECORD_BASE + "test_each_certificate_gets_its_own_dict",),
     ),
     # verify's make_class re-call is gone; verify_class's raise keeps its behaviour
     Mutant(

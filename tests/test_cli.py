@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -188,15 +187,35 @@ class TestJointTables:
 
 
 # runs each argv of the JSON list in argv[1] through cli.main in this one interpreter and prints,
-# per command, its exit code and which of NumPy and multiprocessing are loaded after it
+# per command, its exit code and which watched modules bfmi's imports have loaded so far.  A
+# finder first on sys.meta_path sees each import of a module not loaded yet, so what the
+# interpreter held before bfmi never counts; nor does what NumPy imports itself (it loads
+# inspect): of the frames that import a module, the innermost one of bfmi or NumPy decides.
 IMPORTS_AFTER_EACH = """
 import contextlib, io, json, sys
+WATCHED = {"numpy", "multiprocessing", "dataclasses", "inspect", "logging"}
+loaded = set()
+
+class Watch:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        frame = sys._getframe(1) if name in WATCHED else None
+        while frame is not None:
+            owner = frame.f_globals.get("__name__", "").partition(".")[0]
+            if owner in ("bfmi", "numpy"):
+                if owner == "bfmi":
+                    loaded.add(name)
+                break
+            frame = frame.f_back
+        return None
+
+sys.meta_path.insert(0, Watch)
 from bfmi.cli import main
 seen = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    seen.append([code, sorted({"numpy", "multiprocessing"} & sys.modules.keys())])
+    seen.append([code, sorted(loaded)])
 print(json.dumps(seen))
 """
 
@@ -213,6 +232,8 @@ class TestExactPathsImportNoNumpy:
     """The class checks and certificates start without NumPy; the table commands and the scan load what they need."""
 
     def test_exact_commands_load_neither_numpy_nor_multiprocessing(self, tmp_path):
+        # nor dataclasses, inspect or logging: bfmi's records build no code at import,
+        # and verify imports logging only to warn about a skipped n
         commands = [
             ["karamata", "--n", "12", "--p-den", "64"],
             ["karamata", "--n", "5", "--p", "3/8"],
@@ -237,6 +258,12 @@ class TestExactPathsImportNoNumpy:
         (tmp_path / "t.json").write_text(make_class(4, Dictator(3)).to_json())
         [[code, loaded]] = imports_after_each(tmp_path, argv)
         assert code == 0 and loaded == ["numpy"]  # an n <= 4 scan is one in-process chunk: no multiprocessing
+
+    def test_a_skipped_n_still_warns_once_in_a_fresh_process(self):
+        code, out, err = fresh_process("verify", "--classes", "class3:r=3", "--n-min", "2", "--n-max", "4",
+                                       "--p", "1/4")
+        assert code == 0 and len(json.loads(out)["reports"]) == 1
+        assert err == "skipping class3:r=3:prefix=0 at n=2, 3: r must be in 1..n-1, got r=3 for n=2\n"
 
     def test_a_scan_worker_loads_no_exact_side_module_but_boolfn(self):
         # a worker started by spawn imports bfmi._scan to run its chunks
@@ -350,10 +377,10 @@ class TestCsvIsJson:
 
 class TestRecordsAreTheirFields:
     def test_json_keys_are_the_field_names_in_order(self, capsys):
-        # every record lists its dataclass fields in field order; only the
-        # derived keys (verify's status, karamata's n and p) are added
+        # every record lists its fields, its class's annotations, in field order;
+        # only the derived keys (verify's status, karamata's n and p) are added
         def names(record_type):
-            return [f.name for f in fields(record_type)]
+            return list(record_type.__annotations__)
 
         _, out, _ = run(capsys, "verify", "--classes", "class1", "--n-max", "2", "--p", "1/4")
         [report] = json.loads(out)["reports"]

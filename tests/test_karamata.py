@@ -7,7 +7,6 @@ docstring's formulas in ``Fraction`` arithmetic.
 """
 
 import csv
-import dataclasses
 import io
 import math
 import random
@@ -27,6 +26,11 @@ from bfmi.karamata import (
 )
 
 GRID = tuple(Fraction(k, 64) for k in range(33))
+
+
+def replaced(record, **changes):
+    """A new record of ``record``'s type with ``changes`` applied; its ``__post_init__`` runs again."""
+    return type(record)(**{**vars(record), **changes})
 
 
 def walk(xs, ys):
@@ -328,7 +332,7 @@ class TestMutations:
         inst = build_karamata_sequences(n, p)
         (top, count), *rest = inst.y_seq.runs
         bumped = DescendingSeq([(top + 1, count), *rest])
-        cert = certify_instance(dataclasses.replace(inst, y_seq=bumped))
+        cert = certify_instance(replaced(inst, y_seq=bumped))
         assert not cert.totals_equal and not cert.holds
         assert not cert.sub_inequalities["totals"]
 
@@ -341,7 +345,7 @@ class TestMutations:
             shorter = DescendingSeq([*head, (last, count - 1)])
             for doctored in (longer, shorter):
                 with pytest.raises(ValueError, match="^length mismatch"):
-                    certify_instance(dataclasses.replace(inst, **{side: doctored}))
+                    certify_instance(replaced(inst, **{side: doctored}))
 
     def test_mass_moved_between_y_runs_matches_the_dense_oracle(self):
         seen = set()
@@ -363,7 +367,7 @@ class TestMutations:
                             ys = DescendingSeq(moved)
                             assert ys.total_num == inst.y_seq.total_num
                             holds, first, totals = dense_majorization(x_dense, dense(rational_runs(ys.runs, inst.den)))
-                            cert = certify_instance(dataclasses.replace(inst, y_seq=ys))
+                            cert = certify_instance(replaced(inst, y_seq=ys))
                             # the ledger may fail on its own (a moved w_max above a), never pass a violation
                             assert (cert.first_violation, cert.totals_equal) == (first, totals)
                             assert cert.holds <= holds
@@ -376,7 +380,7 @@ class TestMutations:
     def test_swapping_a_and_b_fails_the_certificate(self, n):
         for p in (Fraction(1, 64), Fraction(13, 64), Fraction(31, 64)):
             inst = build_karamata_sequences(n, p)
-            swapped = dataclasses.replace(inst, a_num=inst.b_num, b_num=inst.a_num)
+            swapped = replaced(inst, a_num=inst.b_num, b_num=inst.a_num)
             ledger = certify_instance(swapped).sub_inequalities
             assert not ledger["w_max_le_a"]
             assert not ledger["w_min_ge_b"]
@@ -448,7 +452,7 @@ class TestBoundEquivalence:
 
         def shifted(h, p):
             result = real(h, p)
-            return dataclasses.replace(result, mi_bits=result.mi_bits + 1e-6)
+            return replaced(result, mi_bits=result.mi_bits + 1e-6)
 
         monkeypatch.setattr(karamata, "histogram_mutual_information", shifted)
         with pytest.raises(AssertionError, match="^MI reconstructed from the w-decomposition disagrees"):
